@@ -22,7 +22,7 @@ from .config import ConfigError, Settings, build_networks, load_settings, manife
 from .data import TensorFileError, write_tensor_file
 from .metrics import CSV_HEADER
 from .nn import ParamStore, forward
-from .train import NumericAbort, TrainHooks, run_training
+from .train import NumericAbort, TrainHooks, run_training, sample_latent
 
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
@@ -32,14 +32,6 @@ OK, CONFIG_ERROR, NUMERIC_ABORT = 0, 1, 2
 def _save_store(ckpt_dir: Path, tag: str, store: ParamStore) -> None:
     for i, name, arr in store.named():
         write_tensor_file(ckpt_dir / f"{tag}_{i:02d}_{name}.abt", arr)
-
-
-def _latent_for(settings: Settings, n: int, seed_key) -> np.ndarray:
-    z = np.random.default_rng(seed_key).standard_normal(
-        (n, settings.train.latent_dim)).astype(np.float32)
-    if settings.arch == "conv":
-        z = z.reshape(n, settings.train.latent_dim, 1, 1)
-    return z
 
 
 def _run_one(settings: Settings, out_dir: Path) -> int:
@@ -79,7 +71,8 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
             return NUMERIC_ABORT
 
     if on_eval.last_g_store is not None:
-        z = _latent_for(settings, settings.train.eval_samples, [settings.train.seed, 7])
+        z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
+                          settings.train.eval_samples, g_spec)
         samples, _ = forward(g_spec, on_eval.last_g_store, z)
         write_tensor_file(out_dir / "samples.abt", samples)
     (out_dir / "status.txt").write_text("ok\n")

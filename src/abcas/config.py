@@ -215,7 +215,7 @@ def manifest_text(settings: Settings, version: str, out_dir: str) -> str:
         else:
             value = getattr(settings, key)
         if isinstance(value, list):
-            value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+            value = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):

@@ -64,10 +64,6 @@ class AbcasState:
                 raise ValueError(f"fixed multiplier must be in (0, 1], got {self.m0}")
             self.m = self.m0
 
-    @property
-    def multiplier(self) -> float:
-        return self.m
-
     def begin_step(self) -> None:
         """Advance the step counter; called exactly once per training step."""
         self.counter += 1

@@ -170,7 +170,10 @@ def output_shape(spec: NetworkSpec) -> tuple[int, ...]:
 
 
 class ParamStore:
-    """Per-layer weight/bias tensors plus gradient accumulators of the same shapes.
+    """One network's parameters in one flat vector, its gradients in another.
+
+    ``params[i][name]`` and ``grads[i][name]`` are views into ``flat`` and
+    ``grad_flat``, in :meth:`named` order; update them in place only.
 
     Weights are drawn from N(0, 0.02^2) with a per-layer stream derived
     from the seed and the layer index; biases start at zero, layernorm
@@ -182,8 +185,7 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         prefix = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
         in_shapes = [tuple(spec.input_shape)] + shape_plan(spec)[:-1] if spec.layers else []
-        self.params: list[dict[str, np.ndarray]] = []
-        self.grads: list[dict[str, np.ndarray]] = []
+        init: list[dict[str, np.ndarray]] = []
         for i, layer in enumerate(spec.layers):
             rng = np.random.default_rng(prefix + [i])
             p: dict[str, np.ndarray] = {}
@@ -203,19 +205,27 @@ class ParamStore:
             elif layer.kind == "layernorm":
                 p["g"] = np.ones(in_shapes[i])
                 p["b"] = np.zeros(in_shapes[i])
-            self.params.append({k: v.astype(self.dtype) for k, v in p.items()})
-            self.grads.append({k: np.zeros_like(v) for k, v in self.params[i].items()})
+            init.append(p)
+        order = [(i, name) for i, p in enumerate(init) for name in sorted(p)]
+        values = [init[i][name] for i, name in order]
+        self.flat = np.concatenate([v.ravel() for v in values] or [[]]).astype(self.dtype)
+        self.grad_flat = np.zeros_like(self.flat)
+        self.params: list[dict[str, np.ndarray]] = [{} for _ in init]
+        self.grads: list[dict[str, np.ndarray]] = [{} for _ in init]
+        cuts = np.cumsum([v.size for v in values])[:-1]
+        for (i, name), v, p, g in zip(order, values, np.split(self.flat, cuts),
+                                      np.split(self.grad_flat, cuts)):
+            self.params[i][name] = p.reshape(v.shape)
+            self.grads[i][name] = g.reshape(v.shape)
 
     def zero_grad(self) -> None:
-        for layer_grads in self.grads:
-            for g in layer_grads.values():
-                g[...] = 0
+        self.grad_flat.fill(0)
 
     def named(self):
-        """Yields (layer_index, name, array) over all parameters, in order."""
+        """Yields (layer_index, name, array) over all parameters, in ``flat`` order."""
         for i, layer_params in enumerate(self.params):
-            for name in sorted(layer_params):
-                yield i, name, layer_params[name]
+            for name, arr in layer_params.items():
+                yield i, name, arr
 
 
 # ---------------------------------------------------------------------------

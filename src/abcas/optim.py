@@ -18,6 +18,9 @@ __all__ = ["Adam"]
 
 
 class Adam:
+    """Adam on ``store.flat``: moments ``m``, ``v`` are flat vectors of the
+    same shape, and each step updates the whole vector at once."""
+
     def __init__(self, store: ParamStore, lr: float, beta1: float = 0.0,
                  beta2: float = 0.999, eps: float = 1e-8, rectify: bool = False):
         self.store = store
@@ -27,8 +30,8 @@ class Adam:
         self.eps = eps
         self.rectify = rectify
         self.t = 0
-        self.m = [{k: np.zeros_like(v) for k, v in lp.items()} for lp in store.params]
-        self.v = [{k: np.zeros_like(v) for k, v in lp.items()} for lp in store.params]
+        self.m = np.zeros_like(store.flat)
+        self.v = np.zeros_like(store.flat)
 
     def step(self) -> None:
         """Apply one update from the gradients currently in the store."""
@@ -37,6 +40,7 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
+        rect = 1.0  # lr * 1.0 == lr, so the plain update is the rectified one unscaled
         if self.rectify:
             rho_inf = 2.0 / (1.0 - b2) - 1.0
             rho_t = rho_inf - 2.0 * t * b2 ** t / bc2
@@ -47,20 +51,13 @@ class Adam:
                 )
             else:
                 rect = None
-        for i, layer_params in enumerate(self.store.params):
-            for name, p in layer_params.items():
-                g = self.store.grads[i][name]
-                m = self.m[i][name]
-                v = self.v[i][name]
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                m_hat = m / bc1
-                if self.rectify:
-                    if rect is None:
-                        p -= self.lr * m_hat
-                    else:
-                        p -= self.lr * rect * m_hat / (np.sqrt(v / bc2) + self.eps)
-                else:
-                    p -= self.lr * m_hat / (np.sqrt(v / bc2) + self.eps)
+        g, m, v, p = self.store.grad_flat, self.m, self.v, self.store.flat
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / bc1
+        if rect is None:
+            p -= self.lr * m_hat
+        else:
+            p -= self.lr * rect * m_hat / (np.sqrt(v / bc2) + self.eps)

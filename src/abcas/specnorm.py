@@ -39,12 +39,11 @@ _NORMALIZABLE = ("dense", "conv2d")
 
 @dataclass
 class SpectralLayerState:
-    """Power-iteration state plus the same-step caches the backward pass needs."""
+    """Power-iteration state plus the multiplier and degeneracy of this step."""
 
     power: PowerIterState
     m: float = 1.0
     degenerate: bool = False
-    weight_mat: np.ndarray | None = None  # 64-bit copy of W (as matrix), this step
 
 
 def weight_as_matrix(W: np.ndarray) -> np.ndarray:
@@ -88,8 +87,8 @@ def refresh(states: dict[int, SpectralLayerState], store: ParamStore, m: float,
     """Advance power iteration and compute every layer's effective weight.
 
     Called once per training step (the per-layer sigma is computed once
-    per loop body). Caches what the backward pass needs: u, v, sigma and
-    a 64-bit copy of the weight matrix.
+    per loop body). Leaves u, v, sigma and m in each state for the
+    backward pass, which reads W from the store: W must not change between.
     """
     effective: dict[int, np.ndarray] = {}
     for i, state in states.items():
@@ -98,13 +97,13 @@ def refresh(states: dict[int, SpectralLayerState], store: ParamStore, m: float,
         for _ in range(power_steps):
             state.power = power_iteration_step(Wm, state.power)
         state.m = float(m)
-        state.weight_mat = np.asarray(Wm, dtype=np.float64).copy()
         effective[i] = normalized_weight(W, state)
     return effective
 
 
-def backward_through_norm(state: SpectralLayerState, grad_wrt_eff: np.ndarray) -> np.ndarray:
-    """Map dL/dW' to dL/dW with u, v held constant.
+def backward_through_norm(state: SpectralLayerState, W: np.ndarray,
+                          grad_wrt_eff: np.ndarray) -> np.ndarray:
+    """Map dL/dW' to dL/dW with u, v held constant; ``W`` is the stored weight.
 
     With sigma = u^T W v treated as a function of W only through the
     explicit W (u, v frozen):
@@ -116,11 +115,12 @@ def backward_through_norm(state: SpectralLayerState, grad_wrt_eff: np.ndarray) -
     if state.degenerate:
         return grad_wrt_eff
     pw = state.power
-    if pw.v is None or state.weight_mat is None:
-        raise RuntimeError("backward_through_norm requires the same-step refresh cache")
-    G = grad_wrt_eff.reshape(state.weight_mat.shape)
+    if pw.v is None:
+        raise RuntimeError("backward_through_norm requires the same-step refresh")
+    Wm = weight_as_matrix(W)
+    G = grad_wrt_eff.reshape(Wm.shape)
     sigma = pw.sigma_hat
-    inner = float(np.sum(np.asarray(G, dtype=np.float64) * state.weight_mat))
+    inner = float(np.sum(np.asarray(G, dtype=np.float64) * Wm))
     dW = (state.m / sigma) * G - (state.m * inner / sigma**2) * np.outer(pw.u, pw.v)
     return dW.reshape(grad_wrt_eff.shape).astype(grad_wrt_eff.dtype, copy=False)
 
@@ -129,4 +129,4 @@ def apply_norm_backward(states: dict[int, SpectralLayerState], store: ParamStore
     """Convert accumulated dL/dW' gradients into dL/dW, in place."""
     for i, state in states.items():
         g = store.grads[i]["W"]
-        g[...] = backward_through_norm(state, g)
+        g[...] = backward_through_norm(state, store.params[i]["W"], g)

@@ -30,6 +30,7 @@ __all__ = [
     "g_loss",
     "g_loss_grad",
     "run_training",
+    "sample_latent",
     "sigmoid",
     "softplus",
 ]
@@ -139,11 +140,9 @@ def _critic_vector(y: np.ndarray) -> np.ndarray:
     return y.reshape(y.shape[0])
 
 
-def _latent(rng, n: int, cfg: TrainConfig, g_spec: NetworkSpec) -> np.ndarray:
-    z = rng.standard_normal((n, cfg.latent_dim)).astype(np.float32)
-    if len(g_spec.input_shape) == 3:
-        z = z.reshape(n, cfg.latent_dim, 1, 1)
-    return z
+def sample_latent(rng, n: int, g_spec: NetworkSpec) -> np.ndarray:
+    """``n`` float32 standard-normal generator inputs, drawn in C order."""
+    return rng.standard_normal((n, *g_spec.input_shape)).astype(np.float32)
 
 
 def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
@@ -184,7 +183,7 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     real_eval = data[eval_idx].reshape(n_eval_real, -1).astype(np.float64)
 
     def gen_eval_samples(step: int) -> np.ndarray:
-        z = _latent(np.random.default_rng([seed, 5, step]), cfg.eval_samples, cfg, g_spec)
+        z = sample_latent(np.random.default_rng([seed, 5, step]), cfg.eval_samples, g_spec)
         fake, _ = forward(g_spec, g_store, z)
         return fake.reshape(cfg.eval_samples, -1).astype(np.float64)
 
@@ -217,7 +216,7 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
         t0 = time.perf_counter()
         controller.begin_step()
         effective = refresh(d_spectral, d_store, controller.m)
-        z = _latent(rng_train, cfg.batch_size, cfg, g_spec)
+        z = sample_latent(rng_train, cfg.batch_size, g_spec)
         x_real = data[rng_train.integers(0, n_data, cfg.batch_size)]
 
         if controller.counter % 2 == 1:

@@ -90,7 +90,8 @@ class TestNetworksFromSettings:
 class TestManifest:
     def test_manifest_round_trips(self, tmp_path):
         s = resolve_settings({"steps": "77", "mode": "fixed", "m": "0.65",
-                              "ring_sigma": "0.033", "g_hidden": "8,16"})
+                              "ring_sigma": "0.033", "g_hidden": "8,16",
+                              "sweep_fixed_m": "0.123456789,0.5"})
         text = manifest_text(s, "abcas-0.1.0", "out")
         path = tmp_path / "manifest.cfg"
         path.write_text(text)

@@ -101,7 +101,6 @@ class TestObserveAndUpdate:
             st.begin_step()
             st.begin_step()
         assert st.m == 0.7
-        assert st.multiplier == 0.7
         assert st.r == 0.0
         assert st.dm == 0.0
 

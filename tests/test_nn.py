@@ -128,6 +128,24 @@ class TestForwardBasics:
                 assert store.grads[i][name].shape == arr.shape
                 assert store.grads[i][name].dtype == arr.dtype
 
+    def test_flat_store_views(self):
+        spec = nn.mlp_generator(4, [5, 6], 2)
+        store = ParamStore(spec, seed=3)
+        W1 = np.random.default_rng([3, 1]).standard_normal((5, 4)) * nn.WEIGHT_INIT_STD
+        assert np.array_equal(store.params[1]["W"], W1.astype(np.float32))
+        offset = 0
+        for i, name, arr in store.named():
+            grad = store.grads[i][name]
+            assert np.shares_memory(arr, store.flat)
+            assert np.shares_memory(grad, store.grad_flat)
+            assert np.array_equal(store.flat[offset:offset + arr.size], arr.ravel())
+            grad[...] = 1.0
+            assert np.all(store.grad_flat[offset:offset + arr.size] == 1.0)
+            offset += arr.size
+        assert offset == store.flat.size == store.grad_flat.size
+        store.zero_grad()
+        assert all(np.all(g == 0) for lg in store.grads for g in lg.values())
+
 
 class TestConvShapes:
     def test_conv_shape_rule(self):

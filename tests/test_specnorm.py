@@ -96,11 +96,10 @@ class TestBackwardThroughNorm:
         W = rng.standard_normal((3, 3))
         st = _converged_state(W, seed=2)
         st.m = 0.8
-        st.weight_mat = W.copy()
         C = rng.standard_normal((3, 3))
         u, v = st.power.u, st.power.v
 
-        analytic = backward_through_norm(st, C)
+        analytic = backward_through_norm(st, W, C)
 
         def loss(Wv):
             sigma = float(u @ Wv @ v)
@@ -147,24 +146,22 @@ class TestBackwardThroughNorm:
         c = 5.0
         st1 = _converged_state(W, seed=3)
         st1.m = 0.9
-        st1.weight_mat = W.copy()
         st2 = _converged_state(c * W, seed=3)
         st2.m = 0.9
-        st2.weight_mat = c * W.copy()
-        g1 = backward_through_norm(st1, C)
-        g2 = backward_through_norm(st2, C)
+        g1 = backward_through_norm(st1, W, C)
+        g2 = backward_through_norm(st2, c * W, C)
         assert rel_err(g2, g1 / c) < 1e-6
 
     def test_missing_cache_raises(self):
         st = SpectralLayerState(power=PowerIterState(u=_unit(3, 0), sigma_hat=1.0))
         with pytest.raises(RuntimeError):
-            backward_through_norm(st, np.ones((3, 3)))
+            backward_through_norm(st, np.ones((3, 3)), np.ones((3, 3)))
 
     def test_degenerate_passthrough(self):
         st = SpectralLayerState(power=PowerIterState(u=_unit(3, 0), sigma_hat=0.0))
         st.degenerate = True
         G = np.ones((3, 3))
-        assert np.array_equal(backward_through_norm(st, G), G)
+        assert np.array_equal(backward_through_norm(st, np.zeros((3, 3)), G), G)
 
 
 class TestLipschitzBound:

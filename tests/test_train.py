@@ -118,10 +118,8 @@ class TestAdam:
         spec = nn.mlp_discriminator(3, [5])
         store = ParamStore(spec, seed=0)
         opt = Adam(store, lr=0.01)
-        for i, lp in enumerate(store.params):
-            for name, arr in lp.items():
-                assert opt.m[i][name].shape == arr.shape
-                assert opt.v[i][name].shape == arr.shape
+        assert opt.m.shape == store.flat.shape
+        assert opt.v.shape == store.flat.shape
 
 
 def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0):

@@ -20,7 +20,7 @@ from .linalg import (
 )
 from .metrics import MetricsRecord, median_heuristic_bandwidth, mmd2_unbiased
 from .nn import NetworkSpec, ParamStore, backward, forward
-from .specnorm import SpectralLayerState, backward_through_norm, normalized_weight, refresh
+from .specnorm import backward_through_norm, normalized_weight, refresh
 from .train import TrainConfig, d_loss, g_loss, run_training
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "NetworkSpec",
     "ParamStore",
     "PowerIterState",
-    "SpectralLayerState",
     "TrainConfig",
     "backward",
     "backward_through_norm",

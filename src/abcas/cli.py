@@ -112,14 +112,22 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
     except ConfigError as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    # one run directory per setting, named with :g; refuse values that share one
+    points: list[tuple[str, dict[str, str]]] = []
+    first_value: dict[str, float] = {}
+    for key, prefix, mode, param, values in (
+            ("sweep_fixed_m", "fixed_m", "fixed", "m", base.sweep_fixed_m),
+            ("sweep_abcas_beta", "abcas_beta", "adaptive", "beta", base.sweep_abcas_beta)):
+        for value in values:
+            label = f"{prefix}{value:g}"
+            if label in first_value:
+                print(f"abcas: config error: {key} values {first_value[label]!r} and {value!r} "
+                      f"would share the run directory {label}", file=sys.stderr)
+                return CONFIG_ERROR
+            first_value[label] = value
+            points.append((label, {"mode": mode, param: f"{value:.17g}"}))
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    points: list[tuple[str, dict[str, str]]] = []
-    for m0 in base.sweep_fixed_m:
-        points.append((f"fixed_m{m0:g}", {"mode": "fixed", "m": f"{m0:.17g}"}))
-    for b in base.sweep_abcas_beta:
-        points.append((f"abcas_beta{b:g}", {"mode": "adaptive", "beta": f"{b:.17g}"}))
 
     rows = []
     for label, overrides in points:

@@ -86,7 +86,6 @@ _KEY_PARSERS = {
     "d_hidden": _parse_int_list,
     "g_channels": _parse_int_list,
     "d_channels": _parse_int_list,
-    "img_channels": int,
     # sweep
     "sweep_fixed_m": _parse_float_list,
     "sweep_abcas_beta": _parse_float_list,
@@ -113,7 +112,6 @@ class Settings:
     d_hidden: list[int] = field(default_factory=lambda: [64, 64])
     g_channels: list[int] = field(default_factory=lambda: [32, 16])
     d_channels: list[int] = field(default_factory=lambda: [16, 32])
-    img_channels: int = 1
     sweep_fixed_m: list[float] = field(default_factory=lambda: [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     sweep_abcas_beta: list[float] = field(default_factory=lambda: [1.0, 4.0])
 
@@ -166,6 +164,10 @@ def resolve_settings(raw: dict[str, str], overrides: dict[str, str] | None = Non
         settings.dataset_spec().validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in ("g_hidden", "d_hidden", "g_channels", "d_channels"):
+        widths = getattr(settings, key)
+        if not widths or min(widths) < 1:
+            raise ConfigError(f"{key} needs one or more widths of at least 1, got {widths}")
     if settings.arch == "mlp" and settings.dataset == "blobs":
         raise ConfigError("arch = mlp needs flat samples; use arch = conv for blobs")
     if settings.arch == "conv" and settings.dataset == "ring2d":
@@ -185,21 +187,20 @@ def load_settings(path, overrides: dict[str, str] | None = None) -> Settings:
 def build_networks(settings: Settings, sample_shape: tuple[int, ...]) -> tuple[NetworkSpec, NetworkSpec]:
     """Generator and discriminator specs for the configured family."""
     latent = settings.train.latent_dim
-    if settings.arch == "mlp":
-        if len(sample_shape) != 1:
-            raise ConfigError(f"arch = mlp needs flat samples, dataset has shape {sample_shape}")
-        dim = sample_shape[0]
-        return (mlp_generator(latent, settings.g_hidden, dim),
-                mlp_discriminator(dim, settings.d_hidden))
-    if len(sample_shape) != 3 or sample_shape[1] != sample_shape[2]:
+    if settings.arch == "mlp" and len(sample_shape) != 1:
+        raise ConfigError(f"arch = mlp needs flat samples, dataset has shape {sample_shape}")
+    if settings.arch == "conv" and (len(sample_shape) != 3 or sample_shape[1] != sample_shape[2]):
         raise ConfigError(f"arch = conv needs square (C, S, S) samples, got {sample_shape}")
-    ch, size = sample_shape[0], sample_shape[1]
     try:
-        g = conv_generator(latent, settings.g_channels, ch, size)
-        d = conv_discriminator(ch, settings.d_channels, size)
+        if settings.arch == "mlp":
+            dim = sample_shape[0]
+            return (mlp_generator(latent, settings.g_hidden, dim),
+                    mlp_discriminator(dim, settings.d_hidden))
+        ch, size = sample_shape[0], sample_shape[1]
+        return (conv_generator(latent, settings.g_channels, ch, size),
+                conv_discriminator(ch, settings.d_channels, size))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return g, d
 
 
 def manifest_text(settings: Settings, version: str, out_dir: str) -> str:

@@ -119,11 +119,14 @@ def reshape_conv_weight(K: np.ndarray) -> np.ndarray:
     """Flatten a ``(c_out, c_in, kh, kw)`` kernel to a ``(c_out, c_in*kh*kw)`` matrix.
 
     Row-major view change only; the element multiset and order per output
-    channel are preserved, so a round trip is bit-identical.
+    channel are preserved, so a round trip is bit-identical. A 2-d
+    (dense) weight is already a matrix and is returned unchanged.
     """
     K = np.asarray(K)
+    if K.ndim == 2:
+        return K
     if K.ndim != 4:
-        raise ValueError(f"expected a (c_out, c_in, kh, kw) kernel, got ndim={K.ndim}")
+        raise ValueError(f"expected a matrix or a (c_out, c_in, kh, kw) kernel, got ndim={K.ndim}")
     return K.reshape(K.shape[0], -1)
 
 

@@ -215,7 +215,10 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         controller.begin_step()
-        effective = refresh(d_spectral, d_store, controller.m)
+        # the step's one multiplier: observe_and_update changes controller.m
+        # before the norm backward, which must use the m the forward used
+        m = controller.m
+        effective = refresh(d_spectral, d_store, m)
         z = sample_latent(rng_train, cfg.batch_size, g_spec)
         x_real = data[rng_train.integers(0, n_data, cfg.batch_size)]
 
@@ -235,7 +238,7 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             d_store.zero_grad()
             backward(tape_real, gr.reshape(y_real.shape))
             backward(tape_fake, gf.reshape(y_fake.shape))
-            apply_norm_backward(d_spectral, d_store)
+            apply_norm_backward(d_spectral, d_store, m)
             opt_d.step()
         else:
             x_fake, tape_g = forward(g_spec, g_store, z)

@@ -12,10 +12,10 @@ import pytest
 
 from abcas import cli, nn
 from abcas.controller import AbcasState, target_multiplier
-from abcas.linalg import init_power_iter_state, power_iterate, spectral_norm_exact
+from abcas.linalg import init_power_iter_state, power_iterate, reshape_conv_weight, spectral_norm_exact
 from abcas.metrics import mmd2_unbiased
 from abcas.nn import NetworkSpec, ParamStore, convtranspose2d, forward
-from abcas.specnorm import init_spectral_states, refresh, weight_as_matrix
+from abcas.specnorm import init_spectral_states, refresh
 from abcas.train import d_loss, d_loss_grads, g_loss, g_loss_grad
 
 from helpers import (
@@ -69,7 +69,7 @@ def test_criterion_2_normalization_contract():
             W = rng.standard_normal((int(rng.integers(2, 33)), int(rng.integers(2, 33))))
         else:
             W = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(1, 4)), 4, 4))
-        Wm = weight_as_matrix(W)
+        Wm = reshape_conv_weight(W)
         st = power_iterate(Wm, init_power_iter_state(Wm.shape[0], seed=[7, k]),
                            steps=20000, rel_tol=1e-14)
         for m in (0.5, 0.9, 1.0):
@@ -87,7 +87,9 @@ def test_criterion_3_lipschitz_bound():
     spec = nn.mlp_discriminator(6, [24, 24])
     store = ParamStore(spec, seed=31, dtype=np.float64)
     states = init_spectral_states(spec, store, seed=32)
-    eff = refresh(states, store, m=m, power_steps=5000)
+    states = {i: power_iterate(store.params[i]["W"], st, steps=5000, rel_tol=1e-14)
+              for i, st in states.items()}
+    eff = refresh(states, store, m=m)
     rng = np.random.default_rng(33)
     x1 = 2.0 * rng.standard_normal((10000, 6))
     x2 = 2.0 * rng.standard_normal((10000, 6))
@@ -137,13 +139,14 @@ def test_criterion_4_gradient_oracle():
     store.params[0]["W"] += 0.3 * rng.standard_normal((4, 3))
     states = init_spectral_states(spec, store, seed=43)
     x = rng.standard_normal((5, 3)) + 0.2
-    eff = refresh(states, store, m=0.8, power_steps=5000)
+    states = {i: power_iterate(store.params[i]["W"], st, steps=5000, rel_tol=1e-14)
+              for i, st in states.items()}
+    eff = refresh(states, store, m=0.8)
     y, tape = forward(spec, store, x, weights=eff)
     store.zero_grad()
     backward(tape, np.ones_like(y))
-    apply_norm_backward(states, store)
-    st = states[0]
-    u, v = st.power.u, st.power.v
+    apply_norm_backward(states, store, m=0.8)
+    u, v = states[0].u, states[0].v
     base = store.params[0]["W"].copy()
 
     def composite_loss(Wv):

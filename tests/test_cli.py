@@ -150,6 +150,19 @@ class TestSweepCommand:
         assert (out / "summary.csv").exists()
 
 
+    @pytest.mark.parametrize("values", ["0.1234561,0.1234562", "0.5,0.5"])
+    def test_colliding_settings_are_a_config_error(self, tmp_path, capsys, values):
+        # both values format to the same directory name; no run may start
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + f"\nsweep_fixed_m = {values}\nsweep_abcas_beta = 4\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for v in values.split(","):
+            assert v in err
+        assert not out.exists()
+
+
 class TestTrajCommand:
     def test_projection_matches_source(self, tmp_path):
         run = tmp_path / "run"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from abcas.config import (
@@ -81,6 +83,18 @@ class TestNetworksFromSettings:
         assert output_shape(g) == (1, 16, 16)
         assert output_shape(d) == (1, 1, 1)
 
+    @pytest.mark.parametrize("raw,key", [
+        ({"d_hidden": ""}, "d_hidden"),
+        ({"g_hidden": "0,8"}, "g_hidden"),
+        ({"d_hidden": "0"}, "d_hidden"),
+        ({"dataset": "blobs", "arch": "conv", "g_channels": "0,8"}, "g_channels"),
+        ({"dataset": "blobs", "arch": "conv", "d_channels": "8,-1"}, "d_channels"),
+    ])
+    def test_bad_widths_are_config_errors(self, raw, key):
+        shape = (1, 16, 16) if raw.get("arch") == "conv" else (2,)
+        with pytest.raises(ConfigError, match=key):
+            build_networks(resolve_settings(raw), shape)
+
     def test_shape_mismatch(self):
         s = resolve_settings({})
         with pytest.raises(ConfigError):
@@ -106,3 +120,10 @@ class TestManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_settings(tmp_path / "nope.cfg")
+
+
+def test_repo_configs_load():
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        load_settings(path)

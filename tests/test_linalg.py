@@ -135,6 +135,10 @@ class TestReshapeConvWeight:
         M = reshape_conv_weight(K)
         assert np.array_equal(np.sort(M.ravel()), np.sort(K.ravel()))
 
+    def test_matrix_passes_through(self):
+        W = np.arange(6.0).reshape(2, 3)
+        assert reshape_conv_weight(W) is W
+
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
             reshape_conv_weight(np.zeros((2, 3, 4)))

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from abcas import nn, specnorm
-from abcas.linalg import PowerIterState, power_iterate, spectral_norm_exact
+from abcas.linalg import PowerIterState, power_iterate, reshape_conv_weight, spectral_norm_exact
 from abcas.nn import NetworkSpec, ParamStore, backward, dense, forward, relu
 from abcas.specnorm import (
-    SpectralLayerState,
     apply_norm_backward,
     backward_through_norm,
     init_spectral_states,
@@ -17,9 +16,7 @@ from helpers import central_diff_grad, rel_err
 
 
 def _converged_state(W, seed=0, steps=5000):
-    st = SpectralLayerState(power=PowerIterState(u=_unit(W.shape[0], seed)))
-    st.power = power_iterate(W, st.power, steps=steps, rel_tol=1e-14)
-    return st
+    return power_iterate(W, PowerIterState(u=_unit(W.shape[0], seed)), steps=steps, rel_tol=1e-14)
 
 
 def _unit(n, seed):
@@ -31,23 +28,20 @@ class TestNormalizedWeight:
     def test_diagonal_example(self):
         W = np.diag([2.0, 1.0])
         st = _converged_state(W)
-        st.m = 0.9
-        Wp = normalized_weight(W, st)
+        Wp = normalized_weight(W, st, 0.9)
         assert np.allclose(Wp, np.diag([0.9, 0.45]), atol=1e-9)
         assert abs(spectral_norm_exact(Wp) - 0.9) < 1e-9
 
     def test_m_one_on_unit_norm_matrix(self):
         W = np.diag([1.0, 0.25])
         st = _converged_state(W)
-        st.m = 1.0
-        assert np.allclose(normalized_weight(W, st), W, atol=1e-12)
+        assert np.allclose(normalized_weight(W, st, 1.0), W, atol=1e-12)
 
     def test_m_one_is_plain_spectral_normalization(self):
         rng = np.random.default_rng(4)
         W = rng.standard_normal((5, 3))
         st = _converged_state(W)
-        st.m = 1.0
-        Wp = normalized_weight(W, st)
+        Wp = normalized_weight(W, st, 1.0)
         assert abs(spectral_norm_exact(Wp) - 1.0) < 1e-6
 
     def test_sigma_contract_multiple_m(self):
@@ -56,37 +50,31 @@ class TestNormalizedWeight:
             W = rng.standard_normal((6, 8))
             st = _converged_state(W, seed=k)
             for m in (0.5, 0.9, 1.0):
-                st.m = m
-                sig = spectral_norm_exact(normalized_weight(W, st))
+                sig = spectral_norm_exact(normalized_weight(W, st, m))
                 assert m * 0.999 <= sig <= m * 1.001
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         W = rng.standard_normal((4, 4))
         st1 = _converged_state(W, seed=1)
-        st1.m = 0.8
         st2 = _converged_state(3.7 * W, seed=1)
-        st2.m = 0.8
-        a = normalized_weight(W, st1)
-        b = normalized_weight(3.7 * W, st2)
+        a = normalized_weight(W, st1, 0.8)
+        b = normalized_weight(3.7 * W, st2, 0.8)
         assert rel_err(a, b) < 1e-6
 
     def test_degenerate_zero_weight(self):
         W = np.zeros((3, 3))
         st = _converged_state(W)
-        st.m = 0.9
-        Wp = normalized_weight(W, st)
-        assert st.degenerate
+        Wp = normalized_weight(W, st, 0.9)
+        assert st.sigma_hat < specnorm.EPS_DIV
         assert np.array_equal(Wp, W)
 
     def test_conv_kernel_normalization(self):
         rng = np.random.default_rng(7)
         K = rng.standard_normal((4, 3, 3, 3))
-        Km = specnorm.weight_as_matrix(K)
-        st = _converged_state(Km)
-        st.m = 0.7
-        Kp = (st.m / st.power.sigma_hat) * K
-        assert abs(spectral_norm_exact(specnorm.weight_as_matrix(Kp)) - 0.7) < 1e-3 * 0.7
+        st = _converged_state(reshape_conv_weight(K))
+        Kp = normalized_weight(K, st, 0.7)
+        assert abs(spectral_norm_exact(reshape_conv_weight(Kp)) - 0.7) < 1e-3 * 0.7
 
 
 class TestBackwardThroughNorm:
@@ -95,15 +83,15 @@ class TestBackwardThroughNorm:
         rng = np.random.default_rng(8)
         W = rng.standard_normal((3, 3))
         st = _converged_state(W, seed=2)
-        st.m = 0.8
+        m = 0.8
         C = rng.standard_normal((3, 3))
-        u, v = st.power.u, st.power.v
+        u, v = st.u, st.v
 
-        analytic = backward_through_norm(st, W, C)
+        analytic = backward_through_norm(st, W, m, C)
 
         def loss(Wv):
             sigma = float(u @ Wv @ v)
-            return float(np.sum(C * (st.m / sigma) * Wv))
+            return float(np.sum(C * (m / sigma) * Wv))
 
         fd = central_diff_grad(loss, W)
         assert rel_err(analytic, fd) < 1e-4
@@ -117,15 +105,16 @@ class TestBackwardThroughNorm:
         states = init_spectral_states(spec, store, seed=11)
         x = rng.standard_normal((5, 3)) + 0.2
 
-        eff = refresh(states, store, m=0.8, power_steps=4000)
+        states = {i: power_iterate(store.params[i]["W"], st, steps=4000, rel_tol=1e-14)
+                  for i, st in states.items()}
+        eff = refresh(states, store, m=0.8)
         y, tape = forward(spec, store, x, weights=eff)
         store.zero_grad()
         backward(tape, np.ones_like(y))
-        apply_norm_backward(states, store)
+        apply_norm_backward(states, store, m=0.8)
         analytic = store.grads[0]["W"].copy()
 
-        st = states[0]
-        u, v = st.power.u, st.power.v
+        u, v = states[0].u, states[0].v
         base = store.params[0]["W"].copy()
 
         def loss(Wv):
@@ -145,23 +134,20 @@ class TestBackwardThroughNorm:
         C = rng.standard_normal((4, 4))
         c = 5.0
         st1 = _converged_state(W, seed=3)
-        st1.m = 0.9
         st2 = _converged_state(c * W, seed=3)
-        st2.m = 0.9
-        g1 = backward_through_norm(st1, W, C)
-        g2 = backward_through_norm(st2, c * W, C)
+        g1 = backward_through_norm(st1, W, 0.9, C)
+        g2 = backward_through_norm(st2, c * W, 0.9, C)
         assert rel_err(g2, g1 / c) < 1e-6
 
     def test_missing_cache_raises(self):
-        st = SpectralLayerState(power=PowerIterState(u=_unit(3, 0), sigma_hat=1.0))
+        st = PowerIterState(u=_unit(3, 0), sigma_hat=1.0)
         with pytest.raises(RuntimeError):
-            backward_through_norm(st, np.ones((3, 3)), np.ones((3, 3)))
+            backward_through_norm(st, np.ones((3, 3)), 0.9, np.ones((3, 3)))
 
     def test_degenerate_passthrough(self):
-        st = SpectralLayerState(power=PowerIterState(u=_unit(3, 0), sigma_hat=0.0))
-        st.degenerate = True
+        st = PowerIterState(u=_unit(3, 0), sigma_hat=0.0)
         G = np.ones((3, 3))
-        assert np.array_equal(backward_through_norm(st, np.zeros((3, 3)), G), G)
+        assert np.array_equal(backward_through_norm(st, np.zeros((3, 3)), 0.9, G), G)
 
 
 class TestLipschitzBound:
@@ -171,7 +157,9 @@ class TestLipschitzBound:
         spec = nn.mlp_discriminator(6, [16, 16])
         store = ParamStore(spec, seed=3, dtype=np.float64)
         states = init_spectral_states(spec, store, seed=4)
-        eff = refresh(states, store, m=m, power_steps=4000)
+        states = {i: power_iterate(store.params[i]["W"], st, steps=4000, rel_tol=1e-14)
+                  for i, st in states.items()}
+        eff = refresh(states, store, m=m)
 
         rng = np.random.default_rng(12)
         x1 = rng.standard_normal((2000, 6))
@@ -195,7 +183,7 @@ class TestPlumbing:
         spec = NetworkSpec((3,), [dense(3, 4, normalized=True)])
         store = ParamStore(spec, seed=0)
         states = init_spectral_states(spec, store, seed=1)
-        u0 = states[0].power.u.copy()
+        u0 = states[0].u.copy()
         refresh(states, store, m=1.0)
-        assert not np.array_equal(states[0].power.u, u0)
-        assert states[0].power.v is not None
+        assert not np.array_equal(states[0].u, u0)
+        assert states[0].v is not None

@@ -192,6 +192,31 @@ class TestTrainingLoop:
         for r in recs:
             assert r.m == 0.9 ** r.r
 
+    def test_norm_backward_uses_the_refresh_multiplier(self, monkeypatch):
+        # the controller updates m between the refresh and the norm backward
+        # of a D step; the backward must still use the m of the forward pass
+        from abcas import train
+        steps = []  # per training step: [refresh m, norm-backward m or None]
+        orig_refresh, orig_backward = train.refresh, train.apply_norm_backward
+
+        def refresh(states, store, m):
+            steps.append([m, None])
+            return orig_refresh(states, store, m)
+
+        def apply_norm_backward(states, store, m):
+            steps[-1][1] = m
+            orig_backward(states, store, m)
+
+        monkeypatch.setattr(train, "refresh", refresh)
+        monkeypatch.setattr(train, "apply_norm_backward", apply_norm_backward)
+        cfg, data, g, d = _tiny_setup(steps=9)
+        recs = run_training(cfg, data, g, d)
+        assert len(steps) == cfg.steps
+        assert all(backward_m == refresh_m for refresh_m, backward_m in steps[0::2])
+        assert all(backward_m is None for _, backward_m in steps[1::2])
+        # controller.m, logged after each step, did move off the step's m
+        assert any(rec.m != refresh_m for rec, (refresh_m, _) in zip(recs[1:], steps))
+
     def test_full_run_determinism(self):
         cfg, data, g, d = _tiny_setup(steps=20, seed=3)
         recs1 = run_training(cfg, data, g, d)

@@ -64,7 +64,12 @@ class DatasetSpec:
             return generate_ring2d(self.size, self.modes, self.radius, self.sigma, self.seed)
         if self.kind == "blobs":
             return generate_blobs(self.size, self.img_size, self.seed)
-        return read_tensor_file(self.path)
+        arr = read_tensor_file(self.path)
+        if arr.ndim == 0 or len(arr) < 2:
+            raise TensorFileError(f"{self.path}: need at least 2 samples, shape is {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise TensorFileError(f"{self.path}: non-finite values in the dataset")
+        return arr
 
 
 def generate_ring2d(n: int, k_modes: int = 8, radius: float = 0.7,

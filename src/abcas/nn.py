@@ -9,7 +9,12 @@ parameters carry (training uses float32, gradient checks float64).
 Convolutions use im2col/col2im; transposed convolution is implemented as
 the exact adjoint of the corresponding convolution, so the stored kernel
 layout is ``(c_in, c_out, kh, kw)`` for convtranspose2d and
-``(c_out, c_in, kh, kw)`` for conv2d.
+``(c_out, c_in, kh, kw)`` for conv2d. Forward passes and input gradients
+are batched ``matmul`` calls; each weight gradient is one GEMM
+(``tensordot`` over batch and positions). col2im is an ordered
+scatter-add (``np.add.at`` over a precomputed index), so every pixel sums
+its kernel taps in ``(i, j)`` order from zero, the same float result as
+one strided add per tap.
 """
 
 from __future__ import annotations
@@ -240,15 +245,18 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, s: int) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    # scatter-add the column view back to (N, C, H, W)
+    # scatter-add the column view back to (N, C, H, W). The flat target index
+    # of each column entry is the im2col of the padded image's own positions;
+    # np.add.at adds in index order, so each pixel sums its taps in (i, j)
+    # order from zero. One sample at a time keeps the index small.
     n, c, h, w = out_shape
-    ho = (h + 2 * p - kh) // s + 1
-    wo = (w + 2 * p - kw) // s + 1
-    acc = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, :, i:i + s * ho:s, j:j + s * wo:s] += cols6[:, :, i, j]
+    hp, wp = h + 2 * p, w + 2 * p
+    idx = _im2col(np.arange(c * hp * wp).reshape(1, c, hp, wp), kh, kw, s).ravel()
+    acc = np.zeros((n, c * hp * wp), dtype=cols.dtype)
+    flat = cols.reshape(n, -1)
+    for k in range(n):
+        np.add.at(acc[k], idx, flat[k])
+    acc = acc.reshape(n, c, hp, wp)
     if p:
         return acc[:, :, p:p + h, p:p + w]
     return acc
@@ -257,7 +265,10 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, s: int, p: int
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    return xp
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +406,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             co = W.shape[0]
             n = xshape[0]
             gr = g.reshape(n, co, -1)
-            store.grads[i]["W"] += np.einsum("nol,nkl->ok", gr, cols).reshape(W.shape)
+            store.grads[i]["W"] += np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
             store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
             dcols = np.matmul(W.reshape(co, -1).T, gr)
             g = _col2im(dcols, xshape, layer.kernel, layer.kernel,
@@ -411,7 +422,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             # the adjoint of conv2d(g) with the same kernel.
             cols_g = _im2col(_pad(g, layer.padding), kh, kw, layer.stride)
             gr = np.matmul(W.reshape(ci, -1), cols_g)
-            dW = np.einsum("nil,nkl->ik", x.reshape(n, ci, -1), cols_g)
+            dW = np.tensordot(x.reshape(n, ci, -1), cols_g, axes=([0, 2], [0, 2]))
             store.grads[i]["W"] += dW.reshape(W.shape)
             g = gr.reshape(x.shape)
         elif kind == "lrelu":

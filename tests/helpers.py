@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own code paths: finite
 differences for gradients, naive 6-loop convolutions for conv layers,
-and a double-loop MMD estimator.
+a per-tap strided-add col2im, and a double-loop MMD estimator.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -77,6 +78,19 @@ def convtranspose2d_naive(x, W, b, stride, padding):
     return y + b.reshape(1, -1, 1, 1)
 
 
+def col2im_loop(cols, out_shape, kh, kw, s, p):
+    """col2im by one strided add per kernel tap, taps in (i, j) order."""
+    n, c, h, w = out_shape
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (w + 2 * p - kw) // s + 1
+    acc = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, i:i + s * ho:s, j:j + s * wo:s] += cols6[:, :, i, j]
+    return acc[:, :, p:p + h, p:p + w]
+
+
 def gradcheck_layer(spec, x, seed=0, tol=1e-4, h=1e-5):
     """Analytic gradients vs central differences for input and every parameter.
 
@@ -129,6 +143,21 @@ def nudge_off_kinks(x, margin=0.05):
     small = np.abs(x) < margin
     x[small] += margin * np.where(x[small] >= 0, 1.0, -1.0)
     return x
+
+
+# dataset tensors that parse as ABT1 but cannot be trained on
+UNUSABLE_DATASETS = {
+    "empty": np.zeros((0, 2), np.float32),
+    "one_row": np.zeros((1, 2), np.float32),
+    "nan": np.array([[0.1, 0.2], [np.nan, 0.3], [0.4, 0.5]], np.float32),
+}
+
+
+def raw_abt1(arr):
+    """ABT1 file bytes packed by hand, so that payloads the writer rejects can be stored."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    header = b"ABT1" + struct.pack("<BB", 0, arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return header + arr.tobytes()
 
 
 def mmd2_bruteforce(x, y, bw):

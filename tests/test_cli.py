@@ -6,6 +6,12 @@ from abcas.data import read_tensor_file
 from abcas.metrics import CSV_HEADER, MetricsRecord
 from abcas.train import NumericAbort
 
+from helpers import UNUSABLE_DATASETS, raw_abt1
+
+
+UNUSABLE_DATA = pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
+                                        ids=list(UNUSABLE_DATASETS))
+
 
 TINY_CFG = """
 dataset = ring2d
@@ -96,6 +102,17 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
 
+    @UNUSABLE_DATA
+    def test_unusable_dataset_file_is_a_config_error(self, tmp_path, capsys, rows):
+        blob = tmp_path / "data.abt"
+        blob.write_bytes(raw_abt1(rows))
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(TINY_CFG.replace("dataset = ring2d", f"dataset = file\ndata_path = {blob}"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "abcas: config error" in err and str(blob) in err
+
     def test_numeric_abort_exit_code(self, tiny_config, tmp_path, monkeypatch):
         def exploding(cfg, data, g_spec, d_spec, hooks=None):
             if hooks and hooks.on_record:
@@ -149,6 +166,19 @@ class TestSweepCommand:
             assert (out / p / "metrics.csv").stat().st_mtime_ns == t
         assert (out / "summary.csv").exists()
 
+    @UNUSABLE_DATA
+    def test_unusable_dataset_file_fails_each_setting(self, tmp_path, rows):
+        blob = tmp_path / "data.abt"
+        blob.write_bytes(raw_abt1(rows))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG.replace("dataset = ring2d", f"dataset = file\ndata_path = {blob}")
+                       + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta = 4\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["config_error", "config_error"]
+        for sub in ("fixed_m0.7", "abcas_beta4"):
+            assert (out / sub / "status.txt").read_text() == "config error\n"
 
     @pytest.mark.parametrize("values", ["0.1234561,0.1234562", "0.5,0.5"])
     def test_colliding_settings_are_a_config_error(self, tmp_path, capsys, values):

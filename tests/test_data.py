@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -16,6 +17,8 @@ from abcas.data import (
     read_tensor_file,
     write_tensor_file,
 )
+
+from helpers import UNUSABLE_DATASETS, raw_abt1
 
 
 class TestRing2d:
@@ -83,6 +86,14 @@ class TestDatasetSpec:
         write_tensor_file(path, x)
         spec = DatasetSpec(kind="file", path=str(path))
         assert np.array_equal(spec.load(), x)
+
+    @pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
+                             ids=list(UNUSABLE_DATASETS))
+    def test_unusable_file_is_a_tensor_file_error(self, tmp_path, rows):
+        path = tmp_path / "ds.abt"
+        path.write_bytes(raw_abt1(rows))
+        with pytest.raises(TensorFileError, match=re.escape(str(path))):
+            DatasetSpec(kind="file", path=str(path)).load()
 
 
 class TestTensorFile:

@@ -21,6 +21,7 @@ from abcas.nn import (
 
 from helpers import (
     central_diff_grad,
+    col2im_loop,
     conv2d_naive,
     convtranspose2d_naive,
     gradcheck_layer as _gradcheck_layer,
@@ -189,6 +190,50 @@ class TestConvShapes:
         assert rel_err(y, convtranspose2d_naive(x, W, b, stride, padding)) < 1e-12
 
 
+class TestColumnPrimitives:
+    # (out_shape, kernel, stride, padding): every blobs16 shape at the training
+    # batch, one at the eval batch, and two odd kernels
+    CASES = [
+        ((16, 16, 8, 8), 4, 2, 1),
+        ((16, 1, 16, 16), 4, 2, 1),
+        ((16, 32, 4, 4), 4, 1, 0),
+        ((256, 16, 8, 8), 4, 2, 1),
+        ((3, 2, 7, 7), 3, 1, 1),
+        ((3, 2, 7, 7), 3, 2, 0),
+    ]
+
+    @staticmethod
+    def _cols(rng, out_shape, k, s, p, dtype):
+        n, c, h, w = out_shape
+        ho = (h + 2 * p - k) // s + 1
+        wo = (w + 2 * p - k) // s + 1
+        return rng.standard_normal((n, c * k * k, ho * wo)).astype(dtype)
+
+    @pytest.mark.parametrize("out_shape,k,s,p", CASES)
+    def test_col2im_bitwise_equals_tap_loop_float32(self, out_shape, k, s, p):
+        cols = self._cols(np.random.default_rng(31), out_shape, k, s, p, np.float32)
+        got = nn._col2im(cols, out_shape, k, k, s, p)
+        want = col2im_loop(cols, out_shape, k, k, s, p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("out_shape,k,s,p", CASES)
+    def test_col2im_is_adjoint_of_padded_im2col(self, out_shape, k, s, p):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(out_shape)
+        c = self._cols(rng, out_shape, k, s, p, np.float64)
+        lhs = float(np.sum(nn._im2col(nn._pad(x, p), k, k, s) * c))
+        rhs = float(np.sum(x * nn._col2im(c, out_shape, k, k, s, p)))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_pad_matches_np_pad(self):
+        x = np.random.default_rng(33).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        got = nn._pad(x, 2)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))))
+        assert nn._pad(x, 0) is x
+
+
 class TestGradients:
     def test_dense_grad_identity(self):
         # dL/dW = g x^T for y = W x
@@ -260,6 +305,30 @@ class TestGradients:
     def test_composite_conv_generator_fd(self):
         x = np.random.default_rng(12).standard_normal((2, 3, 1, 1))
         _gradcheck_layer(nn.conv_generator(3, [4], 1, 8), x, seed=4)
+
+
+class TestFloat32ConvGradients:
+    # blobs16 shapes at batch 16: D's 16->32 conv2d and G's 32->16 convtranspose2d
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec((16, 8, 8), [conv2d(16, 32, kernel=4, stride=2, padding=1)]),
+        NetworkSpec((32, 4, 4), [convtranspose2d(32, 16, kernel=4, stride=2, padding=1)]),
+    ], ids=["conv2d", "convtranspose2d"])
+    def test_float32_backward_matches_float64(self, spec):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((16, *spec.input_shape)).astype(np.float32)
+        store32 = ParamStore(spec, seed=5, dtype=np.float32)
+        store64 = _store64(spec, seed=5)
+        store64.flat[...] = store32.flat
+        y32, tape32 = forward(spec, store32, x)
+        y64, tape64 = forward(spec, store64, x.astype(np.float64))
+        c = rng.standard_normal(y32.shape).astype(np.float32)
+        dx32 = backward(tape32, c)
+        dx64 = backward(tape64, c.astype(np.float64))
+        assert dx32.dtype == np.float32
+        assert store32.grad_flat.dtype == np.float32
+        assert rel_err(dx32, dx64) < 1e-5
+        for name in ("W", "b"):
+            assert rel_err(store32.grads[0][name], store64.grads[0][name]) < 1e-5
 
 
 class TestArchitectures:

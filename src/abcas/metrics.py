@@ -8,6 +8,7 @@ record that training logs to CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,26 +34,41 @@ def _as_points(x, name):
     return x
 
 
+def _gaussian_kernel(sq_dist: np.ndarray, gamma: float) -> np.ndarray:
+    # exp(-gamma * d) in place: the same entries as np.exp(-gamma * sq_dist)
+    # (multiplication commutes) with no fresh temporaries
+    sq_dist *= -gamma
+    return np.exp(sq_dist, out=sq_dist)
+
+
 def mmd2_unbiased(x, y, bandwidth: float) -> float:
     """Unbiased U-statistic estimator of squared MMD.
 
     k(a, b) = exp(-|a - b|^2 / (2 bw^2)); the diagonal terms are excluded
     from the within-set means, so the estimate may be slightly negative.
-    The cross term is summed in a canonical (sorted) order, which makes
-    the estimator exactly symmetric in its arguments.
+    Each within-set mean sums the n(n-1)/2 distinct pairs once. The two
+    arguments are put in a canonical order first (fewer samples first, ties
+    broken by their bytes), so ``mmd2_unbiased(x, y)`` and
+    ``mmd2_unbiased(y, x)`` run the same arithmetic and are exactly equal.
     """
+    bw = float(bandwidth)
+    gamma = 1.0 / (2.0 * bw * bw) if bw * bw > 0.0 else math.inf
+    if not (0.0 < bw < math.inf and math.isfinite(gamma)):
+        raise ValueError("bandwidth must be positive and finite, with a finite "
+                         f"1 / (2 bw^2); got {bandwidth!r}")
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     n, m = len(x), len(y)
     if n < 2 or m < 2:
         raise ValueError(f"need at least 2 samples per side, got {n} and {m}")
-    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
-    kxx = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
-    kyy = np.exp(-gamma * cdist(y, y, "sqeuclidean"))
-    kxy = np.exp(-gamma * cdist(x, y, "sqeuclidean"))
-    within_x = (float(np.sum(kxx)) - n) / (n * (n - 1))
-    within_y = (float(np.sum(kyy)) - m) / (m * (m - 1))
-    cross = float(np.sum(np.sort(kxy, axis=None))) / (n * m)
+    if n > m or (n == m and x.tobytes() > y.tobytes()):
+        x, y, n, m = y, x, m, n
+    kxx = _gaussian_kernel(pdist(x, "sqeuclidean"), gamma)
+    kyy = _gaussian_kernel(pdist(y, "sqeuclidean"), gamma)
+    kxy = _gaussian_kernel(cdist(x, y, "sqeuclidean"), gamma)
+    within_x = 2.0 * float(np.sum(kxx)) / (n * (n - 1))
+    within_y = 2.0 * float(np.sum(kyy)) / (m * (m - 1))
+    cross = float(np.sum(kxy)) / (n * m)
     return within_x + within_y - 2.0 * cross
 
 
@@ -62,6 +78,8 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
     Exact up to ``limit`` samples; larger sets are subsampled with the
     provided seed. All-identical samples hit the 1e-6 floor.
     """
+    if limit < 2:
+        raise ValueError(f"limit must be at least 2 samples, got {limit!r}")
     z = _as_points(z, "z")
     if len(z) < 2:
         raise ValueError("need at least 2 pooled samples")

@@ -14,7 +14,9 @@ are batched ``matmul`` calls; each weight gradient is one GEMM
 (``tensordot`` over batch and positions). col2im is an ordered
 scatter-add (``np.add.at`` over a precomputed index), so every pixel sums
 its kernel taps in ``(i, j)`` order from zero, the same float result as
-one strided add per tap.
+one strided add per tap. Where one unpadded window covers the whole image
+(the 1x1 side of a k4 s1 p0 layer) each pixel has one tap, and col2im is a
+reshape.
 """
 
 from __future__ import annotations
@@ -250,6 +252,9 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, s: int, p: int
     # np.add.at adds in index order, so each pixel sums its taps in (i, j)
     # order from zero. One sample at a time keeps the index small.
     n, c, h, w = out_shape
+    if p == 0 and (h, w) == (kh, kw):
+        # one window covers the image: every pixel gets exactly one tap
+        return cols.reshape(n, c, kh, kw)
     hp, wp = h + 2 * p, w + 2 * p
     idx = _im2col(np.arange(c * hp * wp).reshape(1, c, hp, wp), kh, kw, s).ravel()
     acc = np.zeros((n, c * hp * wp), dtype=cols.dtype)

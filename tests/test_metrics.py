@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,49 @@ class TestMMD:
             bw = float(rng.uniform(0.3, 3.0))
             assert abs(mmd2_unbiased(x, y, bw) - mmd2_bruteforce(x, y, bw)) < 1e-12
 
+    @pytest.mark.parametrize("n,d", [(1024, 2), (512, 2), (256, 256)])
+    def test_exact_symmetry_at_training_shapes(self, n, d):
+        # n == m, as in training, so the canonical order falls to the byte
+        # tie-break; summing the cross kernel transposed changes the last bit
+        # on only some draws, hence several
+        for seed in range(16):
+            rng = np.random.default_rng([8, n, d, seed])
+            x = rng.standard_normal((n, d))
+            y = rng.standard_normal((n, d)) * 1.5
+            bw = median_heuristic_bandwidth(np.vstack([x, y]))
+            assert mmd2_unbiased(x, y, bw) == mmd2_unbiased(y, x, bw)
+
+    def test_exact_symmetry_when_sets_differ_in_one_entry(self):
+        # the byte tie-break reads up to the last entry
+        for seed in range(16):
+            x = np.random.default_rng([9, seed]).standard_normal((256, 2))
+            y = x.copy()
+            y[-1, -1] += 0.25
+            assert mmd2_unbiased(x, y, 0.8) == mmd2_unbiased(y, x, 0.8)
+
+    def test_matches_dense_reference_at_eval_size(self):
+        # the brute-force oracle is too slow at n = m = 1024
+        rng = np.random.default_rng(10)
+        n, bw = 1024, 0.9
+        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal((n, 2)) * 0.7 + 0.4
+        gamma = 1.0 / (2.0 * bw * bw)
+
+        def dense(a, b):
+            return np.exp(-gamma * ((a[:, None] - b[None]) ** 2).sum(-1))
+
+        kxx, kyy = dense(x, x), dense(y, y)
+        np.fill_diagonal(kxx, 0.0)
+        np.fill_diagonal(kyy, 0.0)
+        want = (kxx.sum() + kyy.sum()) / (n * (n - 1)) - 2.0 * dense(x, y).sum() / (n * n)
+        assert abs(mmd2_unbiased(x, y, bw) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("bw", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e-160])
+    def test_bad_bandwidth_rejected(self, bw):
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=re.escape(repr(bw))):
+            mmd2_unbiased(x, x + 1.0, bw)
+
     def test_small_batches_rejected(self):
         with pytest.raises(ValueError):
             mmd2_unbiased(np.zeros((1, 2)), np.zeros((5, 2)), 1.0)
@@ -99,6 +144,12 @@ class TestBandwidth:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             median_heuristic_bandwidth(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("limit", [1, 0])
+    def test_limit_below_two_rejected(self, limit):
+        z = np.random.default_rng(5).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=f"limit must be at least 2 samples, got {limit}"):
+            median_heuristic_bandwidth(z, limit=limit)
 
 
 class TestMetricsRecord:

@@ -192,7 +192,8 @@ class TestConvShapes:
 
 class TestColumnPrimitives:
     # (out_shape, kernel, stride, padding): every blobs16 shape at the training
-    # batch, one at the eval batch, and two odd kernels
+    # batch, two at the eval batch, and two odd kernels; the k4 s1 p0 cases
+    # are the one-window reshape
     CASES = [
         ((16, 16, 8, 8), 4, 2, 1),
         ((16, 1, 16, 16), 4, 2, 1),
@@ -200,6 +201,7 @@ class TestColumnPrimitives:
         ((256, 16, 8, 8), 4, 2, 1),
         ((3, 2, 7, 7), 3, 1, 1),
         ((3, 2, 7, 7), 3, 2, 0),
+        ((256, 32, 4, 4), 4, 1, 0),
     ]
 
     @staticmethod

@@ -172,13 +172,25 @@ def cmd_traj(run_dir: str) -> int:
     if not metrics_path.exists():
         print(f"abcas: no metrics.csv in {run_dir}", file=sys.stderr)
         return CONFIG_ERROR
-    out_path = Path(run_dir) / "r_traj.csv"
-    with open(metrics_path, encoding="utf-8") as src, \
-            open(out_path, "w", encoding="utf-8") as dst:
-        dst.write("step,r,m\n")
-        for row in csv.DictReader(src):
+    lines = ["step,r,m\n"]
+    with open(metrics_path, newline="", encoding="utf-8") as src:
+        reader = csv.reader(src)
+        header = next(reader, [])
+        missing = [name for name in ("step", "r", "m") if name not in header]
+        if missing:
+            print(f"abcas: {metrics_path}: missing column {', '.join(missing)}", file=sys.stderr)
+            return CONFIG_ERROR
+        picks = [header.index(name) for name in ("step", "r", "m")]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                print(f"abcas: {metrics_path}: line {reader.line_num} has {len(row)} fields, "
+                      f"the header has {len(header)}", file=sys.stderr)
+                return CONFIG_ERROR
             # copy field strings verbatim so the projection is exact
-            dst.write(f"{row['step']},{row['r']},{row['m']}\n")
+            lines.append(",".join(row[j] for j in picks) + "\n")
+    (Path(run_dir) / "r_traj.csv").write_text("".join(lines), encoding="utf-8")
     return OK
 
 

@@ -11,16 +11,23 @@ the exact adjoint of the corresponding convolution, so the stored kernel
 layout is ``(c_in, c_out, kh, kw)`` for convtranspose2d and
 ``(c_out, c_in, kh, kw)`` for conv2d. Forward passes and input gradients
 are batched ``matmul`` calls; each weight gradient is one GEMM
-(``tensordot`` over batch and positions). col2im is an ordered
-scatter-add (``np.add.at`` over a precomputed index), so every pixel sums
-its kernel taps in ``(i, j)`` order from zero, the same float result as
-one strided add per tap. Where one unpadded window covers the whole image
-(the 1x1 side of a k4 s1 p0 layer) each pixel has one tap, and col2im is a
-reshape.
+(``tensordot`` over batch and positions). Both data movements are gathers
+over index tables built once per per-sample shape ``(c, h, w, k, s, p)``
+and cached, so the training and eval batches share them. im2col is one
+``np.take`` from the flattened input with one zero appended, which every
+padded position reads, so the padding costs no separate copy. col2im reads
+columns that the producing ``matmul`` wrote into a buffer whose last entry
+is zero, and sums them as T ordered gathers (T = 4 for k4 s2 p1): gather t
+brings each pixel its t-th kernel tap in ``(i, j)`` order, or the zero if
+it has fewer, and adds it to an accumulator that starts at zero, the same
+float result as one strided add per tap. Where one unpadded window covers
+the whole image (the 1x1 side of a k4 s1 p0 layer) each pixel has one tap,
+and col2im is a reshape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -238,42 +245,78 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 # conv primitives
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int) -> np.ndarray:
-    # xp already padded, (N, C, Hp, Wp) -> (N, C*kh*kw, Ho*Wo)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols)
+# The gathers below pass mode="wrap" although every index is in range, so
+# nothing ever wraps: numpy's take loop is about 25% faster in that mode
+# than in the default "raise", which also copies an ``out`` array.
+
+@functools.lru_cache(maxsize=None)
+def _gather_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
+    # flat source of every column entry of one sample in a (c*h*w + 1)-vector;
+    # padded positions read the last entry, which holds a zero
+    pos = np.full((c, h + 2 * p, w + 2 * p), c * h * w, dtype=np.intp)
+    pos[:, p:p + h, p:p + w] = np.arange(c * h * w).reshape(c, h, w)
+    win = sliding_window_view(pos, (k, k), axis=(1, 2))[:, ::s, ::s]
+    # rows (c, i, j), columns the output positions
+    idx = win.transpose(0, 3, 4, 1, 2).ravel()
+    idx.setflags(write=False)
+    return idx
 
 
-def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    # scatter-add the column view back to (N, C, H, W). The flat target index
-    # of each column entry is the im2col of the padded image's own positions;
-    # np.add.at adds in index order, so each pixel sums its taps in (i, j)
-    # order from zero. One sample at a time keeps the index small.
-    n, c, h, w = out_shape
-    if p == 0 and (h, w) == (kh, kw):
-        # one window covers the image: every pixel gets exactly one tap
-        return cols.reshape(n, c, kh, kw)
-    hp, wp = h + 2 * p, w + 2 * p
-    idx = _im2col(np.arange(c * hp * wp).reshape(1, c, hp, wp), kh, kw, s).ravel()
-    acc = np.zeros((n, c * hp * wp), dtype=cols.dtype)
-    flat = cols.reshape(n, -1)
-    for k in range(n):
-        np.add.at(acc[k], idx, flat[k])
-    acc = acc.reshape(n, c, hp, wp)
-    if p:
-        return acc[:, :, p:p + h, p:p + w]
-    return acc
+@functools.lru_cache(maxsize=None)
+def _tap_table(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
+    # (T, c*h*w): row t holds each pixel's t-th tap, a flat column index, in
+    # increasing order, i.e. (i, j) order. Pixels with fewer taps point at
+    # the zero that ends every column buffer.
+    idx = _gather_index(c, h, w, k, s, p)
+    order = np.argsort(idx, kind="stable")
+    pix = idx[order]
+    counts = np.bincount(pix, minlength=c * h * w + 1)
+    rank = np.arange(pix.size) - (np.cumsum(counts) - counts)[pix]
+    inside = pix < c * h * w
+    table = np.full((counts[:-1].max(), c * h * w), idx.size, dtype=np.intp)
+    table[rank[inside], pix[inside]] = order[inside]
+    table.setflags(write=False)
+    return table
 
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
+def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    # (N, C, H, W) -> (N, C*k*k, Ho*Wo) with zero padding p, as one gather
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
-    return xp
+    if p == 0 and (h, w) == (k, k):
+        # one window covers the image: the columns are the image itself
+        return x.reshape(n, c * k * k, 1)
+    flat = np.empty((n, c * h * w + 1), dtype=x.dtype)
+    flat[:, :-1] = x.reshape(n, -1)
+    flat[:, -1] = 0
+    cols = np.take(flat, _gather_index(c, h, w, k, s, p), axis=1, mode="wrap")
+    return cols.reshape(n, c * k * k, -1)
+
+
+def _matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.matmul(a, b) -> (N, R, Q) written into an (N, R*Q + 1) buffer whose
+    # last entry is 0: the column layout _col2im reads
+    n, r, q = b.shape[0], a.shape[-2], b.shape[-1]
+    buf = np.empty((n, r * q + 1), dtype=np.result_type(a, b))
+    buf[:, -1] = 0
+    np.matmul(a, b, out=buf[:, :-1].reshape(n, r, q))
+    return buf
+
+
+def _col2im(buf: np.ndarray, out_shape: tuple, k: int, s: int, p: int) -> np.ndarray:
+    # sum the columns of a _matmul_cols buffer back to (N, C, H, W): T ordered
+    # gathers, so every pixel adds its taps in (i, j) order starting from +0.0
+    # (the same bits as one strided add per tap); the sentinel +0.0s come last
+    # and change nothing, since a sum that starts at +0.0 is never -0.0
+    n, c, h, w = out_shape
+    if p == 0 and (h, w) == (k, k):
+        # one window covers the image: every pixel gets exactly one tap. A
+        # -0.0 tap stays -0.0 here, where adding it to +0.0 would give +0.0.
+        return buf[:, :-1].reshape(n, c, k, k)
+    out = np.zeros((n, c * h * w), dtype=buf.dtype)
+    tap = np.empty_like(out)
+    for taps in _tap_table(c, h, w, k, s, p):
+        out += np.take(buf, taps, axis=1, out=tap, mode="wrap")
+    return out.reshape(out_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +367,10 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
             W = _weight(store, weights, i)
             if h.ndim != 4 or h.shape[1] != W.shape[1]:
                 raise ShapeError(f"layer {i} (conv2d): got input shape {h.shape[1:]}")
-            s, p = layer.stride, layer.padding
-            kh = kw = layer.kernel
-            cols = _im2col(_pad(h, p), kh, kw, s)
-            ho = _conv_out_extent(h.shape[2], kh, s, p, f"layer {i} (conv2d)")
-            wo = _conv_out_extent(h.shape[3], kw, s, p, f"layer {i} (conv2d)")
+            k, s, p = layer.kernel, layer.stride, layer.padding
+            ho = _conv_out_extent(h.shape[2], k, s, p, f"layer {i} (conv2d)")
+            wo = _conv_out_extent(h.shape[3], k, s, p, f"layer {i} (conv2d)")
+            cols = _im2col(h, k, s, p)
             tape.entries.append((cols, h.shape))
             y = np.matmul(W.reshape(W.shape[0], -1), cols)
             h = y.reshape(h.shape[0], W.shape[0], ho, wo) \
@@ -337,17 +379,15 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
             W = _weight(store, weights, i)
             if h.ndim != 4 or h.shape[1] != W.shape[0]:
                 raise ShapeError(f"layer {i} (convtranspose2d): got input shape {h.shape[1:]}")
-            s, p = layer.stride, layer.padding
-            kh = kw = layer.kernel
+            k, s, p = layer.kernel, layer.stride, layer.padding
             n, ci, hi, wi = h.shape
             co = W.shape[1]
-            H = _convt_out_extent(hi, kh, s, p, f"layer {i} (convtranspose2d)")
-            Wd = _convt_out_extent(wi, kw, s, p, f"layer {i} (convtranspose2d)")
-            # adjoint of conv2d(kernel=(ci, co, kh, kw)) mapping big -> small
-            Wm = W.reshape(ci, co * kh * kw)
-            dcols = np.matmul(Wm.T, h.reshape(n, ci, hi * wi))
+            H = _convt_out_extent(hi, k, s, p, f"layer {i} (convtranspose2d)")
+            Wd = _convt_out_extent(wi, k, s, p, f"layer {i} (convtranspose2d)")
+            # adjoint of conv2d(kernel=(ci, co, k, k)) mapping big -> small
+            dcols = _matmul_cols(W.reshape(ci, co * k * k).T, h.reshape(n, ci, hi * wi))
             tape.entries.append((h, (n, co, H, Wd)))
-            h = _col2im(dcols, (n, co, H, Wd), kh, kw, s, p) \
+            h = _col2im(dcols, (n, co, H, Wd), k, s, p) \
                 + store.params[i]["b"].reshape(1, -1, 1, 1)
         elif kind == "lrelu":
             tape.entries.append((h > 0,))
@@ -413,19 +453,16 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             gr = g.reshape(n, co, -1)
             store.grads[i]["W"] += np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
             store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
-            dcols = np.matmul(W.reshape(co, -1).T, gr)
-            g = _col2im(dcols, xshape, layer.kernel, layer.kernel,
-                        layer.stride, layer.padding)
+            dcols = _matmul_cols(W.reshape(co, -1).T, gr)
+            g = _col2im(dcols, xshape, layer.kernel, layer.stride, layer.padding)
         elif kind == "convtranspose2d":
             x, zshape = cache
             W = _weight(store, weights, i)
             n, ci, hi, wi = x.shape
-            co = W.shape[1]
-            kh = kw = layer.kernel
             store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
             # dx and dW reuse one im2col of the output gradient: the layer is
             # the adjoint of conv2d(g) with the same kernel.
-            cols_g = _im2col(_pad(g, layer.padding), kh, kw, layer.stride)
+            cols_g = _im2col(g, layer.kernel, layer.stride, layer.padding)
             gr = np.matmul(W.reshape(ci, -1), cols_g)
             dW = np.tensordot(x.reshape(n, ci, -1), cols_g, axes=([0, 2], [0, 2]))
             store.grads[i]["W"] += dW.reshape(W.shape)

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: finite
 differences for gradients, naive 6-loop convolutions for conv layers,
-a per-tap strided-add col2im, and a double-loop MMD estimator.
+a padded window-view im2col, a per-tap strided-add col2im, and a
+double-loop MMD estimator.
 """
 
 import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -76,6 +78,14 @@ def convtranspose2d_naive(x, W, b, stride, padding):
                                 acc[ni, o, i * stride + a, j * stride + bb] += v * W[ch, o, a, bb]
     y = acc[:, :, padding:padding + ho, padding:padding + wo]
     return y + b.reshape(1, -1, 1, 1)
+
+
+def im2col_window(x, k, s, p):
+    """im2col of np.pad(x) by a strided window view, (N,C,H,W) -> (N, C*k*k, Ho*Wo)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    n, c, ho, wo = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
 
 
 def col2im_loop(cols, out_shape, kh, kw, s, p):

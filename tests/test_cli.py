@@ -217,3 +217,22 @@ class TestTrajCommand:
 
     def test_missing_metrics_errors(self, tmp_path):
         assert cli.main(["traj", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("header", ["step,m", "step,dist,m,x", "step,r,mmd2"])
+    def test_missing_column_errors(self, tmp_path, capsys, header):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(header + "\n0,0,1\n")
+        assert cli.main(["traj", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        missing = "r" if "m" in header.split(",") else "m"
+        assert err == f"abcas: {metrics}: missing column {missing}\n"
+        assert not (tmp_path / "r_traj.csv").exists()
+
+    @pytest.mark.parametrize("bad_row", ["1,0,0.5", "1,0,1.5,0,0.2,0.001,0.00025,0.99977,0.5,0.2,9"])
+    def test_row_with_wrong_field_count_errors(self, tmp_path, capsys, bad_row):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(CSV_HEADER + "\n0,0,0,0,0,0,0,1,0.5,0.1\n" + bad_row + "\n")
+        assert cli.main(["traj", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"abcas: {metrics}: line 3 has {bad_row.count(',') + 1} fields")
+        assert not (tmp_path / "r_traj.csv").exists()

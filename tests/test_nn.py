@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from helpers import (
     conv2d_naive,
     convtranspose2d_naive,
     gradcheck_layer as _gradcheck_layer,
+    im2col_window,
     nudge_off_kinks as _away_from_kinks,
     rel_err,
 )
@@ -203,6 +206,9 @@ class TestColumnPrimitives:
         ((3, 2, 7, 7), 3, 2, 0),
         ((256, 32, 4, 4), 4, 1, 0),
     ]
+    # the cases where col2im sums taps (all but the one-window reshape)
+    SCATTER_CASES = [((16, 16, 8, 8), 4, 2, 1), ((3, 2, 7, 7), 3, 1, 1),
+                     ((3, 2, 7, 7), 3, 2, 0)]
 
     @staticmethod
     def _cols(rng, out_shape, k, s, p, dtype):
@@ -211,29 +217,77 @@ class TestColumnPrimitives:
         wo = (w + 2 * p - k) // s + 1
         return rng.standard_normal((n, c * k * k, ho * wo)).astype(dtype)
 
+    @staticmethod
+    def _buffer(cols):
+        # the layout _col2im reads: one row per sample, a zero after the last entry
+        n = len(cols)
+        return np.concatenate([cols.reshape(n, -1), np.zeros((n, 1), cols.dtype)], axis=1)
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("out_shape,k,s,p", CASES)
     def test_col2im_bitwise_equals_tap_loop_float32(self, out_shape, k, s, p):
         cols = self._cols(np.random.default_rng(31), out_shape, k, s, p, np.float32)
-        got = nn._col2im(cols, out_shape, k, k, s, p)
-        want = col2im_loop(cols, out_shape, k, k, s, p)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, want)
+        got = nn._col2im(self._buffer(cols), out_shape, k, s, p)
+        assert self._same_bits(got, col2im_loop(cols, out_shape, k, k, s, p))
+
+    @pytest.mark.parametrize("out_shape,k,s,p", SCATTER_CASES)
+    def test_col2im_signed_zeros_match_tap_loop(self, out_shape, k, s, p):
+        # a pixel whose taps are all -0.0 sums to +0.0 from a +0.0 start; a sum
+        # that starts from the first tap would keep -0.0
+        rng = np.random.default_rng(34)
+        cols = self._cols(rng, out_shape, k, s, p, np.float32)
+        for share in (1.0, 0.9):
+            signed = np.where(rng.random(cols.shape) < share, np.float32(-0.0), cols)
+            got = nn._col2im(self._buffer(signed), out_shape, k, s, p)
+            assert self._same_bits(got, col2im_loop(signed, out_shape, k, k, s, p))
 
     @pytest.mark.parametrize("out_shape,k,s,p", CASES)
     def test_col2im_is_adjoint_of_padded_im2col(self, out_shape, k, s, p):
         rng = np.random.default_rng(32)
         x = rng.standard_normal(out_shape)
         c = self._cols(rng, out_shape, k, s, p, np.float64)
-        lhs = float(np.sum(nn._im2col(nn._pad(x, p), k, k, s) * c))
-        rhs = float(np.sum(x * nn._col2im(c, out_shape, k, k, s, p)))
+        lhs = float(np.sum(nn._im2col(x, k, s, p) * c))
+        rhs = float(np.sum(x * nn._col2im(self._buffer(c), out_shape, k, s, p)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_pad_matches_np_pad(self):
-        x = np.random.default_rng(33).standard_normal((2, 3, 4, 5)).astype(np.float32)
-        got = nn._pad(x, 2)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))))
-        assert nn._pad(x, 0) is x
+    @pytest.mark.parametrize("out_shape,k,s,p", CASES)
+    def test_im2col_bitwise_equals_padded_window_view(self, out_shape, k, s, p):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal(out_shape).astype(np.float32)
+        x[rng.random(out_shape) < 0.1] = -0.0
+        assert self._same_bits(nn._im2col(x, k, s, p), im2col_window(x, k, s, p))
+
+    def test_col2im_does_not_copy_the_columns(self):
+        # the zero-tailed buffer is read in place, never extended by a copy
+        out_shape, k, s, p = (256, 16, 8, 8), 4, 2, 1
+        buf = self._buffer(self._cols(np.random.default_rng(35), out_shape, k, s, p, np.float32))
+        nn._col2im(buf, out_shape, k, s, p)  # builds the cached tap table
+        tracemalloc.start()
+        try:
+            nn._col2im(buf, out_shape, k, s, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buf.nbytes
+
+    def test_matmul_writes_columns_in_place(self):
+        # the producer allocates the zero-tailed buffer once, with no second
+        # copy of the product
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal((256, 32)).astype(np.float32)
+        b = rng.standard_normal((256, 32, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            buf = nn._matmul_cols(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buf.nbytes
+        assert not buf[:, -1].any()
+        assert self._same_bits(buf[:, :-1].reshape(256, 256, 16), np.matmul(a, b))
 
 
 class TestGradients:

@@ -218,14 +218,13 @@ class TestTrajCommand:
     def test_missing_metrics_errors(self, tmp_path):
         assert cli.main(["traj", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("header", ["step,m", "step,dist,m,x", "step,r,mmd2"])
-    def test_missing_column_errors(self, tmp_path, capsys, header):
+    @pytest.mark.parametrize("header,missing", [("step,m", "r"), ("step,dist,m,x", "r"),
+                                                ("step,r,mmd2", "m"), ("step,x", "r, m")])
+    def test_missing_column_errors(self, tmp_path, capsys, header, missing):
         metrics = tmp_path / "metrics.csv"
         metrics.write_text(header + "\n0,0,1\n")
         assert cli.main(["traj", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        missing = "r" if "m" in header.split(",") else "m"
-        assert err == f"abcas: {metrics}: missing column {missing}\n"
+        assert capsys.readouterr().err == f"abcas: {metrics}: missing column {missing}\n"
         assert not (tmp_path / "r_traj.csv").exists()
 
     @pytest.mark.parametrize("bad_row", ["1,0,0.5", "1,0,1.5,0,0.2,0.001,0.00025,0.99977,0.5,0.2,9"])

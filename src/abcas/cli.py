@@ -44,6 +44,7 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
 
     ckpt_root = out_dir / "checkpoints"
     metrics_path = out_dir / "metrics.csv"
+    last_g_store = None
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
 
@@ -52,13 +53,13 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
             fh.flush()
 
         def on_eval(step, g_store, d_store):
+            nonlocal last_g_store
             ckpt = ckpt_root / f"step_{step:06d}"
             ckpt.mkdir(parents=True, exist_ok=True)
             _save_store(ckpt, "g", g_store)
             _save_store(ckpt, "d", d_store)
-            on_eval.last_g_store = g_store
+            last_g_store = g_store
 
-        on_eval.last_g_store = None
         try:
             run_training(settings.train, data, g_spec, d_spec,
                          hooks=TrainHooks(on_record=on_record, on_eval=on_eval))
@@ -70,24 +71,19 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
             (out_dir / "status.txt").write_text(f"aborted step {exc.step}\n")
             return NUMERIC_ABORT
 
-    if on_eval.last_g_store is not None:
-        z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
-                          settings.train.eval_samples, g_spec)
-        samples, _ = forward(g_spec, on_eval.last_g_store, z)
-        write_tensor_file(out_dir / "samples.abt", samples)
+    # run_training calls on_eval at step 0, so last_g_store is set here
+    z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
+                      settings.train.eval_samples, g_spec)
+    samples, _ = forward(g_spec, last_g_store, z)
+    write_tensor_file(out_dir / "samples.abt", samples)
     (out_dir / "status.txt").write_text("ok\n")
     return OK
 
 
 def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> int:
-    try:
-        settings = load_settings(config_path, overrides)
-    except ConfigError as exc:
-        print(f"abcas: config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     out_dir = Path(out) if out else Path("runs") / Path(config_path).stem
     try:
-        return _run_one(settings, out_dir)
+        return _run_one(load_settings(config_path, overrides), out_dir)
     except (ConfigError, TensorFileError, OSError) as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

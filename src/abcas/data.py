@@ -51,8 +51,10 @@ class DatasetSpec:
         if self.kind == "ring2d":
             if self.modes < 1:
                 raise ValueError("ring2d needs at least one mode")
-            if self.sigma <= 0:
-                raise ValueError("ring2d sigma must be positive")
+            if not np.isfinite(self.radius):
+                raise ValueError(f"ring_radius must be finite, got {self.radius}")
+            if not 0.0 < self.sigma < np.inf:
+                raise ValueError(f"ring_sigma must be positive and finite, got {self.sigma}")
         if self.kind == "blobs" and self.img_size not in (8, 16, 32):
             raise ValueError(f"blobs img_size must be 8, 16 or 32, got {self.img_size}")
         if self.kind == "file" and not self.path:

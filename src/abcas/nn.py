@@ -6,11 +6,14 @@ consumes the tape once and accumulates gradients into the
 :class:`ParamStore`. Everything works on whatever float dtype the
 parameters carry (training uses float32, gradient checks float64).
 
-Convolutions use im2col/col2im; transposed convolution is implemented as
-the exact adjoint of the corresponding convolution, so the stored kernel
-layout is ``(c_in, c_out, kh, kw)`` for convtranspose2d and
-``(c_out, c_in, kh, kw)`` for conv2d. Forward passes and input gradients
-are batched ``matmul`` calls; each weight gradient is one GEMM
+The conv map and its adjoint are written once, as ``_conv`` (im2col and
+one ``matmul``) and ``_conv_adjoint`` (``matmul`` with the transposed
+kernel matrix, then col2im). conv2d runs ``_conv`` forward and
+``_conv_adjoint`` backward; transposed convolution is the exact adjoint
+of the conv2d with the same kernel and runs them the other way round, so
+the stored kernel layout is ``(c_in, c_out, kh, kw)`` for convtranspose2d
+and ``(c_out, c_in, kh, kw)`` for conv2d. Forward passes and input
+gradients are batched ``matmul`` calls; each weight gradient is one GEMM
 (``tensordot`` over batch and positions). Both data movements are gathers
 over index tables built once per per-sample shape ``(c, h, w, k, s, p)``
 and cached, so the training and eval batches share them. im2col is one
@@ -144,6 +147,15 @@ def _convt_out_extent(n: int, k: int, s: int, p: int, where: str) -> int:
     return out
 
 
+def _conv_out_shape(layer: Layer, cur: tuple[int, ...], where: str) -> tuple[int, ...]:
+    # per-sample output shape of a conv2d or convtranspose2d layer on input cur
+    if len(cur) != 3 or cur[0] != layer.in_ch:
+        raise ShapeError(f"{where}: expected input shape ({layer.in_ch}, H, W), got {cur}")
+    extent = _conv_out_extent if layer.kind == "conv2d" else _convt_out_extent
+    return (layer.out_ch,) + tuple(extent(n, layer.kernel, layer.stride, layer.padding, where)
+                                   for n in cur[1:])
+
+
 def shape_plan(spec: NetworkSpec) -> list[tuple[int, ...]]:
     """Per-sample output shape after each layer; raises naming the bad layer."""
     shapes = []
@@ -154,22 +166,8 @@ def shape_plan(spec: NetworkSpec) -> list[tuple[int, ...]]:
             if cur != (layer.in_ch,):
                 raise ShapeError(f"{where}: expected input shape ({layer.in_ch},), got {cur}")
             cur = (layer.out_ch,)
-        elif layer.kind == "conv2d":
-            if len(cur) != 3 or cur[0] != layer.in_ch:
-                raise ShapeError(
-                    f"{where}: expected input shape ({layer.in_ch}, H, W), got {cur}"
-                )
-            h = _conv_out_extent(cur[1], layer.kernel, layer.stride, layer.padding, where)
-            w = _conv_out_extent(cur[2], layer.kernel, layer.stride, layer.padding, where)
-            cur = (layer.out_ch, h, w)
-        elif layer.kind == "convtranspose2d":
-            if len(cur) != 3 or cur[0] != layer.in_ch:
-                raise ShapeError(
-                    f"{where}: expected input shape ({layer.in_ch}, H, W), got {cur}"
-                )
-            h = _convt_out_extent(cur[1], layer.kernel, layer.stride, layer.padding, where)
-            w = _convt_out_extent(cur[2], layer.kernel, layer.stride, layer.padding, where)
-            cur = (layer.out_ch, h, w)
+        elif layer.kind in ("conv2d", "convtranspose2d"):
+            cur = _conv_out_shape(layer, cur, where)
         elif layer.kind in ("lrelu", "relu", "tanh", "layernorm", "pixelnorm"):
             pass
         else:
@@ -203,18 +201,12 @@ class ParamStore:
         for i, layer in enumerate(spec.layers):
             rng = np.random.default_rng(prefix + [i])
             p: dict[str, np.ndarray] = {}
-            if layer.kind == "dense":
-                p["W"] = rng.standard_normal((layer.out_ch, layer.in_ch)) * WEIGHT_INIT_STD
-                p["b"] = np.zeros(layer.out_ch)
-            elif layer.kind == "conv2d":
-                p["W"] = rng.standard_normal(
-                    (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
-                ) * WEIGHT_INIT_STD
-                p["b"] = np.zeros(layer.out_ch)
-            elif layer.kind == "convtranspose2d":
-                p["W"] = rng.standard_normal(
-                    (layer.in_ch, layer.out_ch, layer.kernel, layer.kernel)
-                ) * WEIGHT_INIT_STD
+            if layer.kind in ("dense", "conv2d", "convtranspose2d"):
+                # dense (out, in); conv2d (out, in, k, k); convtranspose2d (in, out, k, k)
+                io = (layer.in_ch, layer.out_ch)
+                taps = () if layer.kind == "dense" else (layer.kernel, layer.kernel)
+                shape = (io if layer.kind == "convtranspose2d" else io[::-1]) + taps
+                p["W"] = rng.standard_normal(shape) * WEIGHT_INIT_STD
                 p["b"] = np.zeros(layer.out_ch)
             elif layer.kind == "layernorm":
                 p["g"] = np.ones(in_shapes[i])
@@ -319,6 +311,21 @@ def _col2im(buf: np.ndarray, out_shape: tuple, k: int, s: int, p: int) -> np.nda
     return out.reshape(out_shape)
 
 
+def _conv(W: np.ndarray, x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # the conv map of kernel W (a, b, k, k): (N, b, H, W) -> (N, a, Ho*Wo), and
+    # the columns of x, which the kernel gradient reuses
+    cols = _im2col(x, k, s, p)
+    return np.matmul(W.reshape(W.shape[0], -1), cols), cols
+
+
+def _conv_adjoint(W: np.ndarray, g: np.ndarray, x_shape: tuple, k: int, s: int,
+                  p: int) -> np.ndarray:
+    # the adjoint of _conv: (N, a, ...) -> x_shape = (N, b, H, W)
+    a = W.shape[0]
+    buf = _matmul_cols(W.reshape(a, -1).T, g.reshape(g.shape[0], a, -1))
+    return _col2im(buf, x_shape, k, s, p)
+
+
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -363,32 +370,18 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
                 raise ShapeError(f"layer {i} (dense): got input shape {h.shape[1:]}")
             tape.entries.append((h,))
             h = h @ W.T + store.params[i]["b"]
-        elif kind == "conv2d":
+        elif kind in ("conv2d", "convtranspose2d"):
             W = _weight(store, weights, i)
-            if h.ndim != 4 or h.shape[1] != W.shape[1]:
-                raise ShapeError(f"layer {i} (conv2d): got input shape {h.shape[1:]}")
+            out_shape = (h.shape[0],) + _conv_out_shape(layer, h.shape[1:], f"layer {i} ({kind})")
             k, s, p = layer.kernel, layer.stride, layer.padding
-            ho = _conv_out_extent(h.shape[2], k, s, p, f"layer {i} (conv2d)")
-            wo = _conv_out_extent(h.shape[3], k, s, p, f"layer {i} (conv2d)")
-            cols = _im2col(h, k, s, p)
-            tape.entries.append((cols, h.shape))
-            y = np.matmul(W.reshape(W.shape[0], -1), cols)
-            h = y.reshape(h.shape[0], W.shape[0], ho, wo) \
-                + store.params[i]["b"].reshape(1, -1, 1, 1)
-        elif kind == "convtranspose2d":
-            W = _weight(store, weights, i)
-            if h.ndim != 4 or h.shape[1] != W.shape[0]:
-                raise ShapeError(f"layer {i} (convtranspose2d): got input shape {h.shape[1:]}")
-            k, s, p = layer.kernel, layer.stride, layer.padding
-            n, ci, hi, wi = h.shape
-            co = W.shape[1]
-            H = _convt_out_extent(hi, k, s, p, f"layer {i} (convtranspose2d)")
-            Wd = _convt_out_extent(wi, k, s, p, f"layer {i} (convtranspose2d)")
-            # adjoint of conv2d(kernel=(ci, co, k, k)) mapping big -> small
-            dcols = _matmul_cols(W.reshape(ci, co * k * k).T, h.reshape(n, ci, hi * wi))
-            tape.entries.append((h, (n, co, H, Wd)))
-            h = _col2im(dcols, (n, co, H, Wd), k, s, p) \
-                + store.params[i]["b"].reshape(1, -1, 1, 1)
+            if kind == "conv2d":
+                y, cols = _conv(W, h, k, s, p)
+                tape.entries.append((cols, h.shape))
+            else:
+                # the adjoint of the conv2d with the same kernel, mapping big -> small
+                y = _conv_adjoint(W, h, out_shape, k, s, p)
+                tape.entries.append((h,))
+            h = y.reshape(out_shape) + store.params[i]["b"].reshape(1, -1, 1, 1)
         elif kind == "lrelu":
             tape.entries.append((h > 0,))
             h = np.where(h > 0, h, layer.slope * h)
@@ -448,25 +441,20 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
         elif kind == "conv2d":
             cols, xshape = cache
             W = _weight(store, weights, i)
-            co = W.shape[0]
-            n = xshape[0]
-            gr = g.reshape(n, co, -1)
+            gr = g.reshape(xshape[0], W.shape[0], -1)
             store.grads[i]["W"] += np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
             store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
-            dcols = _matmul_cols(W.reshape(co, -1).T, gr)
-            g = _col2im(dcols, xshape, layer.kernel, layer.stride, layer.padding)
+            g = _conv_adjoint(W, g, xshape, layer.kernel, layer.stride, layer.padding)
         elif kind == "convtranspose2d":
-            x, zshape = cache
+            (x,) = cache
             W = _weight(store, weights, i)
-            n, ci, hi, wi = x.shape
             store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
             # dx and dW reuse one im2col of the output gradient: the layer is
             # the adjoint of conv2d(g) with the same kernel.
-            cols_g = _im2col(g, layer.kernel, layer.stride, layer.padding)
-            gr = np.matmul(W.reshape(ci, -1), cols_g)
-            dW = np.tensordot(x.reshape(n, ci, -1), cols_g, axes=([0, 2], [0, 2]))
-            store.grads[i]["W"] += dW.reshape(W.shape)
-            g = gr.reshape(x.shape)
+            gx, cols = _conv(W, g, layer.kernel, layer.stride, layer.padding)
+            xr = x.reshape(x.shape[0], x.shape[1], -1)
+            store.grads[i]["W"] += np.tensordot(xr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
+            g = gx.reshape(x.shape)
         elif kind == "lrelu":
             (mask,) = cache
             g = np.where(mask, g, layer.slope * g)
@@ -534,10 +522,14 @@ def mlp_discriminator(in_dim: int, hidden: list[int]) -> NetworkSpec:
     return NetworkSpec(input_shape=(in_dim,), layers=layers)
 
 
-def _upsample_levels(img_size: int) -> int:
+def _upsample_levels(img_size: int, channels: list[int]) -> int:
     levels = int(math.log2(img_size / 4))
     if 4 * 2 ** levels != img_size or levels < 1:
         raise ValueError(f"img_size must be 4 * 2^k with k >= 1, got {img_size}")
+    if len(channels) != levels:
+        raise ValueError(
+            f"need {levels} channel entries for img_size={img_size}, got {len(channels)}"
+        )
     return levels
 
 
@@ -549,11 +541,7 @@ def conv_generator(latent_dim: int, channels: list[int], img_channels: int,
     per channel entry beyond the first, LReLU(0.2) between levels with
     layernorm+ReLU before the final Tanh level.
     """
-    levels = _upsample_levels(img_size)
-    if len(channels) != levels:
-        raise ValueError(
-            f"need {levels} channel entries for img_size={img_size}, got {len(channels)}"
-        )
+    levels = _upsample_levels(img_size, channels)
     layers: list[Layer] = [pixelnorm(),
                            convtranspose2d(latent_dim, channels[0], 4, 1, 0)]
     for j in range(1, levels):
@@ -569,11 +557,7 @@ def conv_discriminator(img_channels: int, channels: list[int], img_size: int) ->
 
     All convolution weights are spectrally normalized; activations are ReLU.
     """
-    levels = _upsample_levels(img_size)
-    if len(channels) != levels:
-        raise ValueError(
-            f"need {levels} channel entries for img_size={img_size}, got {len(channels)}"
-        )
+    _upsample_levels(img_size, channels)
     layers: list[Layer] = []
     prev = img_channels
     for ch in channels:

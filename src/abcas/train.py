@@ -66,13 +66,15 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (the critic gap needs a max and a min)")
-        for name in ("lr_d", "lr_g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # comparisons with nan are false, so each check below also rejects nan
+        for name in ("lr_d", "lr_g", "beta"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
         if self.steps < 0 or self.eval_every < 1 or self.latent_dim < 1:
             raise ValueError("steps, eval_every and latent_dim must be positive")
         if self.eval_samples < 2:

@@ -113,6 +113,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "abcas: config error" in err and str(blob) in err
 
+    def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys):
+        # beta2 = 1 used to divide by zero in the rectified Adam step
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "\nrectify = true\nbeta2 = 1\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("abcas: config error: beta2 must be in [0, 1)")
+        assert not out.exists()
+
     def test_numeric_abort_exit_code(self, tiny_config, tmp_path, monkeypatch):
         def exploding(cfg, data, g_spec, d_spec, hooks=None):
             if hooks and hooks.on_record:
@@ -179,6 +188,17 @@ class TestSweepCommand:
         assert [line.split(",")[4] for line in lines] == ["config_error", "config_error"]
         for sub in ("fixed_m0.7", "abcas_beta4"):
             assert (out / sub / "status.txt").read_text() == "config error\n"
+
+    def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys):
+        # ring_sigma = inf used to kill the sweep at its first setting
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nring_sigma = inf\nsweep_fixed_m = 0.7\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abcas: config error: ring_sigma must be positive and finite")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", ["0.1234561,0.1234562", "0.5,0.5"])
     def test_colliding_settings_are_a_config_error(self, tmp_path, capsys, values):

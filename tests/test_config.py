@@ -69,6 +69,19 @@ class TestParsing:
             resolve_settings({"batch_size": "1"})
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr_d", "nan"), ("lr_g", "inf"), ("lr_g", "nan"),
+        ("beta1", "1"), ("beta1", "-0.5"), ("beta1", "nan"),
+        ("beta2", "1"), ("beta2", "1.5"), ("beta2", "-0.1"),
+        ("beta", "nan"), ("beta", "inf"),
+        ("ring_radius", "nan"), ("ring_radius", "inf"), ("ring_radius", "-inf"),
+        ("ring_sigma", "inf"), ("ring_sigma", "nan"),
+    ])
+    def test_out_of_range_number_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            resolve_settings({"dataset": "ring2d", key: value})
+
+
 class TestNetworksFromSettings:
     def test_mlp_family(self):
         s = resolve_settings({"g_hidden": "8,8", "d_hidden": "8,8", "latent_dim": "4"})

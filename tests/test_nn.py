@@ -193,6 +193,29 @@ class TestConvShapes:
         assert rel_err(y, convtranspose2d_naive(x, W, b, stride, padding)) < 1e-12
 
 
+def _operator_matrix(spec, store):
+    # the dense matrix of a linear network: column j is the output for basis input j
+    n = int(np.prod(spec.input_shape))
+    y, _ = forward(spec, store, np.eye(n).reshape((n,) + tuple(spec.input_shape)))
+    return y.reshape(n, -1).T
+
+
+class TestConvOperatorMatrices:
+    @pytest.mark.parametrize("k,s,p,size", [(4, 2, 1, 8), (4, 1, 0, 4), (3, 1, 1, 5)])
+    def test_convtranspose2d_is_the_transpose_of_conv2d(self, k, s, p, size):
+        # float64, zero biases, one kernel tensor for both layers
+        conv = NetworkSpec((2, size, size), [conv2d(2, 3, kernel=k, stride=s, padding=p)])
+        convt = NetworkSpec(shape_plan(conv)[0], [convtranspose2d(3, 2, kernel=k, stride=s,
+                                                                  padding=p)])
+        conv_store, convt_store = _store64(conv, seed=5), _store64(convt)
+        convt_store.params[0]["W"][...] = conv_store.params[0]["W"]
+        A = _operator_matrix(conv, conv_store)
+        B = _operator_matrix(convt, convt_store)
+        assert A.shape == (int(np.prod(shape_plan(conv)[0])), 2 * size * size)
+        assert np.count_nonzero(A) > 0
+        assert np.max(np.abs(B - A.T)) <= 1e-12 * np.max(np.abs(A))
+
+
 class TestColumnPrimitives:
     # (out_shape, kernel, stride, padding): every blobs16 shape at the training
     # batch, two at the eval batch, and two odd kernels; the k4 s1 p0 cases

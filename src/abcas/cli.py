@@ -36,9 +36,12 @@ def _save_store(ckpt_dir: Path, tag: str, store: ParamStore) -> None:
 
 def _run_one(settings: Settings, out_dir: Path) -> int:
     """Train one configuration into out_dir. Returns the process exit code."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = settings.dataset_spec().load()
+    try:
+        data = settings.dataset_spec().load()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.cfg").write_text(
         manifest_text(settings, f"abcas-{__version__}", out_dir.name))
 

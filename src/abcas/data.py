@@ -61,16 +61,25 @@ class DatasetSpec:
             raise ValueError("file dataset needs a path")
 
     def load(self) -> np.ndarray:
+        """The dataset as float32. Non-finite samples raise ``ValueError``
+        naming the keys that produced them (``TensorFileError`` for files)."""
         self.validate()
         if self.kind == "ring2d":
-            return generate_ring2d(self.size, self.modes, self.radius, self.sigma, self.seed)
-        if self.kind == "blobs":
-            return generate_blobs(self.size, self.img_size, self.seed)
-        arr = read_tensor_file(self.path)
-        if arr.ndim == 0 or len(arr) < 2:
-            raise TensorFileError(f"{self.path}: need at least 2 samples, shape is {arr.shape}")
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                arr = generate_ring2d(self.size, self.modes, self.radius, self.sigma, self.seed)
+            keys = f"ring_radius = {self.radius:g} and ring_sigma = {self.sigma:g}"
+        elif self.kind == "blobs":
+            arr = generate_blobs(self.size, self.img_size, self.seed)
+            keys = f"img_size = {self.img_size}"
+        else:
+            arr = read_tensor_file(self.path)
+            if arr.ndim == 0 or len(arr) < 2:
+                raise TensorFileError(f"{self.path}: need at least 2 samples, shape is {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise TensorFileError(f"{self.path}: non-finite values in the dataset")
+            return arr
         if not np.all(np.isfinite(arr)):
-            raise TensorFileError(f"{self.path}: non-finite values in the dataset")
+            raise ValueError(f"{keys} give non-finite float32 {self.kind} samples")
         return arr
 
 

@@ -2,7 +2,10 @@
 
 This is the desk-scale stand-in for classifier-based distribution
 distances; it works directly in data space, needs no external model, and
-has an exact brute-force oracle. Also defines the per-step metrics
+has an exact brute-force oracle. The real evaluation set is frozen for a
+run, so its within-set kernel mean (:func:`within_set_mean`) is computed
+once per run, next to the frozen bandwidth, and each evaluation builds only
+the generated set's and the cross kernel. Also defines the per-step metrics
 record that training logs to CSV.
 """
 
@@ -19,6 +22,7 @@ __all__ = [
     "MetricsRecord",
     "median_heuristic_bandwidth",
     "mmd2_unbiased",
+    "within_set_mean",
 ]
 
 BANDWIDTH_FLOOR = 1e-6
@@ -41,7 +45,32 @@ def _gaussian_kernel(sq_dist: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(sq_dist, out=sq_dist)
 
 
-def mmd2_unbiased(x, y, bandwidth: float) -> float:
+def _gamma(bandwidth) -> float:
+    bw = float(bandwidth)
+    gamma = 1.0 / (2.0 * bw * bw) if bw * bw > 0.0 else math.inf
+    if not (0.0 < bw < math.inf and math.isfinite(gamma)):
+        raise ValueError("bandwidth must be positive and finite, with a finite "
+                         f"1 / (2 bw^2); got {bandwidth!r}")
+    return gamma
+
+
+def within_set_mean(x, bandwidth: float) -> float:
+    """Mean Gaussian kernel over the distinct pairs of one sample set.
+
+    This is the within-set term that :func:`mmd2_unbiased` computes for
+    each side, bit for bit. Training computes it once per run for the
+    frozen real evaluation set and passes it as ``x_within``.
+    """
+    gamma = _gamma(bandwidth)
+    x = _as_points(x, "x")
+    n = len(x)
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    # the n(n-1)/2 distinct pairs once, doubled: the mean over i != j
+    return 2.0 * float(np.sum(_gaussian_kernel(pdist(x, "sqeuclidean"), gamma))) / (n * (n - 1))
+
+
+def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> float:
     """Unbiased U-statistic estimator of squared MMD.
 
     k(a, b) = exp(-|a - b|^2 / (2 bw^2)); the diagonal terms are excluded
@@ -50,25 +79,25 @@ def mmd2_unbiased(x, y, bandwidth: float) -> float:
     arguments are put in a canonical order first (fewer samples first, ties
     broken by their bytes), so ``mmd2_unbiased(x, y)`` and
     ``mmd2_unbiased(y, x)`` run the same arithmetic and are exactly equal.
+
+    ``x_within``, if given, must be ``within_set_mean(x, bandwidth)``; it is
+    used in place of recomputing that term and follows ``x`` through the
+    canonical order, so the result is the same float. Training passes the
+    real evaluation set's term, computed once per run.
     """
-    bw = float(bandwidth)
-    gamma = 1.0 / (2.0 * bw * bw) if bw * bw > 0.0 else math.inf
-    if not (0.0 < bw < math.inf and math.isfinite(gamma)):
-        raise ValueError("bandwidth must be positive and finite, with a finite "
-                         f"1 / (2 bw^2); got {bandwidth!r}")
+    gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     n, m = len(x), len(y)
     if n < 2 or m < 2:
         raise ValueError(f"need at least 2 samples per side, got {n} and {m}")
+    within_x = within_set_mean(x, bandwidth) if x_within is None else x_within
     if n > m or (n == m and x.tobytes() > y.tobytes()):
         x, y, n, m = y, x, m, n
-    kxx = _gaussian_kernel(pdist(x, "sqeuclidean"), gamma)
-    kyy = _gaussian_kernel(pdist(y, "sqeuclidean"), gamma)
-    kxy = _gaussian_kernel(cdist(x, y, "sqeuclidean"), gamma)
-    within_x = 2.0 * float(np.sum(kxx)) / (n * (n - 1))
-    within_y = 2.0 * float(np.sum(kyy)) / (m * (m - 1))
-    cross = float(np.sum(kxy)) / (n * m)
+        within_x, within_y = within_set_mean(x, bandwidth), within_x
+    else:
+        within_y = within_set_mean(y, bandwidth)
+    cross = float(np.sum(_gaussian_kernel(cdist(x, y, "sqeuclidean"), gamma))) / (n * m)
     return within_x + within_y - 2.0 * cross
 
 

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controller import AbcasState
-from .metrics import MetricsRecord, median_heuristic_bandwidth, mmd2_unbiased
+from .metrics import (MetricsRecord, median_heuristic_bandwidth, mmd2_unbiased,
+                      within_set_mean)
 from .nn import NetworkSpec, ParamStore, backward, forward
 from .optim import Adam
 from .specnorm import apply_norm_backward, init_spectral_states, refresh
@@ -81,8 +82,10 @@ class TrainConfig:
             raise ValueError("eval_samples must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.mode == "fixed" and not 0.0 < self.m <= 1.0:
-            raise ValueError("fixed multiplier m must be in (0, 1]")
+        # adaptive runs ignore m, but it is written to the manifest, which
+        # must stay a valid config in either mode
+        if not 0.0 < self.m <= 1.0:
+            raise ValueError(f"m must be in (0, 1], got {self.m}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +158,9 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     follow the counter. Losses and the MMD column carry their last
     computed value forward between the steps that refresh them. The MMD
     bandwidth is frozen at step 0 so the column is comparable across the
-    run. Raises :class:`NumericAbort` on the first non-finite loss or
-    critic output.
+    run, and the real evaluation set's within-set kernel mean is computed
+    once then. Raises :class:`NumericAbort` on the first non-finite loss
+    or critic output.
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
@@ -192,7 +196,8 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     t0 = time.perf_counter()
     fake0 = gen_eval_samples(0)
     bandwidth = median_heuristic_bandwidth(np.vstack([real_eval, fake0]), seed=[seed, 6])
-    last_mmd = mmd2_unbiased(real_eval, fake0, bandwidth)
+    real_within = within_set_mean(real_eval, bandwidth)
+    last_mmd = mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within)
 
     steps_per_epoch = max(1, n_data // cfg.batch_size)
     records: list[MetricsRecord] = []
@@ -261,7 +266,7 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             fake = gen_eval_samples(step)
             if not np.all(np.isfinite(fake)):
                 abort(step, "generated evaluation sample")
-            last_mmd = mmd2_unbiased(real_eval, fake, bandwidth)
+            last_mmd = mmd2_unbiased(real_eval, fake, bandwidth, x_within=real_within)
             if hooks.on_eval:
                 hooks.on_eval(step, g_store, d_store)
 

@@ -122,6 +122,27 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("abcas: config error: beta2 must be in [0, 1)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-3"])
+    def test_adaptive_m_out_of_range_is_a_config_error(self, tmp_path, capsys, value):
+        # it used to run to ok and write the bad m to manifest.cfg
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + f"\nmode = adaptive\nm = {value}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("abcas: config error: m must be in (0, 1]")
+        assert not out.exists()
+
+    def test_overflowing_generated_data_is_a_config_error(self, tmp_path, capsys):
+        # ring_sigma = 1e300 is finite, but its float32 samples are not
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "\nring_sigma = 1e300\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abcas: config error: ") and "ring_sigma = 1e+300" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_numeric_abort_exit_code(self, tiny_config, tmp_path, monkeypatch):
         def exploding(cfg, data, g_spec, d_spec, hooks=None):
             if hooks and hooks.on_record:
@@ -199,6 +220,18 @@ class TestSweepCommand:
         assert err.startswith("abcas: config error: ring_sigma must be positive and finite")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_generated_data_fails_each_setting(self, tmp_path, capsys):
+        # this used to kill the sweep at its first setting, with no summary.csv
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nring_sigma = 1e300\nsweep_fixed_m = 0.7\nsweep_abcas_beta = 4\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "ring_sigma = 1e+300" in capsys.readouterr().err
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["config_error", "config_error"]
+        for sub in ("fixed_m0.7", "abcas_beta4"):
+            assert (out / sub / "status.txt").read_text() == "config error\n"
 
     @pytest.mark.parametrize("values", ["0.1234561,0.1234562", "0.5,0.5"])
     def test_colliding_settings_are_a_config_error(self, tmp_path, capsys, values):

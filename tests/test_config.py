@@ -76,6 +76,8 @@ class TestParsing:
         ("beta", "nan"), ("beta", "inf"),
         ("ring_radius", "nan"), ("ring_radius", "inf"), ("ring_radius", "-inf"),
         ("ring_sigma", "inf"), ("ring_sigma", "nan"),
+        # mode is adaptive by default, which ignores m but writes it to the manifest
+        ("m", "nan"), ("m", "-3"), ("m", "1.5"),
     ])
     def test_out_of_range_number_is_a_config_error(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must"):

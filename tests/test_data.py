@@ -95,6 +95,12 @@ class TestDatasetSpec:
         with pytest.raises(TensorFileError, match=re.escape(str(path))):
             DatasetSpec(kind="file", path=str(path)).load()
 
+    @pytest.mark.parametrize("radius,sigma", [(0.7, 1e300), (1e39, 0.05)])
+    def test_overflowing_ring_is_an_error_naming_its_keys(self, radius, sigma):
+        # finite settings whose samples overflow float32
+        with pytest.raises(ValueError, match="ring_radius .* and ring_sigma .* non-finite"):
+            DatasetSpec(kind="ring2d", size=64, radius=radius, sigma=sigma).load()
+
 
 class TestTensorFile:
     def test_round_trip_bit_identical(self, tmp_path):

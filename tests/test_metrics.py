@@ -8,9 +8,15 @@ from abcas.metrics import (
     MetricsRecord,
     median_heuristic_bandwidth,
     mmd2_unbiased,
+    within_set_mean,
 )
 
 from helpers import mmd2_bruteforce
+
+
+def mmd2_given_x_term(x, y, bw):
+    """The training path: x's within-set term computed apart and passed in."""
+    return mmd2_unbiased(x, y, bw, x_within=within_set_mean(x, bw))
 
 
 class TestMMD:
@@ -42,11 +48,14 @@ class TestMMD:
         assert abs(v - expected) < 1e-12
 
     def test_exact_symmetry(self):
+        # one draw per shape can round the same with the canonical order
+        # removed, hence several
         rng = np.random.default_rng(2)
-        for n, m in [(8, 8), (8, 13), (21, 5)]:
+        for n, m in [(8, 8), (8, 13), (21, 5)] * 16:
             x = rng.standard_normal((n, 4))
             y = rng.standard_normal((m, 4)) + 0.5
             assert mmd2_unbiased(x, y, 0.7) == mmd2_unbiased(y, x, 0.7)
+            assert mmd2_given_x_term(x, y, 0.7) == mmd2_given_x_term(y, x, 0.7)
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -70,6 +79,7 @@ class TestMMD:
             y = rng.standard_normal((n, d)) * 1.5
             bw = median_heuristic_bandwidth(np.vstack([x, y]))
             assert mmd2_unbiased(x, y, bw) == mmd2_unbiased(y, x, bw)
+            assert mmd2_given_x_term(x, y, bw) == mmd2_given_x_term(y, x, bw)
 
     def test_exact_symmetry_when_sets_differ_in_one_entry(self):
         # the byte tie-break reads up to the last entry
@@ -78,6 +88,33 @@ class TestMMD:
             y = x.copy()
             y[-1, -1] += 0.25
             assert mmd2_unbiased(x, y, 0.8) == mmd2_unbiased(y, x, 0.8)
+            assert mmd2_given_x_term(x, y, 0.8) == mmd2_given_x_term(y, x, 0.8)
+
+    @pytest.mark.parametrize("n,d", [(1024, 2), (512, 2), (256, 256)])
+    @pytest.mark.parametrize("m_per_n", [0.5, 1.0, 1.5])
+    def test_precomputed_term_is_bit_identical(self, n, d, m_per_n):
+        # both argument orders, so in each draw one call keeps x first and
+        # the other swaps it second (by size, or by bytes when n == m)
+        m = int(n * m_per_n)
+        for seed in range(16):
+            rng = np.random.default_rng([11, n, d, m, seed])
+            x = rng.standard_normal((n, d))
+            y = rng.standard_normal((m, d)) * 1.5
+            bw = median_heuristic_bandwidth(np.vstack([x, y]))
+            for a, b in ((x, y), (y, x)):
+                want = np.float64(mmd2_unbiased(a, b, bw)).tobytes()
+                assert np.float64(mmd2_given_x_term(a, b, bw)).tobytes() == want
+
+    def test_within_set_mean_matches_dense_reference(self):
+        rng = np.random.default_rng(12)
+        x, bw = rng.standard_normal((64, 3)), 0.8
+        k = np.exp(-((x[:, None] - x[None]) ** 2).sum(-1) / (2.0 * bw * bw))
+        np.fill_diagonal(k, 0.0)
+        assert abs(within_set_mean(x, bw) - k.sum() / (64 * 63)) < 1e-14
+        with pytest.raises(ValueError, match="bandwidth"):
+            within_set_mean(x, 0.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            within_set_mean(x[:1], bw)
 
     def test_matches_dense_reference_at_eval_size(self):
         # the brute-force oracle is too slow at n = m = 1024

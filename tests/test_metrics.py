@@ -6,6 +6,7 @@ import pytest
 from abcas.metrics import (
     CSV_HEADER,
     MetricsRecord,
+    _bytes_greater,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     within_set_mean,
@@ -17,6 +18,22 @@ from helpers import mmd2_bruteforce
 def mmd2_given_x_term(x, y, bw):
     """The training path: x's within-set term computed apart and passed in."""
     return mmd2_unbiased(x, y, bw, x_within=within_set_mean(x, bw))
+
+
+def dense_kernel(a, b, bw):
+    """Gaussian kernel matrix from explicit differences, one row of a at a time."""
+    gamma = 1.0 / (2.0 * bw * bw)
+    return np.array([np.exp(-gamma * ((row - b) ** 2).sum(-1)) for row in a])
+
+
+def dense_within(x, bw):
+    k = dense_kernel(x, x, bw)
+    np.fill_diagonal(k, 0.0)
+    return k.sum() / (len(x) * (len(x) - 1))
+
+
+def dense_mmd2(x, y, bw):
+    return dense_within(x, bw) + dense_within(y, bw) - 2.0 * dense_kernel(x, y, bw).mean()
 
 
 class TestMMD:
@@ -122,22 +139,72 @@ class TestMMD:
         n, bw = 1024, 0.9
         x = rng.standard_normal((n, 2))
         y = rng.standard_normal((n, 2)) * 0.7 + 0.4
-        gamma = 1.0 / (2.0 * bw * bw)
-
-        def dense(a, b):
-            return np.exp(-gamma * ((a[:, None] - b[None]) ** 2).sum(-1))
-
-        kxx, kyy = dense(x, x), dense(y, y)
-        np.fill_diagonal(kxx, 0.0)
-        np.fill_diagonal(kyy, 0.0)
-        want = (kxx.sum() + kyy.sum()) / (n * (n - 1)) - 2.0 * dense(x, y).sum() / (n * n)
+        want = dense_mmd2(x, y, bw)
         assert abs(mmd2_unbiased(x, y, bw) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_dense_reference_at_image_shape(self, offset):
+        # blobs16's eval sets: 256 flattened 16x16 images a side. A common
+        # offset must not cost accuracy: the kernel products are centred
+        for seed in range(3):
+            rng = np.random.default_rng([13, seed])
+            x = np.tanh(rng.standard_normal((256, 256))) + offset
+            y = np.tanh(1.5 * rng.standard_normal((256, 256)) + 0.1) + offset
+            bw = median_heuristic_bandwidth(np.vstack([x, y]))
+            for a, b in ((x, y), (y, x)):
+                want = dense_mmd2(a, b, bw)
+                assert abs(mmd2_unbiased(a, b, bw) - want) <= 1e-12 * abs(want)
+                want = dense_within(a, bw)
+                assert abs(within_set_mean(a, bw) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_one_point_half_matches_bruteforce(self, n, m):
+        # at n = 2 and 3 one half of the within-set split holds one point
+        rng = np.random.default_rng([14, n, m])
+        for offset in (0.0, 1e3):
+            x = rng.standard_normal((n, 3)) + offset
+            y = rng.standard_normal((m, 3)) * 0.8 + 0.5 + offset
+            for a, b in ((x, y), (y, x)):
+                want = mmd2_bruteforce(a, b, 1.1)
+                assert abs(mmd2_unbiased(a, b, 1.1) - want) <= 1e-12 * abs(want)
+                want = dense_within(a, 1.1)
+                assert abs(within_set_mean(a, 1.1) - want) <= 1e-12 * want
+
+    def test_byte_order_decision_matches_tobytes(self):
+        rng = np.random.default_rng(15)
+        pairs = []
+        for shape in [(256, 256), (1024, 2), (3, 1)]:
+            x = rng.standard_normal(shape)
+            pairs.append((x, rng.standard_normal(shape)))
+            y = x.copy()
+            y[-1, -1] = np.nextafter(y[-1, -1], np.inf)
+            pairs.append((x, y))
+            z = np.zeros(shape)
+            z[-1, -1] = -0.0
+            pairs.append((np.zeros(shape), z))
+            pairs.append((x, x.copy()))
+        # a non-contiguous operand reads in C order, as tobytes does
+        w = rng.standard_normal((4, 6))
+        pairs.append((w[:, ::2], w[:, 1::2]))
+        for x, y in pairs:
+            assert _bytes_greater(x, y) == (x.tobytes() > y.tobytes())
+            assert _bytes_greater(y, x) == (y.tobytes() > x.tobytes())
 
     @pytest.mark.parametrize("bw", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e-160])
     def test_bad_bandwidth_rejected(self, bw):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match=re.escape(repr(bw))):
             mmd2_unbiased(x, x + 1.0, bw)
+
+    def test_feature_count_mismatch_rejected(self):
+        # a one-feature side would otherwise broadcast against the other
+        x = np.zeros((4, 3))
+        for y in (np.zeros((5, 1)), np.zeros((4, 2))):
+            with pytest.raises(ValueError, match="same number of features"):
+                mmd2_unbiased(x, y, 1.0)
+            with pytest.raises(ValueError, match="same number of features"):
+                mmd2_unbiased(y, x, 1.0)
 
     def test_small_batches_rejected(self):
         with pytest.raises(ValueError):

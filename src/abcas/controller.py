@@ -78,11 +78,11 @@ class AbcasState:
         c_fake = np.asarray(c_fake)
         if c_real.size == 0 or c_fake.size == 0:
             raise ValueError("empty critic batch")
-        if not (np.all(np.isfinite(c_real)) and np.all(np.isfinite(c_fake))):
+        if not (np.isfinite(c_real).all() and np.isfinite(c_fake).all()):
             raise ValueError("non-finite critic values")
         if self.counter % 2 == 0:
             return
-        dist = float(np.max(c_real)) - float(np.min(c_fake))
+        dist = float(c_real.max()) - float(c_fake.min())
         self.last_dist = dist
         if self.mode == "fixed":
             return

@@ -30,7 +30,7 @@ __all__ = [
 
 def assert_finite(arr: np.ndarray, what: str = "tensor") -> None:
     """Explicit NaN/Inf check. Arrays are assumed finite by contract elsewhere."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in {what}")
 
 
@@ -82,16 +82,17 @@ def power_iteration_step(W: np.ndarray, state: PowerIterState) -> PowerIterState
         raise ValueError(
             f"power-iteration vector has length {u.shape[0]}, matrix has {rows} rows"
         )
+    # each norm as np.linalg.norm computes it for a vector: sqrt(x . x)
     v = W.T @ u
-    nv = np.linalg.norm(v)
+    nv = math.sqrt(v.dot(v))
     if nv == 0.0:
         return PowerIterState(u=u.copy(), sigma_hat=0.0, v=None)
     v /= nv
     wv = W @ v
-    nu = np.linalg.norm(wv)
+    nu = math.sqrt(wv.dot(wv))
     if nu == 0.0:
         return PowerIterState(u=u.copy(), sigma_hat=0.0, v=None)
-    return PowerIterState(u=wv / nu, sigma_hat=float(nu), v=v)
+    return PowerIterState(u=wv / nu, sigma_hat=nu, v=v)
 
 
 def power_iterate(

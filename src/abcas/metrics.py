@@ -191,7 +191,7 @@ class MetricsRecord:
     def to_csv_row(self) -> str:
         floats = (self.d_loss, self.g_loss, self.dist, self.dm,
                   self.r, self.m, self.mmd2, self.wall_ms)
-        if not all(np.isfinite(v) for v in floats):
+        if not all(math.isfinite(v) for v in floats):
             raise ValueError(f"non-finite metrics at step {self.step}")
         # %.17g round-trips float64 exactly, so logs can be replayed bitwise
         return f"{self.step},{self.epoch}," + ",".join(f"{v:.17g}" for v in floats)

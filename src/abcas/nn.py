@@ -290,7 +290,14 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, r, q = b.shape[0], a.shape[-2], b.shape[-1]
     buf = np.empty((n, r * q + 1), dtype=np.result_type(a, b))
     buf[:, -1] = 0
-    np.matmul(a, b, out=buf[:, :-1].reshape(n, r, q))
+    prod = buf[:, :-1].reshape(n, r, q)
+    if a.shape[-1] == 1:
+        # a one-term product (one output channel's adjoint) is an outer product;
+        # matmul sums it from +0.0, so + 0.0 gives its bits, -0.0 included
+        np.multiply(a, b, out=prod)
+        prod += 0.0
+    else:
+        np.matmul(a, b, out=prod)
     return buf
 
 
@@ -331,7 +338,14 @@ def _conv_adjoint(W: np.ndarray, g: np.ndarray, x_shape: tuple, k: int, s: int,
 
 @dataclass
 class Tape:
-    """Activation record of one forward pass; consumable exactly once."""
+    """Activation record of one forward pass; consumable exactly once.
+
+    Set ``input_grad = False`` before :func:`backward` when the input
+    gradient is not wanted: backward then stops at the lowest layer with
+    parameters and returns None. Set ``param_grads = False`` when only the
+    input gradient is wanted: backward then leaves the store's gradients
+    as they are. Whatever backward still computes has the same bits.
+    """
 
     spec: NetworkSpec
     store: ParamStore
@@ -339,6 +353,8 @@ class Tape:
     entries: list = field(default_factory=list)
     out_shape: tuple = ()
     consumed: bool = False
+    input_grad: bool = True
+    param_grads: bool = True
 
 
 def _weight(store: ParamStore, weights, i: int) -> np.ndarray:
@@ -383,8 +399,11 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
                 tape.entries.append((h,))
             h = y.reshape(out_shape) + store.params[i]["b"].reshape(1, -1, 1, 1)
         elif kind == "lrelu":
-            tape.entries.append((h > 0,))
-            h = np.where(h > 0, h, layer.slope * h)
+            # slope < 1, so the larger of h and slope * h is the leaky value,
+            # with the bits of np.where(h > 0, h, slope * h); the output is
+            # positive exactly where h is, so it is the tape's mask
+            h = np.maximum(h, layer.slope * h)
+            tape.entries.append((h,))
         elif kind == "relu":
             mask = h > 0
             tape.entries.append((mask,))
@@ -393,19 +412,21 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
             h = np.tanh(h)
             tape.entries.append((h,))
         elif kind == "layernorm":
+            # mean and variance as np.mean and np.var compute them, the
+            # centred values once
             n = h.shape[0]
             flat = h.reshape(n, -1)
-            mu = flat.mean(axis=1, keepdims=True)
-            var = flat.var(axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-            xhat = (flat - mu) * inv
+            f = flat.shape[1]
+            d = flat - flat.sum(axis=1, keepdims=True) / f
+            inv = 1.0 / np.sqrt(np.square(d).sum(axis=1, keepdims=True) / f + LAYERNORM_EPS)
+            xhat = d * inv
             tape.entries.append((xhat, inv, h.shape))
             g = store.params[i]["g"].reshape(1, -1)
             b = store.params[i]["b"].reshape(1, -1)
             h = (xhat * g + b).reshape(h.shape)
         elif kind == "pixelnorm":
-            ch_axis = 1
-            scale = np.sqrt(np.mean(np.square(h), axis=ch_axis, keepdims=True) + PIXELNORM_EPS)
+            c = h.shape[1]
+            scale = np.sqrt(np.square(h).sum(axis=1, keepdims=True) / c + PIXELNORM_EPS)
             tape.entries.append((h, scale))
             h = h / scale
         else:
@@ -414,13 +435,14 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
     return h, tape
 
 
-def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
+def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
     Accumulates parameter gradients into the tape's store (+=) and
-    returns the gradient with respect to the network input. For layers
-    run with an overridden weight, the gradient is with respect to that
-    effective weight. A tape can be consumed only once.
+    returns the gradient with respect to the network input; the tape's
+    ``input_grad`` and ``param_grads`` flags turn either part off. For
+    layers run with an overridden weight, the gradient is with respect to
+    that effective weight. A tape can be consumed only once.
     """
     if tape.consumed:
         raise RuntimeError("activation tape already consumed")
@@ -428,36 +450,50 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
     if g.shape != tape.out_shape:
         raise ShapeError(f"grad shape {g.shape} does not match output {tape.out_shape}")
     spec, store, weights = tape.spec, tape.store, tape.weights
-    for i in range(len(spec.layers) - 1, -1, -1):
+    # without the input gradient, stop at the lowest layer with parameters
+    # once its gradients are in
+    stop = -1 if tape.input_grad else next(
+        (i for i, p in enumerate(store.params) if p), len(spec.layers))
+    for i in range(len(spec.layers) - 1, max(stop, 0) - 1, -1):
         layer = spec.layers[i]
         kind = layer.kind
         cache = tape.entries[i]
         if kind == "dense":
             (x,) = cache
-            W = _weight(store, weights, i)
-            store.grads[i]["W"] += g.T @ x
-            store.grads[i]["b"] += g.sum(axis=0)
-            g = g @ W
+            if tape.param_grads:
+                store.grads[i]["W"] += g.T @ x
+                store.grads[i]["b"] += g.sum(axis=0)
+            if i == stop:
+                break
+            g = g @ _weight(store, weights, i)
         elif kind == "conv2d":
             cols, xshape = cache
             W = _weight(store, weights, i)
-            gr = g.reshape(xshape[0], W.shape[0], -1)
-            store.grads[i]["W"] += np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
-            store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
+            if tape.param_grads:
+                gr = g.reshape(xshape[0], W.shape[0], -1)
+                dW = np.tensordot(gr, cols, axes=([0, 2], [0, 2]))
+                store.grads[i]["W"] += dW.reshape(W.shape)
+                store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
+            if i == stop:
+                break
             g = _conv_adjoint(W, g, xshape, layer.kernel, layer.stride, layer.padding)
         elif kind == "convtranspose2d":
             (x,) = cache
             W = _weight(store, weights, i)
-            store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
             # dx and dW reuse one im2col of the output gradient: the layer is
             # the adjoint of conv2d(g) with the same kernel.
             gx, cols = _conv(W, g, layer.kernel, layer.stride, layer.padding)
-            xr = x.reshape(x.shape[0], x.shape[1], -1)
-            store.grads[i]["W"] += np.tensordot(xr, cols, axes=([0, 2], [0, 2])).reshape(W.shape)
+            if tape.param_grads:
+                store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
+                xr = x.reshape(x.shape[0], x.shape[1], -1)
+                dW = np.tensordot(xr, cols, axes=([0, 2], [0, 2]))
+                store.grads[i]["W"] += dW.reshape(W.shape)
+            if i == stop:
+                break
             g = gx.reshape(x.shape)
         elif kind == "lrelu":
-            (mask,) = cache
-            g = np.where(mask, g, layer.slope * g)
+            (y,) = cache
+            g = np.where(y > 0, g, layer.slope * g)
         elif kind == "relu":
             (mask,) = cache
             g = g * mask
@@ -468,10 +504,12 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             xhat, inv, xshape = cache
             n = xshape[0]
             gf = g.reshape(n, -1)
-            gain = store.params[i]["g"].reshape(1, -1)
-            store.grads[i]["g"] += (gf * xhat).sum(axis=0).reshape(store.params[i]["g"].shape)
-            store.grads[i]["b"] += gf.sum(axis=0).reshape(store.params[i]["b"].shape)
-            dxhat = gf * gain
+            if tape.param_grads:
+                store.grads[i]["g"] += (gf * xhat).sum(axis=0).reshape(store.grads[i]["g"].shape)
+                store.grads[i]["b"] += gf.sum(axis=0).reshape(store.grads[i]["b"].shape)
+            if i == stop:
+                break
+            dxhat = gf * store.params[i]["g"].reshape(1, -1)
             f = xhat.shape[1]
             dx = (inv / f) * (
                 f * dxhat
@@ -485,7 +523,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             dot = (g * x).sum(axis=1, keepdims=True)
             g = g / scale - x * dot / (c * scale ** 3)
     tape.consumed = True
-    return g
+    return g if tape.input_grad else None
 
 
 # ---------------------------------------------------------------------------

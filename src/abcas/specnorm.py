@@ -96,8 +96,12 @@ def backward_through_norm(state: PowerIterState, W: np.ndarray, m: float,
         raise RuntimeError("backward_through_norm requires the same-step refresh")
     Wm = reshape_conv_weight(W)
     G = grad_wrt_eff.reshape(Wm.shape)
-    inner = float(np.sum(np.asarray(G, dtype=np.float64) * Wm))
-    dW = (m / sigma) * G - (m * inner / sigma**2) * np.outer(state.u, state.v)
+    # float32 products are exact in float64, so this is <G, W> of the float64 values
+    inner = float(np.multiply(G, Wm, dtype=np.float64).sum())
+    # u v^T by broadcasting, then scaled and subtracted from in place
+    dW = np.multiply(state.u[:, None], state.v)
+    dW *= m * inner / sigma**2
+    np.subtract((m / sigma) * G, dW, out=dW)
     return dW.reshape(grad_wrt_eff.shape).astype(grad_wrt_eff.dtype, copy=False)
 
 

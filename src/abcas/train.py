@@ -9,6 +9,7 @@ Two time scales are realized purely as different learning rates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -98,20 +99,18 @@ def softplus(t: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t)
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-t) in float64 from one exp, overflow-safe."""
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def d_loss(c_real, c_fake) -> float:
     """mean softplus(-C_real) + mean softplus(C_fake)."""
     c_real = np.asarray(c_real, dtype=np.float64)
     c_fake = np.asarray(c_fake, dtype=np.float64)
-    return float(np.mean(softplus(-c_real)) + np.mean(softplus(c_fake)))
+    return float(softplus(-c_real).sum() / c_real.size + softplus(c_fake).sum() / c_fake.size)
 
 
 def d_loss_grads(c_real, c_fake):
@@ -124,7 +123,8 @@ def d_loss_grads(c_real, c_fake):
 
 def g_loss(c_fake) -> float:
     """mean softplus(-C_fake)."""
-    return float(np.mean(softplus(-np.asarray(c_fake, dtype=np.float64))))
+    c_fake = np.asarray(c_fake, dtype=np.float64)
+    return float(softplus(-c_fake).sum() / c_fake.size)
 
 
 def g_loss_grad(c_fake):
@@ -233,13 +233,15 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             x_fake, _ = forward(g_spec, g_store, z)
             y_real, tape_real = forward(d_spec, d_store, x_real, weights=effective)
             y_fake, tape_fake = forward(d_spec, d_store, x_fake, weights=effective)
+            # the D update needs no gradient with respect to the samples
+            tape_real.input_grad = tape_fake.input_grad = False
             c_real = _critic_vector(y_real)
             c_fake = _critic_vector(y_fake)
-            if not (np.all(np.isfinite(c_real)) and np.all(np.isfinite(c_fake))):
+            if not (np.isfinite(c_real).all() and np.isfinite(c_fake).all()):
                 abort(step, "critic output")
             controller.observe_and_update(c_real, c_fake)
             last_d = d_loss(c_real, c_fake)
-            if not np.isfinite(last_d):
+            if not math.isfinite(last_d):
                 abort(step, "discriminator loss")
             gr, gf = d_loss_grads(c_real, c_fake)
             d_store.zero_grad()
@@ -250,21 +252,23 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
         else:
             x_fake, tape_g = forward(g_spec, g_store, z)
             y_fake, tape_d = forward(d_spec, d_store, x_fake, weights=effective)
+            # G's update needs neither G's input gradient nor D's parameter gradients
+            tape_g.input_grad = False
+            tape_d.param_grads = False
             c_fake = _critic_vector(y_fake)
-            if not np.all(np.isfinite(c_fake)):
+            if not np.isfinite(c_fake).all():
                 abort(step, "critic output")
             last_g = g_loss(c_fake)
-            if not np.isfinite(last_g):
+            if not math.isfinite(last_g):
                 abort(step, "generator loss")
             g_store.zero_grad()
-            d_store.zero_grad()  # D gradients are computed but never applied
             dx = backward(tape_d, g_loss_grad(c_fake).reshape(y_fake.shape))
             backward(tape_g, dx)
             opt_g.step()
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
             fake = gen_eval_samples(step)
-            if not np.all(np.isfinite(fake)):
+            if not np.isfinite(fake).all():
                 abort(step, "generated evaluation sample")
             last_mmd = mmd2_unbiased(real_eval, fake, bandwidth, x_within=real_within)
             if hooks.on_eval:

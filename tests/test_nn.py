@@ -37,6 +37,10 @@ def _store64(spec, seed=0):
     return ParamStore(spec, seed=seed, dtype=np.float64)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestForwardBasics:
     def test_dense_identity_passthrough(self):
         spec = NetworkSpec((3,), [dense(3, 3)])
@@ -246,15 +250,11 @@ class TestColumnPrimitives:
         n = len(cols)
         return np.concatenate([cols.reshape(n, -1), np.zeros((n, 1), cols.dtype)], axis=1)
 
-    @staticmethod
-    def _same_bits(a, b):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
     @pytest.mark.parametrize("out_shape,k,s,p", CASES)
     def test_col2im_bitwise_equals_tap_loop_float32(self, out_shape, k, s, p):
         cols = self._cols(np.random.default_rng(31), out_shape, k, s, p, np.float32)
         got = nn._col2im(self._buffer(cols), out_shape, k, s, p)
-        assert self._same_bits(got, col2im_loop(cols, out_shape, k, k, s, p))
+        assert _same_bits(got, col2im_loop(cols, out_shape, k, k, s, p))
 
     @pytest.mark.parametrize("out_shape,k,s,p", SCATTER_CASES)
     def test_col2im_signed_zeros_match_tap_loop(self, out_shape, k, s, p):
@@ -265,7 +265,7 @@ class TestColumnPrimitives:
         for share in (1.0, 0.9):
             signed = np.where(rng.random(cols.shape) < share, np.float32(-0.0), cols)
             got = nn._col2im(self._buffer(signed), out_shape, k, s, p)
-            assert self._same_bits(got, col2im_loop(signed, out_shape, k, k, s, p))
+            assert _same_bits(got, col2im_loop(signed, out_shape, k, k, s, p))
 
     @pytest.mark.parametrize("out_shape,k,s,p", CASES)
     def test_col2im_is_adjoint_of_padded_im2col(self, out_shape, k, s, p):
@@ -281,7 +281,7 @@ class TestColumnPrimitives:
         rng = np.random.default_rng(33)
         x = rng.standard_normal(out_shape).astype(np.float32)
         x[rng.random(out_shape) < 0.1] = -0.0
-        assert self._same_bits(nn._im2col(x, k, s, p), im2col_window(x, k, s, p))
+        assert _same_bits(nn._im2col(x, k, s, p), im2col_window(x, k, s, p))
 
     def test_col2im_does_not_copy_the_columns(self):
         # the zero-tailed buffer is read in place, never extended by a copy
@@ -310,7 +310,166 @@ class TestColumnPrimitives:
             tracemalloc.stop()
         assert peak < 1.5 * buf.nbytes
         assert not buf[:, -1].any()
-        assert self._same_bits(buf[:, :-1].reshape(256, 256, 16), np.matmul(a, b))
+        assert _same_bits(buf[:, :-1].reshape(256, 256, 16), np.matmul(a, b))
+
+
+class TestOneChannelAdjoint:
+    # D's last layer has one output channel, so the matmul of its adjoint has
+    # one term per entry and runs as a broadcast multiply plus 0.0
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,r,q", [(16, 512, 1), (5, 7, 5)])
+    def test_matches_matmul_bitwise(self, dtype, n, r, q):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((r, 1)).astype(dtype)
+        b = rng.standard_normal((n, 1, q)).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        a[::3], a[1::4], a[2] = 0.0, -0.0, tiny
+        b[::2], b[1, 0, 0] = -0.0, np.inf
+        with np.errstate(invalid="ignore"):
+            want = np.matmul(a, b)
+            got = nn._matmul_cols(a, b)
+            assert np.signbit(a * b).any()  # -0.0 products, which matmul sums to +0.0
+        assert _same_bits(got[:, :-1].reshape(n, r, q), want)
+        assert not got[:, -1].any()
+
+
+class TestPartialBackward:
+    # backward with input_grad or param_grads off runs a subset of the full
+    # backward's arithmetic, so what it returns or accumulates has its bits
+    NETS = {
+        "mlp-g": lambda: nn.mlp_generator(4, [8, 8], 2),
+        "mlp-d": lambda: nn.mlp_discriminator(2, [8, 8]),
+        "conv-g": lambda: nn.conv_generator(4, [8, 4], 1, 16),
+        "conv-d": lambda: nn.conv_discriminator(1, [4, 8], 16),
+    }
+
+    @staticmethod
+    def _backward(name, dtype, **flags):
+        spec = TestPartialBackward.NETS[name]()
+        rng = np.random.default_rng(38)
+        store = ParamStore(spec, seed=6, dtype=dtype)
+        # earlier gradients in the store, so the += is checked too
+        store.grad_flat[...] = rng.standard_normal(store.grad_flat.shape)
+        before = store.grad_flat.copy()
+        x = rng.standard_normal((3, *spec.input_shape)).astype(dtype)
+        y, tape = forward(spec, store, x)
+        for flag, value in flags.items():
+            setattr(tape, flag, value)
+        dx = backward(tape, rng.standard_normal(y.shape).astype(dtype))
+        return dx, before, store.grad_flat
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_without_input_grad_param_grads_are_bitwise(self, name, dtype):
+        dx, _, full = self._backward(name, dtype)
+        none, _, part = self._backward(name, dtype, input_grad=False)
+        assert dx is not None and none is None
+        assert _same_bits(part, full)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_without_param_grads_input_grad_is_bitwise(self, name, dtype):
+        full, before, after_full = self._backward(name, dtype)
+        part, before_part, after = self._backward(name, dtype, param_grads=False)
+        assert _same_bits(part, full)
+        assert _same_bits(after, before_part)
+        assert not np.array_equal(after_full, before)
+
+    def test_without_input_grad_the_first_layer_runs_no_adjoint(self, monkeypatch):
+        calls = []
+        conv_adjoint = nn._conv_adjoint
+        monkeypatch.setattr(nn, "_conv_adjoint", lambda *a: calls.append(1) or conv_adjoint(*a))
+        self._backward("conv-d", np.float32)
+        full = len(calls)
+        calls.clear()
+        self._backward("conv-d", np.float32, input_grad=False)
+        assert (full, len(calls)) == (3, 2)
+
+    def test_without_input_grad_the_first_dense_weight_is_not_read(self):
+        spec = nn.mlp_discriminator(2, [8, 8])
+        y, tape = forward(spec, _store64(spec), np.ones((3, 2)))
+        tape.input_grad = False
+        tape.weights = {0: np.empty((0, 0))}  # g @ W would raise
+        assert backward(tape, np.ones_like(y)) is None
+
+    def test_no_layer_with_parameters(self):
+        spec = NetworkSpec((3,), [relu(), tanh()])
+        y, tape = forward(spec, _store64(spec), np.ones((2, 3)))
+        tape.input_grad = False
+        assert backward(tape, np.ones_like(y)) is None
+
+
+def _layernorm_reference(h, eps):
+    # the formulas before the sums: np.mean and np.var, centring twice
+    flat = h.reshape(h.shape[0], -1)
+    mu = flat.mean(axis=1, keepdims=True)
+    var = flat.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (flat - mu) * inv, inv
+
+
+def _pixelnorm_reference(h, eps):
+    return np.sqrt(np.mean(np.square(h), axis=1, keepdims=True) + eps)
+
+
+class TestBitsAgainstReferenceFormulas:
+    SHAPES = [(16, 2), (16, 3), (16, 64), (7, 1000), (16, 16, 8, 8), (4, 32, 4, 4)]
+
+    @staticmethod
+    def _draws(shape, dtype):
+        # unit scale, an offset that makes centring cancel, and a tiny scale
+        rng = np.random.default_rng(39)
+        for loc, scale in ((0.0, 1.0), (300.0, 0.01), (0.0, 1e-3), (-2.0, 50.0)):
+            yield (loc + scale * rng.standard_normal(shape)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layernorm_forward(self, shape, dtype):
+        spec = NetworkSpec(shape[1:], [layernorm()])
+        store = ParamStore(spec, seed=0, dtype=dtype)
+        rng = np.random.default_rng(40)
+        store.flat[...] = rng.standard_normal(store.flat.shape)
+        gain = store.params[0]["g"].reshape(1, -1)
+        bias = store.params[0]["b"].reshape(1, -1)
+        for h in self._draws(shape, dtype):
+            y, tape = forward(spec, store, h)
+            xhat, inv = _layernorm_reference(h, nn.LAYERNORM_EPS)
+            assert _same_bits(tape.entries[0][0], xhat)
+            assert _same_bits(tape.entries[0][1], inv)
+            assert _same_bits(y, (xhat * gain + bias).reshape(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES + [(16, 16, 1, 1)])
+    def test_pixelnorm_forward(self, shape, dtype):
+        spec = NetworkSpec(shape[1:], [pixelnorm()])
+        store = ParamStore(spec, seed=0, dtype=dtype)
+        for h in self._draws(shape, dtype):
+            y, tape = forward(spec, store, h)
+            scale = _pixelnorm_reference(h, nn.PIXELNORM_EPS)
+            assert _same_bits(tape.entries[0][1], scale)
+            assert _same_bits(y, h / scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.9])
+    def test_lrelu_forward_and_backward(self, slope, dtype):
+        # np.maximum(h, slope * h) against np.where(h > 0, h, slope * h), at
+        # signed zeros, infinities, NaNs of both signs, subnormals and extremes
+        info = np.finfo(dtype)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
+                 info.tiny, -info.tiny]
+        edges += [k * info.smallest_subnormal for k in (1, -1, 2, -2, 5, -5, 1000, -1000)]
+        rng = np.random.default_rng(42)
+        x = np.concatenate([np.array(edges, dtype=dtype),
+                            rng.standard_normal(200).astype(dtype)])[None]
+        spec = NetworkSpec((x.shape[1],), [lrelu(slope)])
+        with np.errstate(over="ignore"):
+            y, tape = forward(spec, ParamStore(spec, dtype=dtype), x)
+            want = np.where(x > 0, x, slope * x)
+        assert np.isnan(x).sum() == 2 and np.signbit(x[np.isnan(x)]).sum() == 1
+        assert _same_bits(y, want)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        g[0, :4] = [0.0, -0.0, np.inf, np.nan]
+        assert _same_bits(backward(tape, g), np.where(x > 0, g, slope * g))
 
 
 class TestGradients:

@@ -150,6 +150,45 @@ class TestBackwardThroughNorm:
         assert np.array_equal(backward_through_norm(st, np.zeros((3, 3)), 0.9, G), G)
 
 
+def _norm_backward_reference(state, W, m, G):
+    # the formula before the in-place form: a float64 copy of G, np.outer
+    Wm = reshape_conv_weight(W)
+    Gm = G.reshape(Wm.shape)
+    inner = float(np.sum(np.asarray(Gm, dtype=np.float64) * Wm))
+    dW = (m / state.sigma_hat) * Gm - (m * inner / state.sigma_hat**2) * np.outer(state.u, state.v)
+    return dW.reshape(G.shape).astype(G.dtype, copy=False)
+
+
+def _power_step_reference(W, u):
+    # the step before math.sqrt(x . x): np.linalg.norm
+    W = np.asarray(W, dtype=np.float64)
+    v = W.T @ u
+    v /= np.linalg.norm(v)
+    wv = W @ v
+    nu = np.linalg.norm(wv)
+    return wv / nu, float(nu), v
+
+
+class TestBitsAgainstReferenceFormulas:
+    # the blobs16 D kernels, the ring2d D weights and one odd shape
+    SHAPES = [(16, 1, 4, 4), (32, 16, 4, 4), (1, 32, 4, 4), (64, 2), (64, 64), (1, 64), (5, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_power_step_and_norm_backward(self, shape, dtype):
+        rng = np.random.default_rng(44)
+        W = (0.02 * rng.standard_normal(shape)).astype(dtype)
+        state = PowerIterState(u=_unit(shape[0], 45))
+        for m in (1.0, 0.9, 0.3):
+            u, sigma, v = _power_step_reference(reshape_conv_weight(W), state.u)
+            state = specnorm.power_iteration_step(reshape_conv_weight(W), state)
+            assert (state.u.tobytes(), state.sigma_hat, state.v.tobytes()) == (
+                u.tobytes(), sigma, v.tobytes())
+            G = rng.standard_normal(shape).astype(dtype)
+            want = _norm_backward_reference(state, W, m, G)
+            assert backward_through_norm(state, W, m, G).tobytes() == want.tobytes()
+
+
 class TestLipschitzBound:
     def test_three_layer_relu_discriminator(self):
         # all layers normalized with multiplier m: |D(x1)-D(x2)| <= m^3 |x1-x2|

@@ -16,6 +16,7 @@ from abcas.train import (
     g_loss,
     g_loss_grad,
     run_training,
+    sigmoid,
     softplus,
 )
 
@@ -59,6 +60,52 @@ class TestLosses:
         assert np.isfinite(softplus(np.array([1e4, -1e4]))).all()
         assert softplus(np.array([-1e4]))[0] == 0.0
         assert softplus(np.array([1e4]))[0] == 1e4
+
+
+def _sigmoid_reference(t):
+    # the formula before the one-exp form: an exp on each sign's entries
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _softplus_reference(t):
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+class TestLossBitsAgainstReferenceFormulas:
+    @staticmethod
+    def _critics(dtype, infinite=True):
+        rng = np.random.default_rng(43)
+        edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0]
+        edges += [np.inf, -np.inf] if infinite else []
+        for scale in (1.0, 1e-4, 30.0):
+            for n in (7, 16, 61):
+                yield np.concatenate([edges, scale * rng.standard_normal(n)]).astype(dtype)
+
+    def test_sigmoid_and_softplus(self):
+        for t in self._critics(np.float64):
+            with np.errstate(over="ignore"):
+                want = _sigmoid_reference(t)
+            assert sigmoid(t).tobytes() == want.tobytes()
+            assert softplus(t).tobytes() == _softplus_reference(t).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_losses_and_gradients(self, dtype):
+        for t in self._critics(dtype, infinite=False):
+            cr, cf = t, t[::-1].copy()
+            r64, f64 = cr.astype(np.float64), cf.astype(np.float64)
+            d = np.mean(_softplus_reference(-r64)) + np.mean(_softplus_reference(f64))
+            assert d_loss(cr, cf) == float(d)
+            assert g_loss(cf) == float(np.mean(_softplus_reference(-f64)))
+            gr, gf = d_loss_grads(cr, cf)
+            assert gr.tobytes() == (-_sigmoid_reference(-r64) / cr.size).astype(dtype).tobytes()
+            assert gf.tobytes() == (_sigmoid_reference(f64) / cf.size).astype(dtype).tobytes()
+            want = (-_sigmoid_reference(-f64) / cf.size).astype(dtype)
+            assert g_loss_grad(cf).tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -173,6 +220,28 @@ class TestTrainingLoop:
         assert any(not np.array_equal(a, b) for a, b in zip(d0, d1))  # D moved
         assert all(np.array_equal(a, b) for a, b in zip(d1, d2))      # D frozen on G step
         assert any(not np.array_equal(a, b) for a, b in zip(g1, g2))  # G moved
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_g_step_leaves_d_gradients_alone(self, family):
+        # the G step's pass through D accumulates no D gradients: D's gradient
+        # vector still holds the last D step's, bit for bit
+        from abcas.train import TrainHooks
+        cfg, data, g, d = _tiny_setup(steps=6)
+        if family == "conv":
+            from abcas.data import generate_blobs
+            data = generate_blobs(32, img_size=8, seed=1)
+            g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
+            d = nn.conv_discriminator(1, [8], 8)
+        seen = {}
+
+        def on_eval(step, g_store, d_store):
+            seen[step] = d_store.grad_flat.copy()
+
+        cfg.eval_every = 1
+        run_training(cfg, data, g, d, hooks=TrainHooks(on_eval=on_eval))
+        for step in (2, 4, 6):
+            assert seen[step - 1].any()
+            assert seen[step].tobytes() == seen[step - 1].tobytes()
 
     def test_fixed_mode_logs_constant_m(self):
         cfg, data, g, d = _tiny_setup(steps=8, mode="fixed", m=0.7)

@@ -8,13 +8,16 @@ once per run, next to the frozen bandwidth, and each evaluation builds only
 the generated set's and the cross kernel. Also defines the per-step metrics
 record that training logs to CSV.
 
-Kernel sums between two sets run as one BLAS matrix product: with both
-sets centred on the first set's mean, rows ``[x, |x|^2, 1]`` times rows
+Every pairwise quantity comes from BLAS matrix products: with both sets
+centred on the first set's mean, rows ``[x, |x|^2, 1]`` times rows
 ``[2 gamma y, -gamma, -gamma |y|^2]`` give ``-gamma |x - y|^2`` for every
 pair, and ``exp`` is taken in place. Centring keeps a common offset (all
 points near +1e3, say) from burying the exponent in the rounding error of
-the large norms. A within-set mean splits its set into halves: pairs inside each half go
-through ``pdist``, pairs across the halves through the product.
+the large norms. The cross kernel of two sets is one product. The pairs of
+one set (the within-set means and the median-heuristic bandwidth) come from
+splitting the set into halves recursively: the pairs across two halves are
+one product, and a leaf of at most ``PAIR_LEAF`` points is one square
+product that holds each of its pairs twice and its diagonal.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "CSV_HEADER",
@@ -35,6 +37,7 @@ __all__ = [
 
 BANDWIDTH_FLOOR = 1e-6
 MEDIAN_EXACT_LIMIT = 2048
+PAIR_LEAF = 64
 
 
 def _as_points(x, name):
@@ -43,14 +46,9 @@ def _as_points(x, name):
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError(f"{name} must be a (samples, features) array")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must hold only finite values")
     return x
-
-
-def _gaussian_kernel(sq_dist: np.ndarray, gamma: float) -> np.ndarray:
-    # exp(-gamma * d) in place: the same entries as np.exp(-gamma * sq_dist)
-    # (multiplication commutes) with no fresh temporaries
-    sq_dist *= -gamma
-    return np.exp(sq_dist, out=sq_dist)
 
 
 def _gamma(bandwidth) -> float:
@@ -62,8 +60,9 @@ def _gamma(bandwidth) -> float:
     return gamma
 
 
-def _cross_kernel_sum(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    # sum_ij exp(-gamma |x_i - y_j|^2) from one GEMM; see the module docstring
+def _pair_rows(x: np.ndarray, y: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    # rows [x, |x|^2, 1] and [2 gamma y, -gamma, -gamma |y|^2], both sets
+    # centred on x's mean: a[i] @ b[j] is -gamma |x_i - y_j|^2
     mu = x.mean(axis=0)
     d = x.shape[1]
     a = np.empty((len(x), d + 2))
@@ -75,8 +74,43 @@ def _cross_kernel_sum(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     b[:, d] = -gamma
     b[:, d + 1] = -gamma * np.einsum("ij,ij->i", yc, yc)
     yc *= 2.0 * gamma
+    return a, b
+
+
+def _cross_kernel_sum(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
+    # sum_ij exp(-gamma |x_i - y_j|^2) from one GEMM; see the module docstring
+    a, b = _pair_rows(x, y, gamma)
     k = a @ b.T
     return float(np.sum(np.exp(k, out=k)))
+
+
+def _pair_blocks(x: np.ndarray, gamma: float):
+    # every distinct pair of x exactly once, as blocks of -gamma |x_i - x_j|^2:
+    # (block, False) across two halves, (block, True) for a leaf's square
+    # block, which holds each of its pairs twice and its diagonal
+    a, b = _pair_rows(x, x, gamma)
+
+    def split(lo: int, hi: int):
+        if hi - lo <= PAIR_LEAF:
+            yield a[lo:hi] @ b[lo:hi].T, True
+            return
+        mid = (lo + hi) // 2
+        yield a[lo:mid] @ b[mid:hi].T, False
+        yield from split(lo, mid)
+        yield from split(mid, hi)
+
+    return split(0, len(x))
+
+
+def _median_inplace(v: np.ndarray) -> float:
+    # np.median(v) bit for bit, partitioning v in place instead of a copy:
+    # the middle value, or the mean of the two middle values; nan if any is
+    h = v.size // 2
+    kth = [h, -1] if v.size % 2 else [h - 1, h, -1]
+    v.partition(kth)
+    if np.isnan(v[-1]):
+        return math.nan
+    return float(v[h]) if v.size % 2 else float((v[h - 1] + v[h]) / 2.0)
 
 
 def _bytes_greater(x: np.ndarray, y: np.ndarray) -> bool:
@@ -97,22 +131,23 @@ def within_set_mean(x, bandwidth: float) -> float:
 
     This is the within-set term that :func:`mmd2_unbiased` computes for
     each side, bit for bit. Training computes it once per run for the
-    frozen real evaluation set and passes it as ``x_within``. The set is
-    split into halves; the pairs inside each half come from ``pdist`` and
-    the pairs across them from one centred matrix product, so each of the
-    n(n-1)/2 distinct pairs is evaluated once.
+    frozen real evaluation set and passes it as ``x_within``. The kernel
+    values come from the recursive blocks of centred matrix products (see
+    the module docstring); a leaf's square block counts ``(sum - trace) / 2``,
+    so each of the n(n-1)/2 distinct pairs is counted once.
     """
     gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    lo, hi = x[:n // 2], x[n // 2:]
-    total = (np.sum(_gaussian_kernel(pdist(lo, "sqeuclidean"), gamma))
-             + np.sum(_gaussian_kernel(pdist(hi, "sqeuclidean"), gamma))
-             + _cross_kernel_sum(lo, hi, gamma))
+    total = 0.0
+    for k, leaf in _pair_blocks(x, gamma):
+        np.exp(k, out=k)
+        s = float(np.sum(k))
+        total += (s - float(np.trace(k))) / 2.0 if leaf else s
     # the distinct pairs once, doubled: the mean over i != j
-    return 2.0 * float(total) / (n * (n - 1))
+    return 2.0 * total / (n * (n - 1))
 
 
 def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> float:
@@ -156,7 +191,10 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
     """Median pairwise Euclidean distance of the pooled sample set.
 
     Exact up to ``limit`` samples; larger sets are subsampled with the
-    provided seed. All-identical samples hit the 1e-6 floor.
+    provided seed. All-identical samples hit the 1e-6 floor. The squared
+    distances come from the same blocks as :func:`within_set_mean` (with
+    gamma = 1), clipped at 0; their square roots fill one n(n-1)/2 buffer,
+    whose median is taken in place.
     """
     if limit < 2:
         raise ValueError(f"limit must be at least 2 samples, got {limit!r}")
@@ -166,7 +204,17 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
     if len(z) > limit:
         idx = np.random.default_rng(seed).choice(len(z), size=limit, replace=False)
         z = z[idx]
-    med = float(np.median(pdist(z)))
+    n = len(z)
+    dist = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for k, leaf in _pair_blocks(z, 1.0):
+        pairs = k[np.triu_indices(len(k), 1)] if leaf else k.ravel()
+        dist[pos:pos + pairs.size] = pairs
+        pos += pairs.size
+    # the blocks hold -|z_i - z_j|^2
+    np.minimum(dist, 0.0, out=dist)
+    np.negative(dist, out=dist)
+    med = _median_inplace(np.sqrt(dist, out=dist))
     return max(med, BANDWIDTH_FLOOR)
 
 

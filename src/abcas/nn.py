@@ -480,9 +480,14 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
         elif kind == "convtranspose2d":
             (x,) = cache
             W = _weight(store, weights, i)
+            k, s, p = layer.kernel, layer.stride, layer.padding
             # dx and dW reuse one im2col of the output gradient: the layer is
-            # the adjoint of conv2d(g) with the same kernel.
-            gx, cols = _conv(W, g, layer.kernel, layer.stride, layer.padding)
+            # the adjoint of conv2d(g) with the same kernel. At the stop layer
+            # dW needs only the columns.
+            if i == stop:
+                cols = _im2col(g, k, s, p)
+            else:
+                gx, cols = _conv(W, g, k, s, p)
             if tape.param_grads:
                 store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
                 xr = x.reshape(x.shape[0], x.shape[1], -1)

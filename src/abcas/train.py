@@ -39,7 +39,7 @@ __all__ = [
 
 
 class NumericAbort(RuntimeError):
-    """Raised when a loss or critic output stops being finite."""
+    """Raised when a loss, critic output or evaluation sample stops being finite."""
 
     def __init__(self, step: int, last_record: Optional[MetricsRecord], what: str):
         self.step = step
@@ -159,8 +159,8 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     computed value forward between the steps that refresh them. The MMD
     bandwidth is frozen at step 0 so the column is comparable across the
     run, and the real evaluation set's within-set kernel mean is computed
-    once then. Raises :class:`NumericAbort` on the first non-finite loss
-    or critic output.
+    once then. Raises :class:`NumericAbort` on the first non-finite loss,
+    critic output or generated evaluation sample (step 0's included).
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
@@ -195,6 +195,8 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
 
     t0 = time.perf_counter()
     fake0 = gen_eval_samples(0)
+    if not np.isfinite(fake0).all():
+        raise NumericAbort(0, None, "generated evaluation sample")
     bandwidth = median_heuristic_bandwidth(np.vstack([real_eval, fake0]), seed=[seed, 6])
     real_within = within_set_mean(real_eval, bandwidth)
     last_mmd = mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within)

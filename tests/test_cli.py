@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from abcas import cli
+from abcas import cli, train
 from abcas.data import read_tensor_file
 from abcas.metrics import CSV_HEADER, MetricsRecord
 from abcas.train import NumericAbort
@@ -153,6 +158,28 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 2
         assert (out / "status.txt").read_text().startswith("aborted step 3")
+
+    def test_non_finite_step_zero_eval_sample_exits_two(self, tiny_config, tmp_path,
+                                                        monkeypatch, capsys):
+        def nan_latent(rng, n, spec):
+            return np.full((n, *spec.input_shape), np.nan, np.float32)
+        monkeypatch.setattr(train, "sample_latent", nan_latent)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert (out / "status.txt").read_text() == "aborted step 0\n"
+        err = capsys.readouterr().err
+        assert "non-finite generated evaluation sample at step 0" in err
+        assert "Traceback" not in err
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; the run path must not import it
+        code = ("import abcas.cli, sys; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSweepCommand:

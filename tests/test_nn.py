@@ -340,6 +340,7 @@ class TestPartialBackward:
         "mlp-g": lambda: nn.mlp_generator(4, [8, 8], 2),
         "mlp-d": lambda: nn.mlp_discriminator(2, [8, 8]),
         "conv-g": lambda: nn.conv_generator(4, [8, 4], 1, 16),
+        "conv-g-blobs16": lambda: nn.conv_generator(16, [32, 16], 1, 16),
         "conv-d": lambda: nn.conv_discriminator(1, [4, 8], 16),
     }
 
@@ -383,6 +384,17 @@ class TestPartialBackward:
         full = len(calls)
         calls.clear()
         self._backward("conv-d", np.float32, input_grad=False)
+        assert (full, len(calls)) == (3, 2)
+
+    def test_without_input_grad_the_first_convtranspose_runs_no_conv(self, monkeypatch):
+        # the stop layer takes only the columns its weight gradient needs
+        calls = []
+        conv = nn._conv
+        monkeypatch.setattr(nn, "_conv", lambda *a: calls.append(1) or conv(*a))
+        self._backward("conv-g", np.float32)
+        full = len(calls)
+        calls.clear()
+        self._backward("conv-g", np.float32, input_grad=False)
         assert (full, len(calls)) == (3, 2)
 
     def test_without_input_grad_the_first_dense_weight_is_not_read(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abcas import nn
+from abcas import nn, train
 from abcas.data import generate_ring2d
 from abcas.nn import NetworkSpec, ParamStore, dense
 from abcas.optim import Adam
@@ -264,7 +264,6 @@ class TestTrainingLoop:
     def test_norm_backward_uses_the_refresh_multiplier(self, monkeypatch):
         # the controller updates m between the refresh and the norm backward
         # of a D step; the backward must still use the m of the forward pass
-        from abcas import train
         steps = []  # per training step: [refresh m, norm-backward m or None]
         orig_refresh, orig_backward = train.refresh, train.apply_norm_backward
 
@@ -318,6 +317,17 @@ class TestTrainingLoop:
         assert exc.value.step == 1
         assert exc.value.last_record is not None
         assert exc.value.last_record.step == 0
+
+    def test_non_finite_step_zero_eval_sample_aborts(self, monkeypatch):
+        # checked before the bandwidth, like every later eval sample
+        cfg, data, g, d = _tiny_setup(steps=10)
+        def nan_latent(rng, n, spec):
+            return np.full((n, *spec.input_shape), np.nan, np.float32)
+        monkeypatch.setattr(train, "sample_latent", nan_latent)
+        with pytest.raises(NumericAbort, match="generated evaluation sample at step 0") as exc:
+            run_training(cfg, data, g, d)
+        assert exc.value.step == 0
+        assert exc.value.last_record is None
 
     def test_conv_family_trains(self):
         from abcas.data import generate_blobs

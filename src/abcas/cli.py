@@ -22,7 +22,8 @@ from .config import ConfigError, Settings, build_networks, load_settings, manife
 from .data import TensorFileError, write_tensor_file
 from .metrics import CSV_HEADER
 from .nn import ParamStore, forward
-from .train import NumericAbort, TrainHooks, run_training, sample_latent
+from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, run_training,
+                    sample_latent)
 
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
@@ -34,12 +35,16 @@ def _save_store(ckpt_dir: Path, tag: str, store: ParamStore) -> None:
         write_tensor_file(ckpt_dir / f"{tag}_{i:02d}_{name}.abt", arr)
 
 
-def _run_one(settings: Settings, out_dir: Path) -> int:
-    """Train one configuration into out_dir. Returns the process exit code."""
+def _load_data(settings: Settings) -> np.ndarray:
     try:
-        data = settings.dataset_spec().load()
+        return settings.dataset_spec().load()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
+             baseline: EvalBaseline | None = None) -> int:
+    """Train one configuration on ``data`` into out_dir. Returns the process exit code."""
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.cfg").write_text(
@@ -65,7 +70,8 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
 
         try:
             run_training(settings.train, data, g_spec, d_spec,
-                         hooks=TrainHooks(on_record=on_record, on_eval=on_eval))
+                         hooks=TrainHooks(on_record=on_record, on_eval=on_eval),
+                         baseline=baseline)
         except NumericAbort as exc:
             last = exc.last_record
             print(f"abcas: {exc}", file=sys.stderr)
@@ -86,7 +92,8 @@ def _run_one(settings: Settings, out_dir: Path) -> int:
 def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> int:
     out_dir = Path(out) if out else Path("runs") / Path(config_path).stem
     try:
-        return _run_one(load_settings(config_path, overrides), out_dir)
+        settings = load_settings(config_path, overrides)
+        return _run_one(settings, out_dir, _load_data(settings))
     except (ConfigError, TensorFileError, OSError) as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -103,6 +110,22 @@ def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
             if best is None or value < best[0]:
                 best = (value, int(row["step"]))
     return best
+
+
+def _sweep_inputs(base: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
+    """The dataset and step-0 evaluation baseline that every sweep setting shares.
+
+    The settings differ only in mode, m and beta, none of which the
+    baseline depends on. The baseline is None when the initial generator's
+    evaluation sample is not finite; each setting then aborts at step 0
+    by itself.
+    """
+    data = _load_data(base)
+    g_spec, _ = build_networks(base, tuple(data.shape[1:]))
+    try:
+        return data, eval_baseline(base.train, data, g_spec)
+    except NumericAbort:
+        return data, None
 
 
 def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
@@ -127,6 +150,11 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
             points.append((label, {"mode": mode, param: f"{value:.17g}"}))
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an error here is reported by every setting, as when each loaded its own data
+    try:
+        shared = _sweep_inputs(base)
+    except (ConfigError, TensorFileError, OSError) as exc:
+        shared = exc
 
     rows = []
     for label, overrides in points:
@@ -138,7 +166,9 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         else:
             try:
                 settings = load_settings(config_path, overrides)
-                _run_one(settings, sub_dir)
+                if isinstance(shared, Exception):
+                    raise shared
+                _run_one(settings, sub_dir, *shared)
             except (ConfigError, TensorFileError, OSError) as exc:
                 print(f"abcas sweep: {label}: config error: {exc}", file=sys.stderr)
                 sub_dir.mkdir(parents=True, exist_ok=True)

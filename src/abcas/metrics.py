@@ -219,6 +219,8 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
 
 
 CSV_HEADER = "step,epoch,d_loss,g_loss,dist,dm,r,m,mmd2,wall_ms"
+# %.17g round-trips float64 exactly, so logs can be replayed bitwise
+_CSV_ROW = "%d,%d," + ",".join(["%.17g"] * 8)
 
 
 @dataclass
@@ -241,5 +243,4 @@ class MetricsRecord:
                   self.r, self.m, self.mmd2, self.wall_ms)
         if not all(math.isfinite(v) for v in floats):
             raise ValueError(f"non-finite metrics at step {self.step}")
-        # %.17g round-trips float64 exactly, so logs can be replayed bitwise
-        return f"{self.step},{self.epoch}," + ",".join(f"{v:.17g}" for v in floats)
+        return _CSV_ROW % (self.step, self.epoch, *floats)

@@ -24,11 +24,13 @@ from .optim import Adam
 from .specnorm import apply_norm_backward, init_spectral_states, refresh
 
 __all__ = [
+    "EvalBaseline",
     "NumericAbort",
     "TrainConfig",
     "TrainHooks",
     "d_loss",
     "d_loss_grads",
+    "eval_baseline",
     "g_loss",
     "g_loss_grad",
     "run_training",
@@ -150,29 +152,99 @@ def sample_latent(rng, n: int, g_spec: NetworkSpec) -> np.ndarray:
     return rng.standard_normal((n, *g_spec.input_shape)).astype(np.float32)
 
 
+@dataclass(frozen=True, eq=False)
+class EvalBaseline:
+    """The step-0 evaluation, shared by every run with the same inputs.
+
+    ``seed``, ``eval_samples``, ``g_spec`` and ``data`` are what it was
+    built from; the rest is what it holds: the fixed real evaluation set,
+    the MMD bandwidth frozen for the whole run so the column stays
+    comparable, the real set's within-set kernel mean and the step-0 MMD.
+    """
+
+    seed: int
+    eval_samples: int
+    g_spec: NetworkSpec
+    data: np.ndarray
+    real_eval: np.ndarray
+    bandwidth: float
+    real_within: float
+    mmd2: float
+
+    def check(self, cfg: TrainConfig, data: np.ndarray, g_spec: NetworkSpec) -> None:
+        """Raise ``ValueError`` naming the first input this baseline was not built from."""
+        for name in ("seed", "eval_samples"):
+            if getattr(self, name) != getattr(cfg, name):
+                raise ValueError(f"evaluation baseline was built for {name} "
+                                 f"{getattr(self, name)}, not {getattr(cfg, name)}")
+        if self.g_spec != g_spec:
+            raise ValueError("evaluation baseline was built for another generator spec")
+        if self.data is not data and not np.array_equal(self.data, data):
+            raise ValueError("evaluation baseline was built for another dataset")
+
+
+def _as_dataset(dataset) -> np.ndarray:
+    data = np.ascontiguousarray(np.asarray(dataset, dtype=np.float32))
+    if len(data) < 1:
+        raise ValueError("empty dataset")
+    return data
+
+
+def _eval_sample(cfg: TrainConfig, g_spec: NetworkSpec, g_store: ParamStore,
+                 step: int) -> np.ndarray:
+    """The generator's evaluation sample at ``step``, flattened to float64 rows."""
+    z = sample_latent(np.random.default_rng([cfg.seed, 5, step]), cfg.eval_samples, g_spec)
+    fake, _ = forward(g_spec, g_store, z)
+    return fake.reshape(cfg.eval_samples, -1).astype(np.float64)
+
+
+def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) -> EvalBaseline:
+    """The step-0 evaluation of a run with ``cfg``'s seed and evaluation size.
+
+    It depends on nothing else in ``cfg``, so runs that differ only in
+    ``mode``, ``m``, ``beta`` or the optimizer settings can share one.
+    Raises :class:`NumericAbort` at step 0 when the initial generator's
+    evaluation sample is not finite.
+    """
+    data = _as_dataset(dataset)
+    seed = cfg.seed
+    n_eval_real = min(cfg.eval_samples, len(data))
+    eval_idx = np.random.default_rng([seed, 4]).choice(len(data), size=n_eval_real, replace=False)
+    real_eval = data[eval_idx].reshape(n_eval_real, -1).astype(np.float64)
+    fake0 = _eval_sample(cfg, g_spec, ParamStore(g_spec, seed=(seed, 0)), 0)
+    if not np.isfinite(fake0).all():
+        raise NumericAbort(0, None, "generated evaluation sample")
+    bandwidth = median_heuristic_bandwidth(np.vstack([real_eval, fake0]), seed=[seed, 6])
+    real_within = within_set_mean(real_eval, bandwidth)
+    return EvalBaseline(seed, cfg.eval_samples, g_spec, data, real_eval, bandwidth, real_within,
+                        mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within))
+
+
 def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
-                 d_spec: NetworkSpec, hooks: TrainHooks | None = None) -> list[MetricsRecord]:
+                 d_spec: NetworkSpec, hooks: TrainHooks | None = None,
+                 baseline: EvalBaseline | None = None) -> list[MetricsRecord]:
     """Run the full loop and return one metrics record per step.
 
-    Row 0 is a pre-training evaluation (the MMD baseline); rows 1..steps
+    Row 0 is the pre-training evaluation (``baseline``, built here when
+    not given; its build time is row 0's ``wall_ms``); rows 1..steps
     follow the counter. Losses and the MMD column carry their last
-    computed value forward between the steps that refresh them. The MMD
-    bandwidth is frozen at step 0 so the column is comparable across the
-    run, and the real evaluation set's within-set kernel mean is computed
-    once then. Raises :class:`NumericAbort` on the first non-finite loss,
-    critic output or generated evaluation sample (step 0's included).
+    computed value forward between the steps that refresh them. A
+    ``baseline`` built from another seed, evaluation size, generator spec
+    or dataset raises ``ValueError``. Raises :class:`NumericAbort` on the
+    first non-finite loss, critic output or generated evaluation sample
+    (step 0's included).
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
-    data = np.ascontiguousarray(np.asarray(dataset, dtype=np.float32))
+    data = _as_dataset(dataset)
     n_data = len(data)
-    if n_data < 1:
-        raise ValueError("empty dataset")
     if data.shape[1:] != tuple(d_spec.input_shape):
         raise ValueError(
             f"dataset sample shape {data.shape[1:]} does not match the "
             f"discriminator input {tuple(d_spec.input_shape)}"
         )
+    if baseline is not None:
+        baseline.check(cfg, data, g_spec)
     seed = cfg.seed
 
     g_store = ParamStore(g_spec, seed=(seed, 0))
@@ -183,23 +255,10 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     opt_d = Adam(d_store, cfg.lr_d, cfg.beta1, cfg.beta2, rectify=cfg.rectify)
     rng_train = np.random.default_rng([seed, 3])
 
-    # fixed real evaluation sample and frozen bandwidth
-    n_eval_real = min(cfg.eval_samples, n_data)
-    eval_idx = np.random.default_rng([seed, 4]).choice(n_data, size=n_eval_real, replace=False)
-    real_eval = data[eval_idx].reshape(n_eval_real, -1).astype(np.float64)
-
-    def gen_eval_samples(step: int) -> np.ndarray:
-        z = sample_latent(np.random.default_rng([seed, 5, step]), cfg.eval_samples, g_spec)
-        fake, _ = forward(g_spec, g_store, z)
-        return fake.reshape(cfg.eval_samples, -1).astype(np.float64)
-
     t0 = time.perf_counter()
-    fake0 = gen_eval_samples(0)
-    if not np.isfinite(fake0).all():
-        raise NumericAbort(0, None, "generated evaluation sample")
-    bandwidth = median_heuristic_bandwidth(np.vstack([real_eval, fake0]), seed=[seed, 6])
-    real_within = within_set_mean(real_eval, bandwidth)
-    last_mmd = mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within)
+    if baseline is None:
+        baseline = eval_baseline(cfg, data, g_spec)
+    last_mmd = baseline.mmd2
 
     steps_per_epoch = max(1, n_data // cfg.batch_size)
     records: list[MetricsRecord] = []
@@ -269,10 +328,11 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             opt_g.step()
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            fake = gen_eval_samples(step)
+            fake = _eval_sample(cfg, g_spec, g_store, step)
             if not np.isfinite(fake).all():
                 abort(step, "generated evaluation sample")
-            last_mmd = mmd2_unbiased(real_eval, fake, bandwidth, x_within=real_within)
+            last_mmd = mmd2_unbiased(baseline.real_eval, fake, baseline.bandwidth,
+                                     x_within=baseline.real_within)
             if hooks.on_eval:
                 hooks.on_eval(step, g_store, d_store)
 

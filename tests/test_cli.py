@@ -149,7 +149,7 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_numeric_abort_exit_code(self, tiny_config, tmp_path, monkeypatch):
-        def exploding(cfg, data, g_spec, d_spec, hooks=None):
+        def exploding(cfg, data, g_spec, d_spec, hooks=None, baseline=None):
             if hooks and hooks.on_record:
                 hooks.on_record(MetricsRecord(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.1))
             raise NumericAbort(3, None, "discriminator loss")
@@ -222,6 +222,46 @@ class TestSweepCommand:
         for p, t in mtimes.items():
             assert (out / p / "metrics.csv").stat().st_mtime_ns == t
         assert (out / "summary.csv").exists()
+
+    def test_settings_match_single_train_runs(self, tmp_path):
+        # the settings share one dataset and step-0 baseline; each must still
+        # write exactly what `abcas train` writes with the same overrides
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        for label, flags in (("fixed_m0.7", ["--mode", "fixed", "--m", "0.7"]),
+                             ("fixed_m1", ["--mode", "fixed", "--m", "1"]),
+                             ("abcas_beta4", ["--mode", "adaptive", "--beta", "4"])):
+            single = tmp_path / "train" / label
+            assert cli.main(["train", "--config", str(cfg), "--out", str(single)] + flags) == 0
+            swept = out / label
+            assert (_csv_lines_without_wall(swept / "metrics.csv")
+                    == _csv_lines_without_wall(single / "metrics.csv"))
+            files = sorted(p.relative_to(single) for p in single.rglob("*")
+                           if p.is_file() and p.name != "metrics.csv")
+            assert files == sorted(p.relative_to(swept) for p in swept.rglob("*")
+                                   if p.is_file() and p.name != "metrics.csv")
+            assert Path("samples.abt") in files and Path("manifest.cfg") in files
+            assert ({f.parts[1] for f in files if f.parts[0] == "checkpoints"}
+                    == {f"step_{step:06d}" for step in range(0, 41, 10)})
+            for f in files:
+                assert (swept / f).read_bytes() == (single / f).read_bytes(), f
+
+    def test_non_finite_step_zero_eval_sample_aborts_each_setting(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        def nan_latent(rng, n, spec):
+            return np.full((n, *spec.input_shape), np.nan, np.float32)
+        monkeypatch.setattr(train, "sample_latent", nan_latent)
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["aborted_step_0"] * 3
+        for sub in ("fixed_m0.7", "fixed_m1", "abcas_beta4"):
+            assert (out / sub / "status.txt").read_text() == "aborted step 0\n"
+        err = capsys.readouterr().err
+        assert err.count("non-finite generated evaluation sample at step 0") == 3
+        assert "Traceback" not in err
 
     @UNUSABLE_DATA
     def test_unusable_dataset_file_fails_each_setting(self, tmp_path, rows):

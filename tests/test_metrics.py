@@ -347,3 +347,24 @@ class TestMetricsRecord:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             self._rec(d_loss=float("nan")).to_csv_row()
+
+    def test_row_bytes_match_per_field_formatting(self):
+        # the row is one %-format; it must give the bytes of formatting each
+        # field on its own with str() and format(v, ".17g")
+        def reference(rec):
+            floats = (rec.d_loss, rec.g_loss, rec.dist, rec.dm,
+                      rec.r, rec.m, rec.mmd2, rec.wall_ms)
+            return f"{rec.step},{rec.epoch}," + ",".join(f"{v:.17g}" for v in floats)
+
+        tiny = np.finfo(np.float64).tiny
+        big = np.finfo(np.float64).max
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 7, tiny, big, -big, 1.0, -1.0]
+        rng = np.random.default_rng(11)
+        n = 100_000
+        mantissa = rng.uniform(1.0, 10.0, n) * rng.choice([-1.0, 1.0], n)
+        values = edges + (mantissa * 10.0 ** rng.integers(-300, 301, n)).tolist()
+        values += [values[-1]] * (-len(values) % 8)
+        steps = [0, 1, 7, 123456789, 2 ** 40]
+        for i in range(0, len(values), 8):
+            rec = MetricsRecord(steps[i % 5], steps[(i // 8) % 5], *values[i:i + 8])
+            assert rec.to_csv_row() == reference(rec)

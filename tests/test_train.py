@@ -13,6 +13,7 @@ from abcas.train import (
     TrainConfig,
     d_loss,
     d_loss_grads,
+    eval_baseline,
     g_loss,
     g_loss_grad,
     run_training,
@@ -328,6 +329,32 @@ class TestTrainingLoop:
             run_training(cfg, data, g, d)
         assert exc.value.step == 0
         assert exc.value.last_record is None
+
+    def test_given_baseline_gives_the_same_records(self):
+        cfg, data, g, d = _tiny_setup(steps=12, mode="fixed", m=0.8)
+        own = run_training(cfg, data, g, d)
+        # built from another run's config that differs only in mode, m and beta,
+        # and checked against an equal copy of the dataset
+        baseline = eval_baseline(_tiny_setup(beta=2.0)[0], data, g)
+        shared = run_training(cfg, data.copy(), g, d, baseline=baseline)
+        for a, b in zip(own, shared, strict=True):
+            assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
+
+    @pytest.mark.parametrize("field", ["seed", "eval_samples", "generator spec", "dataset"])
+    def test_baseline_from_other_inputs_rejected(self, field):
+        cfg, data, g, d = _tiny_setup()
+        baseline = eval_baseline(cfg, data, g)
+        if field == "seed":
+            cfg.seed = 1
+        elif field == "eval_samples":
+            cfg.eval_samples = 16
+        elif field == "generator spec":
+            g = nn.mlp_generator(cfg.latent_dim, [8, 9], 2)
+        else:
+            data = data.copy()
+            data[5, 1] += 1e-3
+        with pytest.raises(ValueError, match=f"baseline was built for (another )?{field}"):
+            run_training(cfg, data, g, d, baseline=baseline)
 
     def test_conv_family_trains(self):
         from abcas.data import generate_blobs

@@ -21,18 +21,13 @@ from . import __version__
 from .config import ConfigError, Settings, build_networks, load_settings, manifest_text
 from .data import TensorFileError, write_tensor_file
 from .metrics import CSV_HEADER
-from .nn import ParamStore, forward
+from .nn import forward
 from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, run_training,
                     sample_latent)
 
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
 OK, CONFIG_ERROR, NUMERIC_ABORT = 0, 1, 2
-
-
-def _save_store(ckpt_dir: Path, tag: str, store: ParamStore) -> None:
-    for i, name, arr in store.named():
-        write_tensor_file(ckpt_dir / f"{tag}_{i:02d}_{name}.abt", arr)
 
 
 def _load_data(settings: Settings) -> np.ndarray:
@@ -64,8 +59,8 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
             nonlocal last_g_store
             ckpt = ckpt_root / f"step_{step:06d}"
             ckpt.mkdir(parents=True, exist_ok=True)
-            _save_store(ckpt, "g", g_store)
-            _save_store(ckpt, "d", d_store)
+            write_tensor_file(ckpt / "g.abt", g_store.flat)
+            write_tensor_file(ckpt / "d.abt", d_store.flat)
             last_g_store = g_store
 
         try:
@@ -104,11 +99,16 @@ def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
     if not metrics_path.exists():
         return None
     best = None
-    with open(metrics_path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            value = float(row["mmd2"])
+    with open(metrics_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return None
+        i_step, i_mmd = header.index("step"), header.index("mmd2")
+        for row in reader:
+            value = float(row[i_mmd])
             if best is None or value < best[0]:
-                best = (value, int(row["step"]))
+                best = (value, int(row[i_step]))
     return best
 
 

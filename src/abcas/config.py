@@ -164,6 +164,9 @@ def resolve_settings(raw: dict[str, str], overrides: dict[str, str] | None = Non
         settings.dataset_spec().validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if settings.data_seed < -1:
+        raise ConfigError(f"data_seed must be -1 (follow the run seed) or non-negative, "
+                          f"got {settings.data_seed}")
     for key in ("g_hidden", "d_hidden", "g_channels", "d_channels"):
         widths = getattr(settings, key)
         if not widths or min(widths) < 1:

@@ -185,7 +185,8 @@ class ParamStore:
     """One network's parameters in one flat vector, its gradients in another.
 
     ``params[i][name]`` and ``grads[i][name]`` are views into ``flat`` and
-    ``grad_flat``, in :meth:`named` order; update them in place only.
+    ``grad_flat``, ordered by layer index, then sorted parameter name (the
+    order each ``params[i]`` dict iterates in); update them in place only.
 
     Weights are drawn from N(0, 0.02^2) with a per-layer stream derived
     from the seed and the layer index; biases start at zero, layernorm
@@ -226,12 +227,6 @@ class ParamStore:
 
     def zero_grad(self) -> None:
         self.grad_flat.fill(0)
-
-    def named(self):
-        """Yields (layer_index, name, array) over all parameters, in ``flat`` order."""
-        for i, layer_params in enumerate(self.params):
-            for name, arr in layer_params.items():
-                yield i, name, arr
 
 
 # ---------------------------------------------------------------------------

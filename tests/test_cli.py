@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from abcas import cli, train
-from abcas.data import read_tensor_file
+from abcas.config import build_networks, load_settings
+from abcas.data import read_tensor_file, write_tensor_file
 from abcas.metrics import CSV_HEADER, MetricsRecord
+from abcas.nn import ParamStore, forward
 from abcas.train import NumericAbort
 
 from helpers import UNUSABLE_DATASETS, raw_abt1
@@ -28,6 +30,21 @@ eval_samples = 32
 latent_dim = 4
 g_hidden = 8,8
 d_hidden = 8,8
+seed = 2
+"""
+
+TINY_CONV_CFG = """
+dataset = blobs
+img_size = 8
+dataset_size = 64
+arch = conv
+g_channels = 4
+d_channels = 4
+steps = 6
+batch_size = 4
+eval_every = 3
+eval_samples = 8
+latent_dim = 4
 seed = 2
 """
 
@@ -136,6 +153,38 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("abcas: config error: m must be in (0, 1]")
         assert not out.exists()
+
+    def test_data_seed_below_minus_one_is_a_config_error(self, tmp_path, capsys):
+        # it used to run to ok, follow the run seed and write -7 to manifest.cfg
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "\ndata_seed = -7\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("abcas: config error: data_seed must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg_text", [TINY_CFG, TINY_CONV_CFG], ids=["mlp", "conv"])
+    def test_checkpoint_restores_the_final_generator(self, tmp_path, cfg_text):
+        # each checkpoint is g.abt and d.abt, each its network's flat vector;
+        # restoring the last g.abt must regenerate samples.abt byte for byte
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        settings = load_settings(out / "manifest.cfg")
+        ckpts = sorted((out / "checkpoints").iterdir())
+        assert ckpts[-1].name == f"step_{settings.train.steps:06d}"
+        for ckpt in ckpts:
+            assert {p.name for p in ckpt.iterdir()} == {"g.abt", "d.abt"}
+        data = settings.dataset_spec().load()
+        g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
+        assert read_tensor_file(ckpts[-1] / "d.abt").shape == ParamStore(d_spec).flat.shape
+        store = ParamStore(g_spec)
+        store.flat[:] = read_tensor_file(ckpts[-1] / "g.abt")
+        z = train.sample_latent(np.random.default_rng([settings.train.seed, 7]),
+                                settings.train.eval_samples, g_spec)
+        write_tensor_file(tmp_path / "samples.abt", forward(g_spec, store, z)[0])
+        assert (tmp_path / "samples.abt").read_bytes() == (out / "samples.abt").read_bytes()
 
     def test_overflowing_generated_data_is_a_config_error(self, tmp_path, capsys):
         # ring_sigma = 1e300 is finite, but its float32 samples are not

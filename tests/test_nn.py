@@ -142,14 +142,17 @@ class TestForwardBasics:
         W1 = np.random.default_rng([3, 1]).standard_normal((5, 4)) * nn.WEIGHT_INIT_STD
         assert np.array_equal(store.params[1]["W"], W1.astype(np.float32))
         offset = 0
-        for i, name, arr in store.named():
-            grad = store.grads[i][name]
-            assert np.shares_memory(arr, store.flat)
-            assert np.shares_memory(grad, store.grad_flat)
-            assert np.array_equal(store.flat[offset:offset + arr.size], arr.ravel())
-            grad[...] = 1.0
-            assert np.all(store.grad_flat[offset:offset + arr.size] == 1.0)
-            offset += arr.size
+        for i, layer_params in enumerate(store.params):
+            # flat order: layer, then sorted parameter name
+            assert list(layer_params) == sorted(layer_params)
+            for name, arr in layer_params.items():
+                grad = store.grads[i][name]
+                assert np.shares_memory(arr, store.flat)
+                assert np.shares_memory(grad, store.grad_flat)
+                assert np.array_equal(store.flat[offset:offset + arr.size], arr.ravel())
+                grad[...] = 1.0
+                assert np.all(store.grad_flat[offset:offset + arr.size] == 1.0)
+                offset += arr.size
         assert offset == store.flat.size == store.grad_flat.size
         store.zero_grad()
         assert all(np.all(g == 0) for lg in store.grads for g in lg.values())

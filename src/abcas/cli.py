@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import shutil
 import sys
 from pathlib import Path
 
@@ -30,25 +31,41 @@ __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 OK, CONFIG_ERROR, NUMERIC_ABORT = 0, 1, 2
 
 
-def _load_data(settings: Settings) -> np.ndarray:
+def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
+    """The dataset and step-0 evaluation baseline of a run.
+
+    A sweep builds them once from its base settings: its settings differ
+    only in mode, m and beta, none of which the baseline depends on. The
+    baseline is None when the initial generator's evaluation sample is
+    not finite; the run then aborts at step 0 by itself.
+    """
     try:
-        return settings.dataset_spec().load()
+        data = settings.dataset_spec().load()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    g_spec, _ = build_networks(settings, tuple(data.shape[1:]))
+    try:
+        return data, eval_baseline(settings.train, data, g_spec)
+    except NumericAbort:
+        return data, None
 
 
 def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
-             baseline: EvalBaseline | None = None) -> int:
+             baseline: EvalBaseline | None) -> int:
     """Train one configuration on ``data`` into out_dir. Returns the process exit code."""
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun replaces the earlier run's outputs; metrics.csv and manifest.cfg are rewritten below
+    for name in ("status.txt", "samples.abt"):
+        (out_dir / name).unlink(missing_ok=True)
+    ckpt_root = out_dir / "checkpoints"
+    if ckpt_root.exists():
+        shutil.rmtree(ckpt_root)
     (out_dir / "manifest.cfg").write_text(
         manifest_text(settings, f"abcas-{__version__}", out_dir.name))
 
-    ckpt_root = out_dir / "checkpoints"
-    metrics_path = out_dir / "metrics.csv"
     last_g_store = None
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
 
         def on_record(rec):
@@ -88,7 +105,7 @@ def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> i
     out_dir = Path(out) if out else Path("runs") / Path(config_path).stem
     try:
         settings = load_settings(config_path, overrides)
-        return _run_one(settings, out_dir, _load_data(settings))
+        return _run_one(settings, out_dir, *_run_inputs(settings))
     except (ConfigError, TensorFileError, OSError) as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -112,22 +129,6 @@ def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
     return best
 
 
-def _sweep_inputs(base: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
-    """The dataset and step-0 evaluation baseline that every sweep setting shares.
-
-    The settings differ only in mode, m and beta, none of which the
-    baseline depends on. The baseline is None when the initial generator's
-    evaluation sample is not finite; each setting then aborts at step 0
-    by itself.
-    """
-    data = _load_data(base)
-    g_spec, _ = build_networks(base, tuple(data.shape[1:]))
-    try:
-        return data, eval_baseline(base.train, data, g_spec)
-    except NumericAbort:
-        return data, None
-
-
 def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
     try:
         base = load_settings(config_path)
@@ -148,15 +149,19 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 return CONFIG_ERROR
             first_value[label] = value
             points.append((label, {"mode": mode, param: f"{value:.17g}"}))
+    if not points:
+        print("abcas: config error: sweep_fixed_m and sweep_abcas_beta are both empty; "
+              "a sweep needs at least one setting", file=sys.stderr)
+        return CONFIG_ERROR
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     # an error here is reported by every setting, as when each loaded its own data
     try:
-        shared = _sweep_inputs(base)
+        shared = _run_inputs(base)
     except (ConfigError, TensorFileError, OSError) as exc:
         shared = exc
 
-    rows = []
+    summary = ["setting,mode,m,beta,status,best_mmd2,best_step\n"]
     for label, overrides in points:
         sub_dir = out_dir / label
         status_path = sub_dir / "status.txt"
@@ -175,24 +180,13 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 status_path.write_text("config error\n")
             status = status_path.read_text().strip() if status_path.exists() else "missing"
             print(f"abcas sweep: {label}: {status}")
-        best = _best_mmd(sub_dir / "metrics.csv")
-        mode = overrides["mode"]
-        rows.append({
-            "setting": label,
-            "mode": mode,
-            "m": overrides.get("m", ""),
-            "beta": overrides.get("beta", ""),
-            "status": status.replace(" ", "_"),
-            "best_mmd2": f"{best[0]:.17g}" if best else "",
-            "best_step": str(best[1]) if best else "",
-        })
-
-    with open(out_dir / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("setting,mode,m,beta,status,best_mmd2,best_step\n")
-        for row in rows:
-            fh.write(",".join(row[k] for k in
-                              ("setting", "mode", "m", "beta", "status",
-                               "best_mmd2", "best_step")) + "\n")
+        # a failed setting's metrics.csv, if any, is an earlier run's
+        best = None if status == "config error" else _best_mmd(sub_dir / "metrics.csv")
+        summary.append(",".join((label, overrides["mode"], overrides.get("m", ""),
+                                 overrides.get("beta", ""), status.replace(" ", "_"),
+                                 f"{best[0]:.17g}" if best else "",
+                                 str(best[1]) if best else "")) + "\n")
+    (out_dir / "summary.csv").write_text("".join(summary), encoding="utf-8")
     return OK
 
 

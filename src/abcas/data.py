@@ -47,18 +47,18 @@ class DatasetSpec:
         if self.kind not in ("ring2d", "blobs", "file"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind != "file" and self.size < 2:
-            raise ValueError("dataset size must be at least 2")
+            raise ValueError(f"dataset_size must be at least 2, got {self.size}")
         if self.kind == "ring2d":
             if self.modes < 1:
-                raise ValueError("ring2d needs at least one mode")
+                raise ValueError(f"ring_modes must be at least 1, got {self.modes}")
             if not np.isfinite(self.radius):
                 raise ValueError(f"ring_radius must be finite, got {self.radius}")
             if not 0.0 < self.sigma < np.inf:
                 raise ValueError(f"ring_sigma must be positive and finite, got {self.sigma}")
         if self.kind == "blobs" and self.img_size not in (8, 16, 32):
-            raise ValueError(f"blobs img_size must be 8, 16 or 32, got {self.img_size}")
+            raise ValueError(f"img_size must be 8, 16 or 32 for blobs, got {self.img_size}")
         if self.kind == "file" and not self.path:
-            raise ValueError("file dataset needs a path")
+            raise ValueError(f"data_path must name a file for dataset = file, got {self.path!r}")
 
     def load(self) -> np.ndarray:
         """The dataset as float32. Non-finite samples raise ``ValueError``

@@ -68,8 +68,11 @@ class TrainConfig:
     eval_samples: int = 1024
 
     def validate(self) -> None:
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2 (the critic gap needs a max and a min)")
+        # the critic gap takes a max and a min of each batch; the MMD needs two eval samples
+        for name, low in (("batch_size", 2), ("steps", 0), ("eval_every", 1),
+                          ("latent_dim", 1), ("eval_samples", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         # comparisons with nan are false, so each check below also rejects nan
         for name in ("lr_d", "lr_g", "beta"):
             if not 0.0 < getattr(self, name) < np.inf:
@@ -78,13 +81,7 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.steps < 0 or self.eval_every < 1 or self.latent_dim < 1:
-            raise ValueError("steps, eval_every and latent_dim must be positive")
-        if self.eval_samples < 2:
-            raise ValueError("eval_samples must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         # adaptive runs ignore m, but it is written to the manifest, which
         # must stay a valid config in either mode
         if not 0.0 < self.m <= 1.0:
@@ -137,10 +134,16 @@ def g_loss_grad(c_fake):
 
 # ---------------------------------------------------------------------------
 
+def _ignore(*args) -> None:
+    pass
+
+
 @dataclass
 class TrainHooks:
-    on_record: Optional[Callable[[MetricsRecord], None]] = None
-    on_eval: Optional[Callable[[int, ParamStore, ParamStore], None]] = None
+    """Callbacks of :func:`run_training`; each defaults to a no-op, and ``None`` is not a hook."""
+
+    on_record: Callable[[MetricsRecord], None] = _ignore
+    on_eval: Callable[[int, ParamStore, ParamStore], None] = _ignore
 
 
 def _critic_vector(y: np.ndarray) -> np.ndarray:
@@ -259,27 +262,24 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
     if baseline is None:
         baseline = eval_baseline(cfg, data, g_spec)
     last_mmd = baseline.mmd2
-
+    last_d = last_g = 0.0
     steps_per_epoch = max(1, n_data // cfg.batch_size)
     records: list[MetricsRecord] = []
 
-    def emit(rec: MetricsRecord) -> None:
+    def emit(step: int, t0: float) -> None:
+        rec = MetricsRecord(step=step, epoch=step // steps_per_epoch, d_loss=last_d,
+                            g_loss=last_g, dist=controller.last_dist, dm=controller.dm,
+                            r=controller.r, m=controller.m, mmd2=last_mmd,
+                            wall_ms=(time.perf_counter() - t0) * 1e3)
         records.append(rec)
-        if hooks.on_record:
-            hooks.on_record(rec)
-
-    emit(MetricsRecord(step=0, epoch=0, d_loss=0.0, g_loss=0.0,
-                       dist=controller.last_dist, dm=controller.dm, r=controller.r,
-                       m=controller.m, mmd2=last_mmd,
-                       wall_ms=(time.perf_counter() - t0) * 1e3))
-    if hooks.on_eval:
-        hooks.on_eval(0, g_store, d_store)
+        hooks.on_record(rec)
 
     def abort(step: int, what: str):
-        raise NumericAbort(step, records[-1] if records else None, what)
+        # row 0 is emitted before the first step, so records is never empty here
+        raise NumericAbort(step, records[-1], what)
 
-    last_d = 0.0
-    last_g = 0.0
+    emit(0, t0)
+    hooks.on_eval(0, g_store, d_store)
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         controller.begin_step()
@@ -289,17 +289,21 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
         effective = refresh(d_spectral, d_store, m)
         z = sample_latent(rng_train, cfg.batch_size, g_spec)
         x_real = data[rng_train.integers(0, n_data, cfg.batch_size)]
+        # both parities generate a fake batch and score it; nothing needs G's input gradient
+        x_fake, tape_g = forward(g_spec, g_store, z)
+        tape_g.input_grad = False
+        y_fake, tape_fake = forward(d_spec, d_store, x_fake, weights=effective)
+        c_fake = _critic_vector(y_fake)
+        if not np.isfinite(c_fake).all():
+            abort(step, "critic output")
 
         if controller.counter % 2 == 1:
-            x_fake, _ = forward(g_spec, g_store, z)
             y_real, tape_real = forward(d_spec, d_store, x_real, weights=effective)
-            y_fake, tape_fake = forward(d_spec, d_store, x_fake, weights=effective)
+            c_real = _critic_vector(y_real)
+            if not np.isfinite(c_real).all():
+                abort(step, "critic output")
             # the D update needs no gradient with respect to the samples
             tape_real.input_grad = tape_fake.input_grad = False
-            c_real = _critic_vector(y_real)
-            c_fake = _critic_vector(y_fake)
-            if not (np.isfinite(c_real).all() and np.isfinite(c_fake).all()):
-                abort(step, "critic output")
             controller.observe_and_update(c_real, c_fake)
             last_d = d_loss(c_real, c_fake)
             if not math.isfinite(last_d):
@@ -311,19 +315,13 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             apply_norm_backward(d_spectral, d_store, m)
             opt_d.step()
         else:
-            x_fake, tape_g = forward(g_spec, g_store, z)
-            y_fake, tape_d = forward(d_spec, d_store, x_fake, weights=effective)
-            # G's update needs neither G's input gradient nor D's parameter gradients
-            tape_g.input_grad = False
-            tape_d.param_grads = False
-            c_fake = _critic_vector(y_fake)
-            if not np.isfinite(c_fake).all():
-                abort(step, "critic output")
+            # G's update needs no D parameter gradients
+            tape_fake.param_grads = False
             last_g = g_loss(c_fake)
             if not math.isfinite(last_g):
                 abort(step, "generator loss")
             g_store.zero_grad()
-            dx = backward(tape_d, g_loss_grad(c_fake).reshape(y_fake.shape))
+            dx = backward(tape_fake, g_loss_grad(c_fake).reshape(y_fake.shape))
             backward(tape_g, dx)
             opt_g.step()
 
@@ -333,12 +331,6 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
                 abort(step, "generated evaluation sample")
             last_mmd = mmd2_unbiased(baseline.real_eval, fake, baseline.bandwidth,
                                      x_within=baseline.real_within)
-            if hooks.on_eval:
-                hooks.on_eval(step, g_store, d_store)
-
-        emit(MetricsRecord(step=step, epoch=step // steps_per_epoch,
-                           d_loss=last_d, g_loss=last_g,
-                           dist=controller.last_dist, dm=controller.dm,
-                           r=controller.r, m=controller.m, mmd2=last_mmd,
-                           wall_ms=(time.perf_counter() - t0) * 1e3))
+            hooks.on_eval(step, g_store, d_store)
+        emit(step, t0)
     return records

@@ -163,6 +163,49 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("abcas: config error: data_seed must be")
         assert not out.exists()
 
+    def test_shorter_rerun_leaves_only_its_own_checkpoints(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 0
+        short = tmp_path / "short.cfg"
+        short.write_text(TINY_CFG + "\nsteps = 20\n")
+        assert cli.main(["train", "--config", str(short), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == \
+            ["step_000000", "step_000010", "step_000020"]
+        assert len((out / "metrics.csv").read_text().strip().splitlines()) == 22
+
+    def test_rerun_that_raises_mid_training_leaves_no_status(self, tiny_config, tmp_path,
+                                                            monkeypatch):
+        # a finished run's status.txt and samples.abt must not vouch for a rerun
+        # that died part way
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 0
+        real = cli.run_training
+
+        def failing(cfg, data, g_spec, d_spec, hooks, baseline):
+            def on_eval(step, g_store, d_store):
+                hooks.on_eval(step, g_store, d_store)
+                if step == 20:
+                    raise RuntimeError("killed")
+            return real(cfg, data, g_spec, d_spec, baseline=baseline,
+                        hooks=train.TrainHooks(on_record=hooks.on_record, on_eval=on_eval))
+
+        monkeypatch.setattr(cli, "run_training", failing)
+        with pytest.raises(RuntimeError, match="killed"):
+            cli.main(["train", "--config", str(tiny_config), "--out", str(out)])
+        assert not (out / "status.txt").exists()
+        assert not (out / "samples.abt").exists()
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == \
+            ["step_000000", "step_000010", "step_000020"]
+
+    def test_config_error_leaves_an_existing_run_as_it_was(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG + "\ndataset = file\ndata_path = " + str(tmp_path / "gone.abt") + "\n")
+        assert cli.main(["train", "--config", str(bad), "--out", str(out)]) == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("cfg_text", [TINY_CFG, TINY_CONV_CFG], ids=["mlp", "conv"])
     def test_checkpoint_restores_the_final_generator(self, tmp_path, cfg_text):
         # each checkpoint is g.abt and d.abt, each its network's flat vector;
@@ -325,6 +368,27 @@ class TestSweepCommand:
         assert [line.split(",")[4] for line in lines] == ["config_error", "config_error"]
         for sub in ("fixed_m0.7", "abcas_beta4"):
             assert (out / sub / "status.txt").read_text() == "config error\n"
+
+    def test_failed_rerun_reports_no_stale_best(self, tmp_path):
+        # the settings' metrics.csv files are the earlier run's and must not
+        # fill best_mmd2 / best_step of a setting that failed, resumed or not
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(cfg.read_text() + f"\ndataset = file\ndata_path = {tmp_path / 'gone.abt'}\n")
+        for extra in ([], ["--resume"]):
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + extra) == 0
+            lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+            assert [line.split(",")[4:] for line in lines] == [["config_error", "", ""]] * 3
+
+    def test_empty_sweep_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m =\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abcas: config error: sweep_fixed_m and sweep_abcas_beta")
+        assert not out.exists()
 
     def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys):
         # ring_sigma = inf used to kill the sweep at its first setting

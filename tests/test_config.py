@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -78,10 +79,24 @@ class TestParsing:
         ("ring_sigma", "inf"), ("ring_sigma", "nan"),
         # mode is adaptive by default, which ignores m but writes it to the manifest
         ("m", "nan"), ("m", "-3"), ("m", "1.5"),
+        ("alpha", "1"), ("alpha", "nan"), ("batch_size", "1"), ("eval_samples", "1"),
+        ("steps", "-1"), ("eval_every", "0"), ("latent_dim", "0"), ("seed", "-1"),
+        ("dataset_size", "1"), ("ring_modes", "0"),
     ])
     def test_out_of_range_number_is_a_config_error(self, key, value):
-        with pytest.raises(ConfigError, match=rf"^{key} must"):
+        with pytest.raises(ConfigError, match=rf"^{key} must .*, got "):
             resolve_settings({"dataset": "ring2d", key: value})
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"dataset": "file"}, "data_path"),
+        ({"dataset": "blobs", "arch": "conv", "img_size": "12"}, "img_size"),
+    ])
+    def test_dataset_error_names_its_key(self, raw, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must .*, got "):
+            resolve_settings(raw)
+
+    def test_zero_steps_is_valid(self):
+        assert resolve_settings({"steps": "0"}).train.steps == 0
 
 
 class TestNetworksFromSettings:
@@ -142,3 +157,16 @@ def test_repo_configs_load():
     assert paths
     for path in paths:
         load_settings(path)
+
+
+def test_readme_defaults_block_matches_settings():
+    # the README's key/default block is an oracle for Settings(): it must name
+    # every key and resolve to the same manifest
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The important keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    raw = dict(re.findall(r"(\w+) = ?(\S*)", block))
+    expected = manifest_text(Settings(), "v", "run")
+    keys = {line.split(" = ")[0] for line in expected.splitlines() if not line.startswith("#")}
+    assert len(keys) == 30
+    assert set(raw) == keys
+    assert manifest_text(resolve_settings(raw), "v", "run") == expected

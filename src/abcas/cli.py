@@ -5,7 +5,8 @@
     abcas sweep --config PATH [--out DIR] [--resume]
     abcas traj RUN_DIR
 
-Exit codes: 0 success, 1 config error, 2 numeric abort.
+Exit codes: 0 success, 1 config error, 2 numeric abort, 3 I/O error
+while writing the run directory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, run_t
 
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
-OK, CONFIG_ERROR, NUMERIC_ABORT = 0, 1, 2
+OK, CONFIG_ERROR, NUMERIC_ABORT, IO_ERROR = 0, 1, 2, 3
 
 
 def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
@@ -37,11 +38,12 @@ def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
     A sweep builds them once from its base settings: its settings differ
     only in mode, m and beta, none of which the baseline depends on. The
     baseline is None when the initial generator's evaluation sample is
-    not finite; the run then aborts at step 0 by itself.
+    not finite; the run then aborts at step 0 by itself. A dataset that
+    cannot be read is a config error.
     """
     try:
         data = settings.dataset_spec().load()
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     g_spec, _ = build_networks(settings, tuple(data.shape[1:]))
     try:
@@ -55,8 +57,8 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
     """Train one configuration on ``data`` into out_dir. Returns the process exit code."""
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun replaces the earlier run's outputs; metrics.csv and manifest.cfg are rewritten below
-    for name in ("status.txt", "samples.abt"):
+    # a rerun replaces the earlier run's outputs; manifest.cfg is rewritten below
+    for name in ("status.txt", "samples.abt", "metrics.csv"):
         (out_dir / name).unlink(missing_ok=True)
     ckpt_root = out_dir / "checkpoints"
     if ckpt_root.exists():
@@ -106,9 +108,12 @@ def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> i
     try:
         settings = load_settings(config_path, overrides)
         return _run_one(settings, out_dir, *_run_inputs(settings))
-    except (ConfigError, TensorFileError, OSError) as exc:
+    except (ConfigError, TensorFileError) as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    except OSError as exc:  # unreadable inputs are ConfigErrors, so this is a write
+        print(f"abcas: I/O error: {exc}", file=sys.stderr)
+        return IO_ERROR
 
 
 def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
@@ -158,7 +163,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
     # an error here is reported by every setting, as when each loaded its own data
     try:
         shared = _run_inputs(base)
-    except (ConfigError, TensorFileError, OSError) as exc:
+    except (ConfigError, TensorFileError) as exc:
         shared = exc
 
     summary = ["setting,mode,m,beta,status,best_mmd2,best_step\n"]
@@ -174,13 +179,22 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 if isinstance(shared, Exception):
                     raise shared
                 _run_one(settings, sub_dir, *shared)
-            except (ConfigError, TensorFileError, OSError) as exc:
+                status = status_path.read_text().strip()
+            except (ConfigError, TensorFileError) as exc:
                 print(f"abcas sweep: {label}: config error: {exc}", file=sys.stderr)
-                sub_dir.mkdir(parents=True, exist_ok=True)
-                status_path.write_text("config error\n")
-            status = status_path.read_text().strip() if status_path.exists() else "missing"
+                status = "config error"
+            except OSError as exc:
+                print(f"abcas sweep: {label}: I/O error: {exc}", file=sys.stderr)
+                status = "io error"
+            if status in ("config error", "io error"):
+                try:
+                    sub_dir.mkdir(parents=True, exist_ok=True)
+                    status_path.write_text(status + "\n")
+                except OSError:
+                    status_path.unlink(missing_ok=True)  # the next --resume reruns it
             print(f"abcas sweep: {label}: {status}")
-        # a failed setting's metrics.csv, if any, is an earlier run's
+        # a config error's metrics.csv, if any, is an earlier run's; an I/O
+        # error's is this run's, since a run deletes the old one first
         best = None if status == "config error" else _best_mmd(sub_dir / "metrics.csv")
         summary.append(",".join((label, overrides["mode"], overrides.get("m", ""),
                                  overrides.get("beta", ""), status.replace(" ", "_"),

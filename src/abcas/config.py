@@ -1,15 +1,16 @@
 """Flat key = value experiment configuration.
 
-One key per line, ``#`` starts a comment, whitespace is ignored. Keys
-are exactly the training hyperparameters plus dataset and architecture
-selections; anything else is rejected with the list of valid keys. The
+One key per line, ``#`` starts a comment, whitespace is ignored. Each
+key is one field of ``TrainConfig``, ``DatasetSpec`` or ``Settings``
+under its own name, and its value is parsed as the type of the field's
+default. An unknown key is rejected with the list of valid keys. The
 run manifest written by the CLI is itself a valid config file, so a run
 can be reproduced by pointing ``train --config`` at its manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .data import DatasetSpec
 from .nn import (
@@ -38,75 +39,12 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_int_list(s: str) -> list[int]:
-    return [int(tok) for tok in s.split(",") if tok.strip()]
-
-
-def _parse_float_list(s: str) -> list[float]:
-    return [float(tok) for tok in s.split(",") if tok.strip()]
-
-
-def _choices(*opts):
-    def parse(s: str) -> str:
-        if s not in opts:
-            raise ValueError(f"must be one of {', '.join(opts)}; got {s!r}")
-        return s
-    return parse
-
-
-_KEY_PARSERS = {
-    # training
-    "steps": int,
-    "batch_size": int,
-    "lr_d": float,
-    "lr_g": float,
-    "beta1": float,
-    "beta2": float,
-    "alpha": float,
-    "beta": float,
-    "mode": _choices("adaptive", "fixed"),
-    "m": float,
-    "seed": int,
-    "eval_every": int,
-    "latent_dim": int,
-    "rectify": _parse_bool,
-    "eval_samples": int,
-    # dataset
-    "dataset": _choices("ring2d", "blobs", "file"),
-    "dataset_size": int,
-    "data_seed": int,
-    "ring_modes": int,
-    "ring_radius": float,
-    "ring_sigma": float,
-    "img_size": int,
-    "data_path": str,
-    # architecture
-    "arch": _choices("mlp", "conv"),
-    "g_hidden": _parse_int_list,
-    "d_hidden": _parse_int_list,
-    "g_channels": _parse_int_list,
-    "d_channels": _parse_int_list,
-    # sweep
-    "sweep_fixed_m": _parse_float_list,
-    "sweep_abcas_beta": _parse_float_list,
-}
-
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-
-
 @dataclass
 class Settings:
     """Fully resolved run settings: training config plus dataset and nets."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
-    dataset: str = "ring2d"
-    dataset_size: int = 4096
-    data_seed: int = -1          # -1: follow the run seed
-    ring_modes: int = 8
-    ring_radius: float = 0.7
-    ring_sigma: float = 0.05
-    img_size: int = 16
-    data_path: str = ""
+    data: DatasetSpec = field(default_factory=DatasetSpec)
     arch: str = "mlp"
     g_hidden: list[int] = field(default_factory=lambda: [64, 64])
     d_hidden: list[int] = field(default_factory=lambda: [64, 64])
@@ -116,11 +54,28 @@ class Settings:
     sweep_abcas_beta: list[float] = field(default_factory=lambda: [1.0, 4.0])
 
     def dataset_spec(self) -> DatasetSpec:
-        seed = self.train.seed if self.data_seed < 0 else self.data_seed
-        return DatasetSpec(kind=self.dataset, size=self.dataset_size, seed=seed,
-                           modes=self.ring_modes, radius=self.ring_radius,
-                           sigma=self.ring_sigma, img_size=self.img_size,
-                           path=self.data_path)
+        """The dataset with ``data_seed = -1`` resolved to the run seed."""
+        seed = self.train.seed if self.data.data_seed == -1 else self.data.data_seed
+        return replace(self.data, data_seed=seed)
+
+
+def _owners(settings: Settings) -> dict[str, object]:
+    """Each config key, sorted, mapped to the object that holds it as a field."""
+    owners = {f.name: obj for obj in (settings.train, settings.data, settings)
+              for f in fields(obj) if f.name not in ("train", "data")}
+    return dict(sorted(owners.items()))
+
+
+_KEYS = tuple(_owners(Settings()))
+
+
+def _parse(text: str, default):
+    """``text`` as the type of ``default``; a list takes its first entry's type."""
+    if isinstance(default, bool):
+        return _parse_bool(text)
+    if isinstance(default, list):
+        return [type(default[0])(tok) for tok in text.split(",") if tok.strip()]
+    return type(default)(text)
 
 
 def parse_config_text(text: str, where: str = "config") -> dict[str, str]:
@@ -133,47 +88,41 @@ def parse_config_text(text: str, where: str = "config") -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(
-                f"{where}:{lineno}: unknown key {key!r}; valid keys: "
-                + ", ".join(sorted(_KEY_PARSERS))
-            )
+                f"{where}:{lineno}: unknown key {key!r}; valid keys: " + ", ".join(_KEYS))
         raw[key] = value
     return raw
 
 
 def resolve_settings(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Settings:
     merged = dict(raw)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _KEY_PARSERS:
-                raise ConfigError(f"unknown override key {key!r}")
-            merged[key] = value
+    for key, value in (overrides or {}).items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown override key {key!r}")
+        merged[key] = value
     settings = Settings()
+    owners = _owners(settings)
     for key, value in merged.items():
+        owner = owners[key]
         try:
-            parsed = _KEY_PARSERS[key](value)
+            setattr(owner, key, _parse(value, getattr(owner, key)))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        if key in _TRAIN_KEYS:
-            setattr(settings.train, key, parsed)
-        else:
-            setattr(settings, key, parsed)
     try:
         settings.train.validate()
-        settings.dataset_spec().validate()
+        settings.data.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if settings.data_seed < -1:
-        raise ConfigError(f"data_seed must be -1 (follow the run seed) or non-negative, "
-                          f"got {settings.data_seed}")
+    if settings.arch not in ("mlp", "conv"):
+        raise ConfigError(f"arch must be mlp or conv, got {settings.arch!r}")
     for key in ("g_hidden", "d_hidden", "g_channels", "d_channels"):
         widths = getattr(settings, key)
         if not widths or min(widths) < 1:
             raise ConfigError(f"{key} needs one or more widths of at least 1, got {widths}")
-    if settings.arch == "mlp" and settings.dataset == "blobs":
+    if settings.arch == "mlp" and settings.data.dataset == "blobs":
         raise ConfigError("arch = mlp needs flat samples; use arch = conv for blobs")
-    if settings.arch == "conv" and settings.dataset == "ring2d":
+    if settings.arch == "conv" and settings.data.dataset == "ring2d":
         raise ConfigError("arch = conv needs image samples; use arch = mlp for ring2d")
     return settings
 
@@ -213,11 +162,8 @@ def manifest_text(settings: Settings, version: str, out_dir: str) -> str:
         f"# version: {version}",
         f"# layout: {out_dir}/{{manifest.cfg, metrics.csv, checkpoints/step_*/, samples.abt, status.txt}}",
     ]
-    for key in sorted(_KEY_PARSERS):
-        if key in _TRAIN_KEYS:
-            value = getattr(settings.train, key)
-        else:
-            value = getattr(settings, key)
+    for key, owner in _owners(settings).items():
+        value = getattr(owner, key)
         if isinstance(value, list):
             value = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):

@@ -32,54 +32,61 @@ __all__ = [
 
 @dataclass
 class DatasetSpec:
-    """Declarative dataset selection: ring2d, blobs, or a pre-converted file."""
+    """Dataset selection (ring2d, blobs or an ABT1 file); each field is its config key."""
 
-    kind: str = "ring2d"
-    size: int = 4096
-    seed: int = 0
-    modes: int = 8
-    radius: float = 0.7
-    sigma: float = 0.05
+    dataset: str = "ring2d"
+    dataset_size: int = 4096
+    data_seed: int = -1          # -1: follow the run seed (Settings.dataset_spec resolves it)
+    ring_modes: int = 8
+    ring_radius: float = 0.7
+    ring_sigma: float = 0.05
     img_size: int = 16
-    path: str = ""
+    data_path: str = ""
 
     def validate(self) -> None:
-        if self.kind not in ("ring2d", "blobs", "file"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.kind != "file" and self.size < 2:
-            raise ValueError(f"dataset_size must be at least 2, got {self.size}")
-        if self.kind == "ring2d":
-            if self.modes < 1:
-                raise ValueError(f"ring_modes must be at least 1, got {self.modes}")
-            if not np.isfinite(self.radius):
-                raise ValueError(f"ring_radius must be finite, got {self.radius}")
-            if not 0.0 < self.sigma < np.inf:
-                raise ValueError(f"ring_sigma must be positive and finite, got {self.sigma}")
-        if self.kind == "blobs" and self.img_size not in (8, 16, 32):
+        if self.dataset not in ("ring2d", "blobs", "file"):
+            raise ValueError(f"dataset must be ring2d, blobs or file, got {self.dataset!r}")
+        if self.data_seed < -1:
+            raise ValueError(f"data_seed must be -1 (follow the run seed) or non-negative, "
+                             f"got {self.data_seed}")
+        if self.dataset != "file" and self.dataset_size < 2:
+            raise ValueError(f"dataset_size must be at least 2, got {self.dataset_size}")
+        if self.dataset == "ring2d":
+            if self.ring_modes < 1:
+                raise ValueError(f"ring_modes must be at least 1, got {self.ring_modes}")
+            if not np.isfinite(self.ring_radius):
+                raise ValueError(f"ring_radius must be finite, got {self.ring_radius}")
+            if not 0.0 < self.ring_sigma < np.inf:
+                raise ValueError(f"ring_sigma must be positive and finite, got {self.ring_sigma}")
+        if self.dataset == "blobs" and self.img_size not in (8, 16, 32):
             raise ValueError(f"img_size must be 8, 16 or 32 for blobs, got {self.img_size}")
-        if self.kind == "file" and not self.path:
-            raise ValueError(f"data_path must name a file for dataset = file, got {self.path!r}")
+        if self.dataset == "file" and not self.data_path:
+            raise ValueError(f"data_path must name a file for dataset = file, got {self.data_path!r}")
 
     def load(self) -> np.ndarray:
         """The dataset as float32. Non-finite samples raise ``ValueError``
         naming the keys that produced them (``TensorFileError`` for files)."""
         self.validate()
-        if self.kind == "ring2d":
+        if self.dataset != "file" and self.data_seed == -1:
+            raise ValueError("data_seed must be resolved to the run seed before loading, got -1")
+        if self.dataset == "ring2d":
             with np.errstate(over="ignore"):  # an overflow is reported below
-                arr = generate_ring2d(self.size, self.modes, self.radius, self.sigma, self.seed)
-            keys = f"ring_radius = {self.radius:g} and ring_sigma = {self.sigma:g}"
-        elif self.kind == "blobs":
-            arr = generate_blobs(self.size, self.img_size, self.seed)
+                arr = generate_ring2d(self.dataset_size, self.ring_modes, self.ring_radius,
+                                      self.ring_sigma, self.data_seed)
+            keys = f"ring_radius = {self.ring_radius:g} and ring_sigma = {self.ring_sigma:g}"
+        elif self.dataset == "blobs":
+            arr = generate_blobs(self.dataset_size, self.img_size, self.data_seed)
             keys = f"img_size = {self.img_size}"
         else:
-            arr = read_tensor_file(self.path)
+            arr = read_tensor_file(self.data_path)
             if arr.ndim == 0 or len(arr) < 2:
-                raise TensorFileError(f"{self.path}: need at least 2 samples, shape is {arr.shape}")
+                raise TensorFileError(f"{self.data_path}: need at least 2 samples, "
+                                      f"shape is {arr.shape}")
             if not np.all(np.isfinite(arr)):
-                raise TensorFileError(f"{self.path}: non-finite values in the dataset")
+                raise TensorFileError(f"{self.data_path}: non-finite values in the dataset")
             return arr
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{keys} give non-finite float32 {self.kind} samples")
+            raise ValueError(f"{keys} give non-finite float32 {self.dataset} samples")
         return arr
 
 

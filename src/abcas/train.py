@@ -68,6 +68,8 @@ class TrainConfig:
     eval_samples: int = 1024
 
     def validate(self) -> None:
+        if self.mode not in ("adaptive", "fixed"):
+            raise ValueError(f"mode must be adaptive or fixed, got {self.mode!r}")
         # the critic gap takes a max and a min of each batch; the MMD needs two eval samples
         for name, low in (("batch_size", 2), ("steps", 0), ("eval_every", 1),
                           ("latent_dim", 1), ("eval_samples", 2), ("seed", 0)):

@@ -56,6 +56,18 @@ def tiny_config(tmp_path):
     return path
 
 
+def _disk_full_at_step_20(monkeypatch):
+    # the step-20 checkpoint's first write fails as on a full disk
+    real = cli.write_tensor_file
+
+    def write(path, arr):
+        if Path(path).parent.name == "step_000020":
+            raise OSError(28, "No space left on device")
+        real(path, arr)
+
+    monkeypatch.setattr(cli, "write_tensor_file", write)
+
+
 def _csv_lines_without_wall(path):
     lines = path.read_text().strip().splitlines()
     return [",".join(line.split(",")[:-1]) for line in lines]
@@ -205,6 +217,22 @@ class TestTrainCommand:
         bad.write_text(TINY_CFG + "\ndataset = file\ndata_path = " + str(tmp_path / "gone.abt") + "\n")
         assert cli.main(["train", "--config", str(bad), "--out", str(out)]) == 1
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_write_failure_is_an_io_error(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # it used to be reported as a config error with exit 1
+        _disk_full_at_step_20(monkeypatch)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "abcas: I/O error: [Errno 28] No space left on device\n"
+        assert not (out / "status.txt").exists()
+
+    def test_missing_data_path_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "file.cfg"
+        gone = tmp_path / "gone.abt"
+        cfg.write_text(TINY_CFG.replace("dataset = ring2d", f"dataset = file\ndata_path = {gone}"))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abcas: config error: ") and str(gone) in err
 
     @pytest.mark.parametrize("cfg_text", [TINY_CFG, TINY_CONV_CFG], ids=["mlp", "conv"])
     def test_checkpoint_restores_the_final_generator(self, tmp_path, cfg_text):
@@ -380,6 +408,20 @@ class TestSweepCommand:
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + extra) == 0
             lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
             assert [line.split(",")[4:] for line in lines] == [["config_error", "", ""]] * 3
+
+    def test_write_failure_is_an_io_error_with_its_own_best(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        _disk_full_at_step_20(monkeypatch)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "abcas sweep: fixed_m0.7: I/O error: [Errno 28]" in capsys.readouterr().err
+        assert (out / "fixed_m0.7" / "status.txt").read_text() == "io error\n"
+        rows = (out / "fixed_m0.7" / "metrics.csv").read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(20))  # step 20 failed
+        best = min((float(r.split(",")[8]), int(r.split(",")[0])) for r in rows)
+        line = (out / "summary.csv").read_text().strip().splitlines()[1]
+        assert line.split(",")[4:] == ["io_error", f"{best[0]:.17g}", str(best[1])]
 
     def test_empty_sweep_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

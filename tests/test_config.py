@@ -38,7 +38,7 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             resolve_settings({"steps": "many"})
-        with pytest.raises(ConfigError, match="bad value"):
+        with pytest.raises(ConfigError, match="^mode must be adaptive or fixed, got 'sometimes'$"):
             resolve_settings({"mode": "sometimes"})
 
     def test_typed_resolution(self):
@@ -51,6 +51,7 @@ class TestParsing:
         assert s.train.mode == "fixed"
         assert s.train.m == 0.8
         assert s.train.rectify is True
+        assert resolve_settings({"rectify": "off"}).train.rectify is False
         assert s.g_hidden == [8, 16]
         assert s.sweep_abcas_beta == [1.0, 4.0]
 
@@ -131,11 +132,37 @@ class TestNetworksFromSettings:
             build_networks(s, (1, 16, 16))  # mlp arch, image samples
 
 
+# every key at a value other than its default; dataset = file with arch =
+# conv is a valid pair that leaves each ring and image key free
+NON_DEFAULT = {
+    "steps": "77", "batch_size": "8", "lr_d": "0.001", "lr_g": "0.0003", "beta1": "0.5",
+    "beta2": "0.99", "alpha": "0.999", "beta": "2.5", "mode": "fixed", "m": "0.65",
+    "seed": "5", "eval_every": "10", "latent_dim": "3", "rectify": "true",
+    "eval_samples": "64", "dataset": "file", "dataset_size": "100", "data_seed": "3",
+    "ring_modes": "5", "ring_radius": "0.9", "ring_sigma": "0.033", "img_size": "8",
+    "data_path": "data/set.abt", "arch": "conv", "g_hidden": "8,16", "d_hidden": "4",
+    "g_channels": "12,8", "d_channels": "8,12", "sweep_fixed_m": "0.123456789,0.5",
+    "sweep_abcas_beta": "2",
+}
+
+
+def _key_value(settings, key):
+    for owner in (settings.train, settings.data, settings):
+        if hasattr(owner, key):
+            return getattr(owner, key)
+    raise KeyError(key)
+
+
 class TestManifest:
     def test_manifest_round_trips(self, tmp_path):
-        s = resolve_settings({"steps": "77", "mode": "fixed", "m": "0.65",
-                              "ring_sigma": "0.033", "g_hidden": "8,16",
-                              "sweep_fixed_m": "0.123456789,0.5"})
+        s = resolve_settings(NON_DEFAULT)
+        default = Settings()
+        assert len(NON_DEFAULT) == 30
+        for key in NON_DEFAULT:
+            got, want = _key_value(s, key), _key_value(default, key)
+            assert type(got) is type(want) and got != want, key
+            if isinstance(want, list):
+                assert {type(v) for v in got} == {type(want[0])}, key
         text = manifest_text(s, "abcas-0.1.0", "out")
         path = tmp_path / "manifest.cfg"
         path.write_text(text)

@@ -70,21 +70,26 @@ class TestBlobs:
 class TestDatasetSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DatasetSpec(kind="nope").validate()
+            DatasetSpec(dataset="nope").validate()
         with pytest.raises(ValueError):
-            DatasetSpec(kind="ring2d", modes=0).validate()
+            DatasetSpec(dataset="ring2d", ring_modes=0).validate()
         with pytest.raises(ValueError):
-            DatasetSpec(kind="ring2d", sigma=0.0).validate()
+            DatasetSpec(dataset="ring2d", ring_sigma=0.0).validate()
         with pytest.raises(ValueError):
-            DatasetSpec(kind="blobs", img_size=12).validate()
+            DatasetSpec(dataset="blobs", img_size=12).validate()
         with pytest.raises(ValueError):
-            DatasetSpec(kind="file").validate()
+            DatasetSpec(dataset="file").validate()
+
+    def test_unresolved_data_seed_is_refused(self):
+        # -1 follows the run seed, which only Settings.dataset_spec() knows
+        with pytest.raises(ValueError, match="^data_seed must be resolved"):
+            DatasetSpec(data_seed=-1).load()
 
     def test_load_roundtrip_through_file(self, tmp_path):
         x = generate_ring2d(32, seed=0)
         path = tmp_path / "ds.abt"
         write_tensor_file(path, x)
-        spec = DatasetSpec(kind="file", path=str(path))
+        spec = DatasetSpec(dataset="file", data_path=str(path))
         assert np.array_equal(spec.load(), x)
 
     @pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
@@ -93,13 +98,14 @@ class TestDatasetSpec:
         path = tmp_path / "ds.abt"
         path.write_bytes(raw_abt1(rows))
         with pytest.raises(TensorFileError, match=re.escape(str(path))):
-            DatasetSpec(kind="file", path=str(path)).load()
+            DatasetSpec(dataset="file", data_path=str(path)).load()
 
     @pytest.mark.parametrize("radius,sigma", [(0.7, 1e300), (1e39, 0.05)])
     def test_overflowing_ring_is_an_error_naming_its_keys(self, radius, sigma):
         # finite settings whose samples overflow float32
         with pytest.raises(ValueError, match="ring_radius .* and ring_sigma .* non-finite"):
-            DatasetSpec(kind="ring2d", size=64, radius=radius, sigma=sigma).load()
+            DatasetSpec(dataset="ring2d", dataset_size=64, data_seed=0, ring_radius=radius,
+                        ring_sigma=sigma).load()
 
 
 class TestTensorFile:

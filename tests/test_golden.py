@@ -1,7 +1,8 @@
 """Golden outputs: short CLI runs must reproduce recorded sha256 digests.
 
 The digests cover each run's ``metrics.csv`` without ``wall_ms``, every
-checkpoint file, ``samples.abt`` and a sweep's ``summary.csv``. They hold
+checkpoint file, ``samples.abt``, ``manifest.cfg``, ``status.txt`` and a
+sweep's ``summary.csv``. They hold
 for the numpy build, BLAS build and CPU features recorded next to them;
 on any other environment the test skips and names both.
 
@@ -74,7 +75,7 @@ def record_run(name: str, work: Path) -> dict:
         rel = path.relative_to(out).as_posix()
         if path.name == "metrics.csv":
             entries[rel] = metrics_entry(path)
-        elif path.suffix == ".abt" or path.name == "summary.csv":
+        elif path.suffix == ".abt" or path.name in ("manifest.cfg", "status.txt", "summary.csv"):
             entries[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return entries
 

@@ -223,6 +223,29 @@ class TestConvOperatorMatrices:
         assert np.max(np.abs(B - A.T)) <= 1e-12 * np.max(np.abs(A))
 
 
+class TestConvLipschitz:
+    # spectral normalization divides a conv kernel by the largest singular
+    # value of its (c_out, c_in*k*k) reshape; that is the layer's operator
+    # norm only when the output has a single window
+    @staticmethod
+    def _operator_norm_at_unit_reshape_sigma(i):
+        critic = nn.conv_discriminator(1, [16, 32], 16)  # configs/blobs16.cfg
+        in_shape = (critic.input_shape,) + tuple(shape_plan(critic))
+        spec = NetworkSpec(in_shape[i], [critic.layers[i]])
+        store = _store64(spec)
+        W = store.params[0]["W"]
+        W /= np.linalg.norm(W.reshape(W.shape[0], -1), 2)
+        store.params[0]["b"][...] = 0.0
+        return np.linalg.norm(_operator_matrix(spec, store), 2)
+
+    def test_one_window_layer_is_capped_exactly(self):
+        assert abs(self._operator_norm_at_unit_reshape_sigma(4) - 1.0) <= 1e-12
+
+    def test_strided_layer_exceeds_the_cap(self):
+        # blobs16's first critic layer: 1 -> 16 channels, k4 s2 p1 on 16x16
+        assert self._operator_norm_at_unit_reshape_sigma(0) > 1.2
+
+
 class TestColumnPrimitives:
     # (out_shape, kernel, stride, padding): every blobs16 shape at the training
     # batch, two at the eval batch, and two odd kernels; the k4 s1 p0 cases

@@ -162,6 +162,36 @@ class TestAdam:
         # rho_t <= 4 at t = 1: plain momentum step, no second-moment scaling
         assert abs(store.params[0]["W"][0, 0] + 0.05 * 0.4) < 1e-12
 
+    def test_rectified_matches_radam_closed_form(self):
+        # RAdam (Liu et al., arXiv 1908.03265, Algorithm 2) with Adam's eps in
+        # the denominator: a momentum step while rho_t <= 4, then the
+        # rectified adaptive step
+        spec = NetworkSpec((3,), [dense(3, 2)])
+        store = ParamStore(spec, seed=1, dtype=np.float64)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(store, lr=lr, beta1=b1, beta2=b2, eps=eps, rectify=True)
+        rng = np.random.default_rng(4)
+        theta, m, v = store.flat.copy(), np.zeros_like(store.flat), np.zeros_like(store.flat)
+        rho_inf = 2.0 / (1.0 - b2) - 1.0
+        rectified = []
+        for t in range(1, 41):
+            g = rng.standard_normal(store.flat.shape)
+            store.grad_flat[...] = g
+            opt.step()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            rho_t = rho_inf - 2.0 * t * b2 ** t / (1.0 - b2 ** t)
+            if rho_t > 4.0:
+                r_t = math.sqrt((rho_t - 4.0) * (rho_t - 2.0) * rho_inf
+                                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
+                theta = theta - lr * r_t * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                rectified.append(t)
+            else:
+                theta = theta - lr * m_hat
+            assert np.max(np.abs(store.flat - theta)) <= 1e-15 * np.max(np.abs(theta)), t
+        assert rectified == list(range(5, 41))
+
     def test_moment_shapes_mirror_params(self):
         spec = nn.mlp_discriminator(3, [5])
         store = ParamStore(spec, seed=0)

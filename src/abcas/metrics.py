@@ -13,11 +13,23 @@ centred on the first set's mean, rows ``[x, |x|^2, 1]`` times rows
 ``[2 gamma y, -gamma, -gamma |y|^2]`` give ``-gamma |x - y|^2`` for every
 pair, and ``exp`` is taken in place. Centring keeps a common offset (all
 points near +1e3, say) from burying the exponent in the rounding error of
-the large norms. The cross kernel of two sets is one product. The pairs of
-one set (the within-set means and the median-heuristic bandwidth) come from
-splitting the set into halves recursively: the pairs across two halves are
-one product, and a leaf of at most ``PAIR_LEAF`` points is one square
-product that holds each of its pairs twice and its diagonal.
+the large norms. The pairs of one set (the within-set means and the
+median-heuristic bandwidth) come from splitting the set into halves
+recursively: the pairs across two halves are one product, and a leaf of at
+most ``PAIR_LEAF`` points is one square product that holds each of its
+pairs twice and its diagonal.
+
+A kernel sum over two sets (the cross kernel, and a set's pairs across two
+halves) never builds the whole product: :func:`_exp_sum` computes it in row
+blocks of at most ``EXP_SUM_BLOCK`` entries, small enough to stay in cache,
+and returns the float ``np.sum(np.exp(a @ b.T))`` returns. That rests on two
+assumptions. numpy adds a contiguous float64 range pairwise, splitting a
+range of n values at ``n // 2`` rounded down to a multiple of 8, so the
+blocks follow that split and add their sums as numpy would; and the BLAS
+gives each entry of a row block as it gives it in the whole product, which
+holds at the evaluation shapes training uses. ``tests/test_metrics.py``
+pins both: ``TestExpSum::test_matches_np_sum_bitwise`` and
+``TestExpSum::test_row_blocks_match_the_whole_product``.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ __all__ = [
 BANDWIDTH_FLOOR = 1e-6
 MEDIAN_EXACT_LIMIT = 2048
 PAIR_LEAF = 64
+EXP_SUM_BLOCK = 1 << 15
 
 
 def _as_points(x, name):
@@ -77,29 +90,44 @@ def _pair_rows(x: np.ndarray, y: np.ndarray, gamma: float) -> tuple[np.ndarray, 
     return a, b
 
 
-def _cross_kernel_sum(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    # sum_ij exp(-gamma |x_i - y_j|^2) from one GEMM; see the module docstring
-    a, b = _pair_rows(x, y, gamma)
-    k = a @ b.T
-    return float(np.sum(np.exp(k, out=k)))
+def _exp_sum(a: np.ndarray, b: np.ndarray) -> float:
+    # float(np.sum(np.exp(a @ b.T))) bit for bit, without building a @ b.T
+    return float(_exp_sum_range(a, b, 0, len(a) * len(b)))
 
 
-def _pair_blocks(x: np.ndarray, gamma: float):
-    # every distinct pair of x exactly once, as blocks of -gamma |x_i - x_j|^2:
-    # (block, False) across two halves, (block, True) for a leaf's square
-    # block, which holds each of its pairs twice and its diagonal
-    a, b = _pair_rows(x, x, gamma)
+def _exp_sum_range(a: np.ndarray, b: np.ndarray, lo: int, hi: int):
+    # the sum of exp over entries lo..hi-1 of a @ b.T in C order, split as
+    # numpy's pairwise sum splits a contiguous range down to ranges of at
+    # most EXP_SUM_BLOCK entries, each summed by np.sum from the rows that
+    # cover it. Module level: a nested closure calling itself is a reference
+    # cycle that keeps a and b alive until the cyclic GC runs
+    n = hi - lo
+    if n > EXP_SUM_BLOCK:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return _exp_sum_range(a, b, lo, lo + n2) + _exp_sum_range(a, b, lo + n2, hi)
+    m = len(b)
+    r0, r1 = lo // m, -(-hi // m)
+    if r1 - r0 == 1 and len(a) > 1:
+        # two rows keep it a matrix product; one row would be a
+        # matrix-vector product, which rounds differently
+        r0, r1 = (r0, r1 + 1) if r1 < len(a) else (r0 - 1, r1)
+    k = a[r0:r1] @ b.T
+    return np.sum(np.exp(k, out=k).ravel()[lo - r0 * m:hi - r0 * m])
 
-    def split(lo: int, hi: int):
-        if hi - lo <= PAIR_LEAF:
-            yield a[lo:hi] @ b[lo:hi].T, True
-            return
-        mid = (lo + hi) // 2
-        yield a[lo:mid] @ b[mid:hi].T, False
-        yield from split(lo, mid)
-        yield from split(mid, hi)
 
-    return split(0, len(x))
+def _pair_blocks(lo: int, hi: int):
+    # every distinct pair of points lo..hi-1 exactly once, as row slices
+    # (rows, cols, leaf) of the _pair_rows of one set: the pairs across two
+    # halves, and a leaf's square block, which holds each of its pairs twice
+    # and its diagonal. Module level, for the reason _exp_sum_range is
+    if hi - lo <= PAIR_LEAF:
+        yield slice(lo, hi), slice(lo, hi), True
+        return
+    mid = (lo + hi) // 2
+    yield slice(lo, mid), slice(mid, hi), False
+    yield from _pair_blocks(lo, mid)
+    yield from _pair_blocks(mid, hi)
 
 
 def _median_inplace(v: np.ndarray) -> float:
@@ -134,18 +162,23 @@ def within_set_mean(x, bandwidth: float) -> float:
     frozen real evaluation set and passes it as ``x_within``. The kernel
     values come from the recursive blocks of centred matrix products (see
     the module docstring); a leaf's square block counts ``(sum - trace) / 2``,
-    so each of the n(n-1)/2 distinct pairs is counted once.
+    so each of the n(n-1)/2 distinct pairs is counted once, and the pairs
+    across two halves are summed by :func:`_exp_sum`.
     """
     gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
+    a, b = _pair_rows(x, x, gamma)
     total = 0.0
-    for k, leaf in _pair_blocks(x, gamma):
-        np.exp(k, out=k)
-        s = float(np.sum(k))
-        total += (s - float(np.trace(k))) / 2.0 if leaf else s
+    for rows, cols, leaf in _pair_blocks(0, n):
+        if leaf:
+            k = a[rows] @ b[rows].T
+            np.exp(k, out=k)
+            total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
+        else:
+            total += _exp_sum(a[rows], b[cols])
     # the distinct pairs once, doubled: the mean over i != j
     return 2.0 * total / (n * (n - 1))
 
@@ -156,10 +189,10 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     k(a, b) = exp(-|a - b|^2 / (2 bw^2)); the diagonal terms are excluded
     from the within-set means, so the estimate may be slightly negative.
     Each within-set mean sums the n(n-1)/2 distinct pairs once (see
-    :func:`within_set_mean`). The cross kernel is one matrix product over
-    both sets centred on the first set's mean. The two arguments are put in
-    a canonical order first (fewer samples first, ties broken by their
-    bytes, compared from the first 8-byte word that differs), so
+    :func:`within_set_mean`). The cross kernel is summed by :func:`_exp_sum`
+    over both sets centred on the first set's mean. The two arguments are
+    put in a canonical order first (fewer samples first, ties broken by
+    their bytes, compared from the first 8-byte word that differs), so
     ``mmd2_unbiased(x, y)`` and ``mmd2_unbiased(y, x)`` run the same
     arithmetic and are exactly equal.
 
@@ -183,7 +216,7 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
         within_x, within_y = within_set_mean(x, bandwidth), within_x
     else:
         within_y = within_set_mean(y, bandwidth)
-    cross = _cross_kernel_sum(x, y, gamma) / (n * m)
+    cross = _exp_sum(*_pair_rows(x, y, gamma)) / (n * m)
     return within_x + within_y - 2.0 * cross
 
 
@@ -193,8 +226,9 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
     Exact up to ``limit`` samples; larger sets are subsampled with the
     provided seed. All-identical samples hit the 1e-6 floor. The squared
     distances come from the same blocks as :func:`within_set_mean` (with
-    gamma = 1), clipped at 0; their square roots fill one n(n-1)/2 buffer,
-    whose median is taken in place.
+    gamma = 1), each written straight into its slot of one n(n-1)/2
+    buffer. The buffer is clipped at 0 and square-rooted in place, and its
+    median is taken in place.
     """
     if limit < 2:
         raise ValueError(f"limit must be at least 2 samples, got {limit!r}")
@@ -205,12 +239,19 @@ def median_heuristic_bandwidth(z, limit: int = MEDIAN_EXACT_LIMIT, seed=0) -> fl
         idx = np.random.default_rng(seed).choice(len(z), size=limit, replace=False)
         z = z[idx]
     n = len(z)
+    a, b = _pair_rows(z, z, 1.0)
     dist = np.empty(n * (n - 1) // 2)
     pos = 0
-    for k, leaf in _pair_blocks(z, 1.0):
-        pairs = k[np.triu_indices(len(k), 1)] if leaf else k.ravel()
-        dist[pos:pos + pairs.size] = pairs
-        pos += pairs.size
+    for rows, cols, leaf in _pair_blocks(0, n):
+        r, c = rows.stop - rows.start, cols.stop - cols.start
+        if leaf:
+            k = a[rows] @ b[rows].T
+            size = r * (r - 1) // 2
+            dist[pos:pos + size] = k[np.triu_indices(r, 1)]
+        else:
+            size = r * c
+            np.matmul(a[rows], b[cols].T, out=dist[pos:pos + size].reshape(r, c))
+        pos += size
     # the blocks hold -|z_i - z_j|^2
     np.minimum(dist, 0.0, out=dist)
     np.negative(dist, out=dist)

@@ -1,3 +1,4 @@
+import gc
 import re
 
 import numpy as np
@@ -7,10 +8,14 @@ from scipy.spatial.distance import pdist
 
 from abcas.metrics import (
     CSV_HEADER,
+    EXP_SUM_BLOCK,
     PAIR_LEAF,
     MetricsRecord,
     _bytes_greater,
+    _exp_sum,
     _median_inplace,
+    _pair_blocks,
+    _pair_rows,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     within_set_mean,
@@ -283,6 +288,141 @@ class TestScipyOracle:
             assert np.float64(_median_inplace(v.copy())).tobytes() == want
         draws[0][size // 3] = np.nan
         assert np.isnan(np.median(draws[0])) and np.isnan(_median_inplace(draws[0]))
+
+
+def numpy_split(lo, hi):
+    """The flat ranges numpy's pairwise float64 sum splits [lo, hi) into,
+    down to ranges of at most EXP_SUM_BLOCK values."""
+    if hi - lo <= EXP_SUM_BLOCK:
+        return [(lo, hi)]
+    n2 = (hi - lo) // 2
+    n2 -= n2 % 8
+    return numpy_split(lo, lo + n2) + numpy_split(lo + n2, hi)
+
+
+def kernel_rows(n, m, d, seed):
+    """The centred pair rows of two training-like sets, exponents near -1."""
+    rng = np.random.default_rng([18, n, m, d, seed])
+    x = np.tanh(rng.standard_normal((n, d)))
+    y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
+    return _pair_rows(x, y, 1.0 / d)
+
+
+def within_by_full_blocks(x, bw):
+    """within_set_mean with every block of the halving split built whole."""
+    a, b = _pair_rows(x, x, 1.0 / (2.0 * bw * bw))
+    total = 0.0
+    for rows, cols, leaf in _pair_blocks(0, len(x)):
+        k = np.exp(a[rows] @ b[cols].T)
+        s = float(np.sum(k))
+        total += (s - float(np.trace(k))) / 2.0 if leaf else s
+    return 2.0 * total / (len(x) * (len(x) - 1))
+
+
+def mmd2_by_full_blocks(x, y, bw):
+    """mmd2_unbiased with the cross kernel built whole."""
+    if len(x) > len(y) or (len(x) == len(y) and _bytes_greater(x, y)):
+        x, y = y, x
+    a, b = _pair_rows(x, y, 1.0 / (2.0 * bw * bw))
+    cross = float(np.sum(np.exp(a @ b.T))) / (len(x) * len(y))
+    return within_by_full_blocks(x, bw) + within_by_full_blocks(y, bw) - 2.0 * cross
+
+
+def bandwidth_by_full_blocks(z):
+    """median_heuristic_bandwidth with every block built whole, then copied."""
+    a, b = _pair_rows(z, z, 1.0)
+    pairs = []
+    for rows, cols, leaf in _pair_blocks(0, len(z)):
+        k = a[rows] @ b[cols].T
+        pairs.append(k[np.triu_indices(len(k), 1)] if leaf else k.ravel())
+    return max(float(np.median(np.sqrt(-np.minimum(np.concatenate(pairs), 0.0)))), 1e-6)
+
+
+BLOCK_SHAPES = [
+    (100, 300), (128, 256), (129, 256), (256, 256), (1024, 1024),  # below, at, above a block
+    (181, 181), (183, 181), (999, 1001),  # flat sizes not a multiple of 8
+    (1, 300), (300, 1),
+]
+
+
+class TestExpSum:
+    # _exp_sum is np.sum(np.exp(a @ b.T)) bit for bit if numpy splits its
+    # pairwise sum as numpy_split does, and if the BLAS gives each entry of a
+    # row block as in the whole product. OpenBLAS does not always do the
+    # latter: at widths that are not a multiple of 8 it can round an edge
+    # column of a row block differently in the last bit. The sums below
+    # still agree; test_row_blocks_match_the_whole_product pins the entries
+    # at the shapes training uses
+
+    @pytest.mark.parametrize("d", [1, 2, 256])
+    @pytest.mark.parametrize("n,m", BLOCK_SHAPES)
+    def test_matches_np_sum_bitwise(self, n, m, d):
+        for seed in range(2):
+            a, b = kernel_rows(n, m, d, seed)
+            assert _exp_sum(a, b) == float(np.sum(np.exp(a @ b.T)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n,m", [(1, 33001), (33001, 1), (2, 40000), (9, 70000)])
+    def test_long_rows_above_a_block(self, n, m, d):
+        # from 2 rows on, a block within one row is widened to two rows, so
+        # that it stays a matrix product, as the whole product is
+        for seed in range(2):
+            a, b = kernel_rows(n, m, d, seed)
+            assert _exp_sum(a, b) == float(np.sum(np.exp(a @ b.T)))
+
+    @pytest.mark.parametrize("n,m", [(183, 181), (999, 1001), (7, 33001), (33001, 7)])
+    def test_split_matches_np_sum_at_any_width(self, n, m):
+        # one column a side: each product is one rounded multiply, alike on
+        # every BLAS path, so only the split decides the sum
+        rng = np.random.default_rng([19, n, m])
+        a = rng.uniform(-1.0, 1.0, (n, 1))
+        b = rng.uniform(-1.0, 1.0, (m, 1))
+        assert _exp_sum(a, b) == float(np.sum(np.exp(a @ b.T)))
+
+    @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 2),
+                                       (256, 256, 256)])
+    def test_row_blocks_match_the_whole_product(self, n, m, d):
+        # the cross kernels of ring2d, sweep-ring2d and blobs16, and the ring
+        # sets' pairs across two halves: each block's rows are the whole
+        # product's, entry for entry
+        a, b = kernel_rows(n, m, d, 0)
+        whole = a @ b.T
+        for lo, hi in numpy_split(0, n * m):
+            r0, r1 = lo // m, -(-hi // m)
+            assert r1 - r0 >= 2
+            assert np.array_equal(a[r0:r1] @ b.T, whole[r0:r1])
+
+    @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 256),
+                                       (700, 300, 3)])
+    def test_mmd_matches_full_blocks_bitwise(self, n, m, d):
+        for seed in range(2):
+            rng = np.random.default_rng([20, n, m, d, seed])
+            x = np.tanh(rng.standard_normal((n, d)))
+            y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
+            z = np.vstack([x, y])
+            bw = median_heuristic_bandwidth(z)
+            assert bw == bandwidth_by_full_blocks(z)
+            assert within_set_mean(x, bw) == within_by_full_blocks(x, bw)
+            assert within_set_mean(y, bw) == within_by_full_blocks(y, bw)
+            assert mmd2_unbiased(x, y, bw) == mmd2_by_full_blocks(x, y, bw)
+            assert mmd2_unbiased(y, x, bw) == mmd2_by_full_blocks(y, x, bw)
+
+    def test_calls_leave_no_reference_cycles(self):
+        # a nested function or generator that calls itself is a reference
+        # cycle, which holds the pair rows until the cyclic GC runs
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((300, 2))
+        y = rng.standard_normal((300, 2))
+        calls = [lambda: within_set_mean(x, 1.0), lambda: mmd2_unbiased(x, y, 1.0),
+                 lambda: median_heuristic_bandwidth(x)]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBandwidth:

@@ -53,8 +53,8 @@ def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
 
 
 def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
-             baseline: EvalBaseline | None) -> int:
-    """Train one configuration on ``data`` into out_dir. Returns the process exit code."""
+             baseline: EvalBaseline | None) -> str:
+    """Train one configuration on ``data`` into out_dir. Returns the status it wrote."""
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun replaces the earlier run's outputs; manifest.cfg is rewritten below
@@ -87,12 +87,12 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
                          hooks=TrainHooks(on_record=on_record, on_eval=on_eval),
                          baseline=baseline)
         except NumericAbort as exc:
-            last = exc.last_record
             print(f"abcas: {exc}", file=sys.stderr)
-            if last is not None:
-                print(f"abcas: last finite record: {last.to_csv_row()}", file=sys.stderr)
-            (out_dir / "status.txt").write_text(f"aborted step {exc.step}\n")
-            return NUMERIC_ABORT
+            if exc.last_record is not None:
+                print(f"abcas: last finite record: {exc.last_record.to_csv_row()}", file=sys.stderr)
+            status = f"aborted step {exc.step}"
+            (out_dir / "status.txt").write_text(status + "\n")
+            return status
 
     # run_training calls on_eval at step 0, so last_g_store is set here
     z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
@@ -100,14 +100,14 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
     samples, _ = forward(g_spec, last_g_store, z)
     write_tensor_file(out_dir / "samples.abt", samples)
     (out_dir / "status.txt").write_text("ok\n")
-    return OK
+    return "ok"
 
 
 def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> int:
     out_dir = Path(out) if out else Path("runs") / Path(config_path).stem
     try:
         settings = load_settings(config_path, overrides)
-        return _run_one(settings, out_dir, *_run_inputs(settings))
+        return OK if _run_one(settings, out_dir, *_run_inputs(settings)) == "ok" else NUMERIC_ABORT
     except (ConfigError, TensorFileError) as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -178,8 +178,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 settings = load_settings(config_path, overrides)
                 if isinstance(shared, Exception):
                     raise shared
-                _run_one(settings, sub_dir, *shared)
-                status = status_path.read_text().strip()
+                status = _run_one(settings, sub_dir, *shared)
             except (ConfigError, TensorFileError) as exc:
                 print(f"abcas sweep: {label}: config error: {exc}", file=sys.stderr)
                 status = "config error"

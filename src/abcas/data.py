@@ -9,12 +9,11 @@ the generator's Tanh output. The file format stores one float32 tensor:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import assert_finite
 
 __all__ = [
     "BadMagicError",
@@ -144,7 +143,8 @@ class ExtentOverflowError(TensorFileError):
 def write_tensor_file(path, arr: np.ndarray) -> None:
     """Write one tensor as float32. Non-finite payloads are rejected."""
     arr = np.ascontiguousarray(arr, dtype=np.float32)
-    assert_finite(arr, f"tensor payload for {path}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite values in tensor payload for {path}")
     if arr.size > MAX_ELEMENTS:
         raise ExtentOverflowError(f"{arr.size} elements exceed the 2^31 cap")
     header = MAGIC + struct.pack("<BB", DTYPE_F32, arr.ndim)
@@ -170,9 +170,7 @@ def read_tensor_file(path) -> np.ndarray:
     if len(blob) < 6 + 4 * ndim:
         raise TruncatedPayloadError(f"{path}: extents truncated")
     shape = struct.unpack_from(f"<{ndim}I", blob, 6)
-    count = 1
-    for ext in shape:
-        count *= int(ext)
+    count = math.prod(shape)
     if count > MAX_ELEMENTS:
         raise ExtentOverflowError(f"{path}: {count} elements exceed the 2^31 cap")
     payload = blob[6 + 4 * ndim:]

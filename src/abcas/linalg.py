@@ -19,19 +19,12 @@ import numpy as np
 
 __all__ = [
     "PowerIterState",
-    "assert_finite",
     "init_power_iter_state",
     "power_iteration_step",
     "power_iterate",
     "reshape_conv_weight",
     "spectral_norm_exact",
 ]
-
-
-def assert_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    """Explicit NaN/Inf check. Arrays are assumed finite by contract elsewhere."""
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite values in {what}")
 
 
 @dataclass

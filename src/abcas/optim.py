@@ -16,18 +16,19 @@ from .nn import ParamStore
 
 __all__ = ["Adam"]
 
+EPS = 1e-8  # added to the root of the second moment in the rectified step
+
 
 class Adam:
     """Adam on ``store.flat``: moments ``m``, ``v`` are flat vectors of the
     same shape, and each step updates the whole vector at once."""
 
     def __init__(self, store: ParamStore, lr: float, beta1: float = 0.0,
-                 beta2: float = 0.999, eps: float = 1e-8, rectify: bool = False):
+                 beta2: float = 0.999, rectify: bool = False):
         self.store = store
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.rectify = rectify
         self.t = 0
         self.m = np.zeros_like(store.flat)
@@ -60,4 +61,4 @@ class Adam:
         if rect is None:
             p -= self.lr * m_hat
         else:
-            p -= self.lr * rect * m_hat / (np.sqrt(v / bc2) + self.eps)
+            p -= self.lr * rect * m_hat / (np.sqrt(v / bc2) + EPS)

@@ -184,3 +184,55 @@ def mmd2_bruteforce(x, y, bw):
     syy = sum(k(y[i], y[j]) for i in range(m) for j in range(m) if i != j)
     sxy = sum(k(x[i], y[j]) for i in range(n) for j in range(m))
     return sxx / (n * (n - 1)) + syy / (m * (m - 1)) - 2.0 * sxy / (n * m)
+
+
+# each run_training abort site no other test reaches: the NumericAbort text
+# and the step at which break_training_at makes it fire (step 10 evaluates
+# in both the tiny CLI config and _tiny_setup(steps=12))
+ABORT_SITES = {
+    "real_critic": ("critic output", 3),
+    "d_loss": ("discriminator loss", 3),
+    "g_loss": ("generator loss", 4),
+    "eval_sample": ("generated evaluation sample", 10),
+}
+
+
+def break_training_at(monkeypatch, site):
+    """Make the training loop see one non-finite value at ``ABORT_SITES[site]``'s step.
+
+    ``train.refresh`` runs once at the start of every training step, so
+    counting its calls gives the step the other patched names are called in.
+    """
+    from abcas import train
+
+    step = ABORT_SITES[site][1]
+    now = {"step": 0, "calls": 0}
+    real_refresh = train.refresh
+
+    def refresh(*args):
+        now["step"] += 1
+        now["calls"] = 0
+        return real_refresh(*args)
+
+    def poison(name, bad, call=None):
+        # the named function's result at the step (and its call within the step)
+        real = getattr(train, name)
+
+        def patched(*args):
+            now["calls"] += 1
+            out = real(*args)
+            hit = now["step"] == step and call in (None, now["calls"])
+            return bad(out) if hit else out
+
+        monkeypatch.setattr(train, name, patched)
+
+    monkeypatch.setattr(train, "refresh", refresh)
+    if site == "real_critic":
+        # a D step scores the fake batch first, then the real one
+        poison("_critic_vector", lambda c: np.full_like(c, np.nan), call=2)
+    elif site == "d_loss":
+        poison("d_loss", lambda _: math.nan)
+    elif site == "g_loss":
+        poison("g_loss", lambda _: math.inf)
+    else:
+        poison("_eval_sample", lambda fake: np.full_like(fake, np.nan))

@@ -13,7 +13,7 @@ from abcas.metrics import CSV_HEADER, MetricsRecord
 from abcas.nn import ParamStore, forward
 from abcas.train import NumericAbort
 
-from helpers import UNUSABLE_DATASETS, raw_abt1
+from helpers import ABORT_SITES, UNUSABLE_DATASETS, break_training_at, raw_abt1
 
 
 UNUSABLE_DATA = pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
@@ -66,6 +66,14 @@ def _disk_full_at_step_20(monkeypatch):
         real(path, arr)
 
     monkeypatch.setattr(cli, "write_tensor_file", write)
+
+
+def _run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this abcas."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def _csv_lines_without_wall(path):
@@ -291,15 +299,71 @@ class TestTrainCommand:
         assert "non-finite generated evaluation sample at step 0" in err
         assert "Traceback" not in err
 
+    def test_unknown_arch_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "\narch = resnet\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "abcas: config error: arch must be mlp or conv, got 'resnet'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape,message", [
+        ((4, 1, 8, 6), "arch = conv needs square (C, S, S) samples, got (1, 8, 6)"),
+        ((4, 1, 12, 12), "img_size must be 4 * 2^k with k >= 1, got 12"),
+    ], ids=["non-square", "12x12"])
+    def test_conv_on_unusable_file_images_is_a_config_error(self, tmp_path, capsys,
+                                                            shape, message):
+        blob = tmp_path / "data.abt"
+        write_tensor_file(blob, np.zeros(shape, np.float32))
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(TINY_CONV_CFG.replace("dataset = blobs",
+                                             f"dataset = file\ndata_path = {blob}"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"abcas: config error: {message}\n"
+        assert not out.exists()
+
+    def test_seed_flag_matches_seed_in_the_config(self, tiny_config, tmp_path):
+        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(flag),
+                         "--seed", "3"]) == 0
+        cfg = tmp_path / "seed3.cfg"
+        cfg.write_text(TINY_CFG.replace("seed = 2", "seed = 3"))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(keyed)]) == 0
+        assert "seed = 3" in (flag / "manifest.cfg").read_text().splitlines()
+        assert load_settings(flag / "manifest.cfg").train.seed == 3
+        assert _csv_lines_without_wall(flag / "metrics.csv") == \
+            _csv_lines_without_wall(keyed / "metrics.csv")
+
+    @pytest.mark.parametrize("site", list(ABORT_SITES))
+    def test_abort_site_exits_two_and_names_the_last_row(self, tiny_config, tmp_path,
+                                                         monkeypatch, capsys, site):
+        what, step = ABORT_SITES[site]
+        break_training_at(monkeypatch, site)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert (out / "status.txt").read_text() == f"aborted step {step}\n"
+        last_row = (out / "metrics.csv").read_text().splitlines()[-1]
+        assert last_row.startswith(f"{step - 1},")
+        assert capsys.readouterr().err == (f"abcas: non-finite {what} at step {step}\n"
+                                           f"abcas: last finite record: {last_row}\n")
+
     def test_import_loads_no_scipy(self):
         # scipy is a test dependency only; the run path must not import it
         code = ("import abcas.cli, sys; "
                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _run_python(code) == "[]"
+
+    def test_short_train_loads_no_scipy_or_numpy_ma(self, tiny_config, tmp_path):
+        # np.median would import numpy.ma on its first call: about 18 ms and
+        # 0.8 MB of peak RSS that metrics._median_inplace avoids
+        code = ("import sys; from abcas import cli; "
+                f"code = cli.main(['train', '--config', {str(tiny_config)!r}, "
+                f"'--out', {str(tmp_path / 'run')!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+        assert _run_python(code) == "0 []"
 
 
 class TestSweepCommand:

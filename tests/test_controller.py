@@ -1,9 +1,14 @@
+import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from abcas import cli
 from abcas.controller import AbcasState, target_multiplier
+
+RING2D_CFG = Path(__file__).resolve().parents[1] / "configs" / "ring2d.cfg"
 
 
 def _odd_state(**kw):
@@ -149,3 +154,36 @@ class TestReplay:
             assert dm == dm_logged
             assert r == r_logged
             assert 0.9 ** r == m_logged
+
+
+def _ring2d_rows(tmp_path, extra_cfg, *flags):
+    """metrics.csv rows of a short ring2d ``abcas train``, as floats by column."""
+    cfg = tmp_path / "ring2d.cfg"
+    cfg.write_text(RING2D_CFG.read_text() + extra_cfg)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+class TestReplayFromRun:
+    def test_adaptive_run_replays_bitwise_from_its_dist_column(self, tmp_path):
+        # an active controller: beta within reach of the ring2d critic gap
+        alpha, beta = 0.999, 0.15
+        rows = _ring2d_rows(tmp_path, f"steps = 600\nbeta = {beta}\nalpha = {alpha}\n")
+        assert [row["step"] for row in rows] == list(range(601))
+        assert (rows[0]["dm"], rows[0]["r"], rows[0]["m"]) == (0.0, 0.0, 1.0)
+        dm = r = 0.0
+        m = 1.0
+        for row in rows[1:]:
+            if row["step"] % 2 == 1:  # a D step: the controller sees this dist
+                dm = alpha * dm + (1.0 - alpha) * row["dist"]
+                r, m = target_multiplier(dm, beta)
+            # a G step carries the last D step's values
+            assert (row["dm"], row["r"], row["m"]) == (dm, r, m), row["step"]
+        assert min(row["m"] for row in rows) < 0.95  # the bound did move
+
+    def test_fixed_run_keeps_m(self, tmp_path):
+        rows = _ring2d_rows(tmp_path, "steps = 200\n", "--mode", "fixed", "--m", "0.7")
+        assert len(rows) == 201
+        assert all((row["dm"], row["r"], row["m"]) == (0.0, 0.0, 0.7) for row in rows)

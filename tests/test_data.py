@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from abcas.data import (
@@ -159,5 +162,48 @@ class TestTensorFile:
             read_tensor_file(p)
 
     def test_non_finite_payload_rejected_at_write(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_tensor_file(tmp_path / "t.abt", np.array([1.0, np.nan], np.float32))
+        p = tmp_path / "t.abt"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^non-finite values in tensor payload for "
+                                                 f"{re.escape(str(p))}$"):
+                write_tensor_file(p, np.array([1.0, bad], np.float32))
+        assert not p.exists()
+
+
+def _property(max_examples):
+    # deterministic, and no example database left behind in the working directory
+    return settings(max_examples=max_examples, deadline=None, database=None, derandomize=True)
+
+
+FLOAT32_TENSORS = hnp.arrays(
+    np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    elements=st.floats(-1e6, 1e6, width=32))
+
+
+class TestTensorFileProperties:
+    @_property(25)
+    @given(arr=FLOAT32_TENSORS)
+    def test_every_strict_prefix_is_a_tensor_file_error(self, tmp_path_factory, arr):
+        # this reaches the truncated-magic, -header, -extents and -payload branches
+        d = tmp_path_factory.mktemp("prefix")
+        write_tensor_file(d / "whole.abt", arr)
+        blob = (d / "whole.abt").read_bytes()
+        for k in range(len(blob)):
+            (d / "cut.abt").write_bytes(blob[:k])
+            with pytest.raises(TensorFileError):
+                read_tensor_file(d / "cut.abt")
+
+    @_property(300)
+    @given(arr=FLOAT32_TENSORS, data=st.data())
+    def test_a_changed_byte_is_refused_or_read_as_float32(self, tmp_path_factory, arr, data):
+        d = tmp_path_factory.mktemp("byte")
+        write_tensor_file(d / "t.abt", arr)
+        blob = bytearray((d / "t.abt").read_bytes())
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        blob[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[pos]), label="value")
+        (d / "t.abt").write_bytes(bytes(blob))
+        try:
+            out = read_tensor_file(d / "t.abt")
+        except TensorFileError:
+            return
+        assert out.dtype == np.float32

@@ -3,7 +3,6 @@ import pytest
 
 from abcas.linalg import (
     PowerIterState,
-    assert_finite,
     init_power_iter_state,
     power_iterate,
     power_iteration_step,
@@ -142,11 +141,3 @@ class TestReshapeConvWeight:
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
             reshape_conv_weight(np.zeros((2, 3, 4)))
-
-
-def test_assert_finite():
-    assert_finite(np.ones(3))
-    with pytest.raises(ValueError):
-        assert_finite(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        assert_finite(np.array([np.inf]))

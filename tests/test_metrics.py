@@ -241,6 +241,15 @@ class TestMMD:
         with pytest.raises(ValueError, match="^x must hold only finite values"):
             within_set_mean(sets[arg], 1.0)
 
+    @pytest.mark.parametrize("arg", ["x", "y"])
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1-D", "3-D"])
+    def test_points_must_be_a_matrix(self, arg, shape):
+        # a 1-D array is refused, not read as one feature per sample
+        sets = {"x": np.zeros((4, 2)), "y": np.ones((5, 2))}
+        sets[arg] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"^{arg} must be a \\(samples, features\\) array"):
+            mmd2_unbiased(sets["x"], sets["y"], 1.0)
+
 
 def _oracle_points(n, d, offset, seed):
     # training-like values: tanh keeps them in (-1, 1) like ring and image data
@@ -441,11 +450,17 @@ class TestBandwidth:
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((3000, 2))
-        a = median_heuristic_bandwidth(z, limit=512, seed=1)
-        b = median_heuristic_bandwidth(z, limit=512, seed=1)
-        c = median_heuristic_bandwidth(z, limit=512, seed=2)
+        # more than MEDIAN_EXACT_LIMIT points, so a seeded subsample is used
+        a = median_heuristic_bandwidth(z, seed=1)
+        b = median_heuristic_bandwidth(z, seed=1)
+        c = median_heuristic_bandwidth(z, seed=2)
         assert a == b
         assert a != c  # different subsample, almost surely different median
+
+    def test_seed_is_keyword_only(self):
+        # an old positional subsample limit must not become a seed
+        with pytest.raises(TypeError):
+            median_heuristic_bandwidth(np.zeros((4, 2)), 512)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -458,11 +473,10 @@ class TestBandwidth:
         with pytest.raises(ValueError, match="^z must hold only finite values"):
             median_heuristic_bandwidth(z)
 
-    @pytest.mark.parametrize("limit", [1, 0])
-    def test_limit_below_two_rejected(self, limit):
-        z = np.random.default_rng(5).standard_normal((10, 2))
-        with pytest.raises(ValueError, match=f"limit must be at least 2 samples, got {limit}"):
-            median_heuristic_bandwidth(z, limit=limit)
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1-D", "3-D"])
+    def test_points_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"^z must be a \(samples, features\) array"):
+            median_heuristic_bandwidth(np.zeros(shape))
 
 
 class TestMetricsRecord:

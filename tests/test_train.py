@@ -21,7 +21,7 @@ from abcas.train import (
     softplus,
 )
 
-from helpers import central_diff_grad, rel_err
+from helpers import ABORT_SITES, break_training_at, central_diff_grad, rel_err
 
 
 class TestLosses:
@@ -169,7 +169,7 @@ class TestAdam:
         spec = NetworkSpec((3,), [dense(3, 2)])
         store = ParamStore(spec, seed=1, dtype=np.float64)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = Adam(store, lr=lr, beta1=b1, beta2=b2, eps=eps, rectify=True)
+        opt = Adam(store, lr=lr, beta1=b1, beta2=b2, rectify=True)
         rng = np.random.default_rng(4)
         theta, m, v = store.flat.copy(), np.zeros_like(store.flat), np.zeros_like(store.flat)
         rho_inf = 2.0 / (1.0 - b2) - 1.0
@@ -359,6 +359,19 @@ class TestTrainingLoop:
             run_training(cfg, data, g, d)
         assert exc.value.step == 0
         assert exc.value.last_record is None
+
+    @pytest.mark.parametrize("site", list(ABORT_SITES))
+    def test_each_abort_site_carries_step_and_last_record(self, monkeypatch, site):
+        what, step = ABORT_SITES[site]
+        break_training_at(monkeypatch, site)
+        cfg, data, g, d = _tiny_setup(steps=12)
+        rows = []
+        with pytest.raises(NumericAbort) as exc:
+            run_training(cfg, data, g, d, hooks=train.TrainHooks(on_record=rows.append))
+        assert str(exc.value) == f"non-finite {what} at step {step}"
+        assert exc.value.step == step
+        assert exc.value.last_record is rows[-1]
+        assert exc.value.last_record.step == step - 1
 
     def test_given_baseline_gives_the_same_records(self):
         cfg, data, g, d = _tiny_setup(steps=12, mode="fixed", m=0.8)

@@ -128,6 +128,9 @@ def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
             return None
         i_step, i_mmd = header.index("step"), header.index("mmd2")
         for row in reader:
+            # a write cut short mid-row (an I/O error) leaves a partial last row
+            if len(row) != len(header):
+                continue
             value = float(row[i_mmd])
             if best is None or value < best[0]:
                 best = (value, int(row[i_step]))

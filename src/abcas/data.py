@@ -167,18 +167,18 @@ def read_tensor_file(path) -> np.ndarray:
     dtype_code, ndim = struct.unpack_from("<BB", blob, 4)
     if dtype_code != DTYPE_F32:
         raise UnknownDtypeError(f"{path}: unknown dtype code {dtype_code}")
-    if len(blob) < 6 + 4 * ndim:
+    offset = 6 + 4 * ndim
+    if len(blob) < offset:
         raise TruncatedPayloadError(f"{path}: extents truncated")
     shape = struct.unpack_from(f"<{ndim}I", blob, 6)
     count = math.prod(shape)
     if count > MAX_ELEMENTS:
         raise ExtentOverflowError(f"{path}: {count} elements exceed the 2^31 cap")
-    payload = blob[6 + 4 * ndim:]
-    if len(payload) < 4 * count:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, expected {4 * count}"
-        )
-    if len(payload) > 4 * count:
-        raise TensorFileError(f"{path}: {len(payload) - 4 * count} trailing bytes")
-    arr = np.frombuffer(payload, dtype="<f4", count=count).reshape(shape)
+    size = len(blob) - offset
+    if size < 4 * count:
+        raise TruncatedPayloadError(f"{path}: payload has {size} bytes, expected {4 * count}")
+    if size > 4 * count:
+        raise TensorFileError(f"{path}: {size - 4 * count} trailing bytes")
+    # a view of the blob, so the read holds the payload twice: the blob and the copy
+    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
     return arr.astype(np.float32, copy=True)

@@ -3,14 +3,21 @@
 These deliberately avoid the library's own code paths: finite
 differences for gradients, naive 6-loop convolutions for conv layers,
 a padded window-view im2col, a per-tap strided-add col2im, and a
-double-loop MMD estimator.
+double-loop MMD estimator. Also a runner for code that needs a fresh
+interpreter.
 """
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+import abcas
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -236,3 +243,12 @@ def break_training_at(monkeypatch, site):
         poison("g_loss", lambda _: math.inf)
     else:
         poison("_eval_sample", lambda fake: np.full_like(fake, np.nan))
+
+
+def run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this abcas."""
+    src = Path(abcas.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +10,7 @@ from abcas.metrics import CSV_HEADER, MetricsRecord
 from abcas.nn import ParamStore, forward
 from abcas.train import NumericAbort
 
-from helpers import ABORT_SITES, UNUSABLE_DATASETS, break_training_at, raw_abt1
+from helpers import ABORT_SITES, UNUSABLE_DATASETS, break_training_at, raw_abt1, run_python
 
 
 UNUSABLE_DATA = pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
@@ -66,14 +63,6 @@ def _disk_full_at_step_20(monkeypatch):
         real(path, arr)
 
     monkeypatch.setattr(cli, "write_tensor_file", write)
-
-
-def _run_python(code):
-    """Standard output of ``code`` run by a fresh interpreter that imports this abcas."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.strip()
 
 
 def _csv_lines_without_wall(path):
@@ -162,6 +151,15 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("abcas: config error: beta2 must be in [0, 1)")
+        assert not out.exists()
+
+    def test_non_boolean_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "\nrectify = maybe\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("abcas: config error: bad value for 'rectify': "
+                                           "not a boolean: 'maybe'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "-3"])
@@ -353,7 +351,7 @@ class TestTrainCommand:
         # scipy is a test dependency only; the run path must not import it
         code = ("import abcas.cli, sys; "
                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-        assert _run_python(code) == "[]"
+        assert run_python(code) == "[]"
 
     def test_short_train_loads_no_scipy_or_numpy_ma(self, tiny_config, tmp_path):
         # np.median would import numpy.ma on its first call: about 18 ms and
@@ -363,7 +361,7 @@ class TestTrainCommand:
                 f"'--out', {str(tmp_path / 'run')!r}]); "
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
                 "or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
-        assert _run_python(code) == "0 []"
+        assert run_python(code) == "0 []"
 
 
 class TestSweepCommand:
@@ -486,6 +484,28 @@ class TestSweepCommand:
         best = min((float(r.split(",")[8]), int(r.split(",")[0])) for r in rows)
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
         assert line.split(",")[4:] == ["io_error", f"{best[0]:.17g}", str(best[1])]
+
+    def test_resume_over_a_partial_last_row_takes_the_complete_rows(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # a write cut short before the last row's mmd2 field
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        with monkeypatch.context() as patch:
+            _disk_full_at_step_20(patch)
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        metrics = out / "fixed_m0.7" / "metrics.csv"
+        *complete, last = metrics.read_text().strip().splitlines()
+        metrics.write_text("\n".join(complete + [last.rsplit(",", 2)[0]]))
+        best = min((float(r.split(",")[8]), int(r.split(",")[0])) for r in complete[1:])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        line = (out / "summary.csv").read_text().strip().splitlines()[1]
+        assert line.split(",")[4:] == ["io_error", f"{best[0]:.17g}", str(best[1])]
+        metrics.write_text("")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        line = (out / "summary.csv").read_text().strip().splitlines()[1]
+        assert line.split(",")[4:] == ["io_error", "", ""]
 
     def test_empty_sweep_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -38,6 +38,10 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             resolve_settings({"steps": "many"})
+
+    def test_unknown_override_key(self):
+        with pytest.raises(ConfigError, match="^unknown override key 'nope'$"):
+            resolve_settings({}, {"nope": "1"})
         with pytest.raises(ConfigError, match="^mode must be adaptive or fixed, got 'sometimes'$"):
             resolve_settings({"mode": "sometimes"})
 

@@ -1,5 +1,6 @@
 import re
 import struct
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from abcas.data import (
     write_tensor_file,
 )
 
-from helpers import UNUSABLE_DATASETS, raw_abt1
+from helpers import UNUSABLE_DATASETS, raw_abt1, run_python
 
 
 class TestRing2d:
@@ -160,6 +161,28 @@ class TestTensorFile:
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(TensorFileError):
             read_tensor_file(p)
+
+    def test_read_holds_the_payload_at_most_twice(self, tmp_path):
+        # the file's bytes and the returned array; a slice copy of the
+        # payload between them would make it three times. The peak is the fresh
+        # interpreter's VmHWM: its ru_maxrss starts at this process's peak,
+        # which a child inherits across fork and exec
+        p = tmp_path / "big.abt"
+        count = 10_000_000
+        write_tensor_file(p, np.ones(count, np.float32))
+        growth = run_python(textwrap.dedent(f"""
+            import re
+            from abcas.data import read_tensor_file
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+            before = peak_kb()
+            read_tensor_file({str(p)!r})
+            print(peak_kb() - before)
+        """))
+        assert 1024 * int(growth) < 2.5 * 4 * count
 
     def test_non_finite_payload_rejected_at_write(self, tmp_path):
         p = tmp_path / "t.abt"

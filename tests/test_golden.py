@@ -10,7 +10,8 @@ Re-record ``tests/golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py
 
-only in a change that means to change numbers.
+only in a change that means to change numbers. It first prints every
+entry whose digest changed, with each ``metrics.csv``'s differing columns.
 """
 
 import csv
@@ -80,25 +81,28 @@ def record_run(name: str, work: Path) -> dict:
     return entries
 
 
-def first_difference(expected: dict, actual: dict) -> str | None:
-    """Where ``actual`` first departs from ``expected``, in recorded file order."""
-    for rel, want in expected.items():
-        got = actual.get(rel)
-        if got is None:
-            return f"{rel}: missing"
-        if got == want:
-            continue
-        if not isinstance(want, dict):
-            return f"{rel}: sha256 differs"
-        # row digests give the first differing row, column digests every
-        # differing column; single cells are not recorded
-        row = next((k // 8 for k in range(0, max(len(want["rows"]), len(got["rows"])), 8)
-                    if want["rows"][k:k + 8] != got["rows"][k:k + 8]), "none")
-        cols = [c for c in want["columns"] if want["columns"][c] != got["columns"].get(c)]
-        return (f"{rel}: first differing row {row} after the header; "
-                f"differing columns {', '.join(cols) or 'none'}")
-    extra = sorted(set(actual) - set(expected))
-    return f"{extra[0]}: not in the recording" if extra else None
+def entry_difference(want, got) -> str | None:
+    """How a digest entry ``got`` departs from the recorded ``want``, or None."""
+    if got is None:
+        return "missing"
+    if got == want:
+        return None
+    if not isinstance(want, dict):
+        return "sha256 differs"
+    # row digests give the first differing row, column digests every
+    # differing column; single cells are not recorded
+    row = next((k // 8 for k in range(0, max(len(want["rows"]), len(got["rows"])), 8)
+                if want["rows"][k:k + 8] != got["rows"][k:k + 8]), "none")
+    cols = [c for c in want["columns"] if want["columns"][c] != got["columns"].get(c)]
+    return (f"first differing row {row} after the header; "
+            f"differing columns {', '.join(cols) or 'none'}")
+
+
+def differences(expected: dict, actual: dict) -> list[str]:
+    """Every entry where ``actual`` departs from ``expected``, in recorded file order."""
+    found = [f"{rel}: {diff}" for rel, want in expected.items()
+             if (diff := entry_difference(want, actual.get(rel))) is not None]
+    return found + [f"{rel}: not in the recording" for rel in sorted(set(actual) - set(expected))]
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +117,8 @@ def golden():
 
 @pytest.mark.parametrize("name", RUNS)
 def test_golden_outputs(golden, name, tmp_path):
-    diff = first_difference(golden["runs"][name], record_run(name, tmp_path))
-    assert diff is None, f"{name}: {diff}; environment {golden['environment']}"
+    diffs = differences(golden["runs"][name], record_run(name, tmp_path))
+    assert not diffs, f"{name}: {'; '.join(diffs)}; environment {golden['environment']}"
 
 
 def test_mismatch_report_names_first_row_and_column(tmp_path):
@@ -122,17 +126,34 @@ def test_mismatch_report_names_first_row_and_column(tmp_path):
     path.write_text("step,d_loss,mmd2,wall_ms\n0,1,0.5,7\n1,1,0.25,8\n2,2,0.125,9\n")
     want = {"metrics.csv": metrics_entry(path)}
     path.write_text("step,d_loss,mmd2,wall_ms\n0,1,0.5,1\n1,1,0.25,2\n2,2,0.125,3\n")
-    assert first_difference(want, {"metrics.csv": metrics_entry(path)}) is None
+    assert differences(want, {"metrics.csv": metrics_entry(path)}) == []
     path.write_text("step,d_loss,mmd2,wall_ms\n0,1,0.5,7\n1,1,0.3,8\n2,3,0.125,9\n")
-    assert (first_difference(want, {"metrics.csv": metrics_entry(path)})
-            == "metrics.csv: first differing row 1 after the header; "
-               "differing columns d_loss, mmd2")
-    assert first_difference(want, {}) == "metrics.csv: missing"
-    assert first_difference({}, want) == "metrics.csv: not in the recording"
+    assert differences(want, {"metrics.csv": metrics_entry(path)}) == [
+        "metrics.csv: first differing row 1 after the header; differing columns d_loss, mmd2"]
+    assert differences(want, {}) == ["metrics.csv: missing"]
+    assert differences({}, want) == ["metrics.csv: not in the recording"]
+
+
+def test_differences_lists_every_changed_entry(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("step,mmd2,wall_ms\n0,0.5,7\n1,0.25,8\n")
+    want = {"metrics.csv": metrics_entry(path), "g.abt": "11", "status.txt": "22"}
+    path.write_text("step,mmd2,wall_ms\n0,0.5,7\n1,0.3,8\n")
+    got = {"metrics.csv": metrics_entry(path), "g.abt": "11", "status.txt": "44",
+           "samples.abt": "55"}
+    assert differences(want, got) == [
+        "metrics.csv: first differing row 1 after the header; differing columns mmd2",
+        "status.txt: sha256 differs",
+        "samples.abt: not in the recording"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: record_run(name, Path(tmp)) for name in RUNS}
+    # what the re-recording changes, so that its log can name it
+    old = json.loads(GOLDEN.read_text())["runs"] if GOLDEN.exists() else {}
+    changed = [f"{name}/{line}" for name in runs
+               for line in differences(old.get(name, {}), runs[name])]
+    print("\n".join(changed) or "no digest changed")
     GOLDEN.write_text(json.dumps({"environment": environment(), "runs": runs}, indent=1) + "\n")
     print(f"recorded {sum(map(len, runs.values()))} digests in {GOLDEN}", file=sys.stderr)

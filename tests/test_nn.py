@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestForwardBasics:
         spec = NetworkSpec((3,), [dense(3, 4)])
         with pytest.raises(ShapeError):
             forward(spec, _store64(spec), np.zeros((2, 5)))
+
+    def test_grad_shape_checked(self):
+        spec = NetworkSpec((3,), [dense(3, 4)])
+        _, tape = forward(spec, _store64(spec), np.ones((2, 3)))
+        with pytest.raises(ShapeError, match=re.escape("grad shape (2, 5) does not match "
+                                                       "output (2, 4)")):
+            backward(tape, np.ones((2, 5)))
+
+    def test_weight_override_width_checked(self):
+        spec = NetworkSpec((3,), [dense(3, 4)])
+        with pytest.raises(ShapeError, match=re.escape("layer 0 (dense): got input shape (3,)")):
+            forward(spec, _store64(spec), np.ones((2, 3)), weights={0: np.ones((4, 5))})
 
     def test_tape_reuse_raises(self):
         spec = NetworkSpec((3,), [dense(3, 2)])
@@ -368,6 +381,9 @@ class TestPartialBackward:
         "conv-g": lambda: nn.conv_generator(4, [8, 4], 1, 16),
         "conv-g-blobs16": lambda: nn.conv_generator(16, [32, 16], 1, 16),
         "conv-d": lambda: nn.conv_discriminator(1, [4, 8], 16),
+        # the lowest layer with parameters is a layernorm, where backward stops
+        "layernorm-first": lambda: NetworkSpec((6,), [layernorm(), dense(6, 4), tanh(),
+                                                     dense(4, 2)]),
     }
 
     @staticmethod

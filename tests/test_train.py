@@ -274,6 +274,14 @@ class TestTrainingLoop:
             assert seen[step - 1].any()
             assert seen[step].tobytes() == seen[step - 1].tobytes()
 
+    def test_empty_dataset_rejected(self):
+        cfg, data, g, d = _tiny_setup()
+        empty = data[:0]
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            run_training(cfg, empty, g, d)
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            eval_baseline(cfg, empty, g)
+
     def test_fixed_mode_logs_constant_m(self):
         cfg, data, g, d = _tiny_setup(steps=8, mode="fixed", m=0.7)
         recs = run_training(cfg, data, g, d)

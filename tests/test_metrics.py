@@ -367,6 +367,19 @@ class TestExpSum:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * EXP_SUM_BLOCK
 
+    @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 2),
+                                       (256, 256, 256)])
+    def test_row_blocks_match_the_whole_product(self, n, m, d):
+        # the cross kernels of ring2d, sweep-ring2d and blobs16, and the ring
+        # sets' pairs across two halves: each of _exp_sum's row blocks is a
+        # matrix product whose rows are the whole product's, entry for entry
+        a, b = kernel_rows(n, m, d, 0)
+        whole = a @ b.T
+        rows = max(1, EXP_SUM_BLOCK // m)
+        assert rows >= 2
+        for r in range(0, n, rows):
+            assert np.array_equal(a[r:r + rows] @ b.T, whole[r:r + rows])
+
     @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 256),
                                        (700, 300, 3)])
     def test_mmd_matches_full_blocks_bitwise(self, n, m, d):

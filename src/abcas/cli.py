@@ -16,6 +16,7 @@ import csv
 import shutil
 import sys
 from pathlib import Path
+from time import monotonic
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, run_t
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
 OK, CONFIG_ERROR, NUMERIC_ABORT, IO_ERROR = 0, 1, 2, 3
+# the longest a metrics.csv row waits for a checkpoint before it is written
+ROW_WRITE_SECONDS = 1.0
 
 
 def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
@@ -67,32 +70,56 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
         manifest_text(settings, f"abcas-{__version__}", out_dir.name))
 
     last_g_store = None
+    aborted = None
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
+        # rows are formatted and written in batches, outside every step's wall:
+        # with the row of the last checkpoint's step, once ROW_WRITE_SECONDS
+        # have passed since the last write, and on every way out
+        pending = []
+        checkpoint_step = 0  # row 0 is recorded before step 0's checkpoint
+        written_at = monotonic()
+
+        def write_pending():
+            nonlocal written_at
+            try:
+                fh.writelines(rec.to_csv_row() + "\n" for rec in pending)
+            finally:
+                pending.clear()
+            fh.flush()
+            written_at = monotonic()
 
         def on_record(rec):
-            fh.write(rec.to_csv_row() + "\n")
-            fh.flush()
+            pending.append(rec)
+            if rec.step == checkpoint_step or monotonic() - written_at >= ROW_WRITE_SECONDS:
+                write_pending()
 
         def on_eval(step, g_store, d_store):
-            nonlocal last_g_store
+            nonlocal last_g_store, checkpoint_step
             ckpt = ckpt_root / f"step_{step:06d}"
             ckpt.mkdir(parents=True, exist_ok=True)
             write_tensor_file(ckpt / "g.abt", g_store.flat)
             write_tensor_file(ckpt / "d.abt", d_store.flat)
             last_g_store = g_store
+            checkpoint_step = step
 
         try:
             run_training(settings.train, data, g_spec, d_spec,
                          hooks=TrainHooks(on_record=on_record, on_eval=on_eval),
                          baseline=baseline)
         except NumericAbort as exc:
-            print(f"abcas: {exc}", file=sys.stderr)
-            if exc.last_record is not None:
-                print(f"abcas: last finite record: {exc.last_record.to_csv_row()}", file=sys.stderr)
-            status = f"aborted step {exc.step}"
-            (out_dir / "status.txt").write_text(status + "\n")
-            return status
+            aborted = exc
+        finally:
+            write_pending()
+
+    if aborted is not None:
+        print(f"abcas: {aborted}", file=sys.stderr)
+        if aborted.last_record is not None:
+            print(f"abcas: last finite record: {aborted.last_record.to_csv_row()}",
+                  file=sys.stderr)
+        status = f"aborted step {aborted.step}"
+        (out_dir / "status.txt").write_text(status + "\n")
+        return status
 
     # run_training calls on_eval at step 0, so last_g_store is set here
     z = sample_latent(np.random.default_rng([settings.train.seed, 7]),

@@ -112,17 +112,9 @@ def _pair_blocks(lo: int, hi: int):
     yield from _pair_blocks(mid, hi)
 
 
-def _median_inplace(v: np.ndarray) -> float:
-    # np.median(v) bit for bit, partitioning v in place instead of a copy:
-    # the middle value, or the mean of the two middle values; nan if any is.
-    # np.median(v, overwrite_input=True) matches it but imports numpy.ma on first
-    # call: ~18 ms, and ring2d peak RSS 53.86 MB, not 53.04 (6 abcas train runs each)
-    h = v.size // 2
-    kth = [h, -1] if v.size % 2 else [h - 1, h, -1]
-    v.partition(kth)
-    if np.isnan(v[-1]):
-        return math.nan
-    return float(v[h]) if v.size % 2 else float((v[h - 1] + v[h]) / 2.0)
+def _distance(neg_sq: float) -> float:
+    # a distance from its -|z_i - z_j|^2, which rounding can leave positive
+    return math.sqrt(-min(neg_sq, 0.0))
 
 
 def _bytes_greater(x: np.ndarray, y: np.ndarray) -> bool:
@@ -211,8 +203,11 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
     with the provided seed. All-identical samples hit the 1e-6 floor. The
     squared distances come from the same blocks as :func:`within_set_mean`
     (with gamma = 1), each written straight into its slot of one n(n-1)/2
-    buffer. The buffer is clipped at 0 and square-rooted in place, and its
-    median is taken in place.
+    buffer of ``-|z_i - z_j|^2``. One in-place selection on that buffer finds
+    the middle value (and the largest value below it, for an even count);
+    only those are clipped at 0 and square-rooted, which gives the same
+    float as the median of all the distances. Any nan distance makes the
+    result nan.
     """
     z = _as_points(z, "z")
     if len(z) < 2:
@@ -233,10 +228,17 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
             size = r * c
             np.matmul(a[rows], b[cols].T, out=dist[pos:pos + size].reshape(r, c))
         pos += size
-    # the blocks hold -|z_i - z_j|^2
-    np.minimum(dist, 0.0, out=dist)
-    np.negative(dist, out=dist)
-    med = _median_inplace(np.sqrt(dist, out=dist))
+    # the blocks hold -|z_i - z_j|^2; max propagates nan
+    if math.isnan(dist.max()):
+        return math.nan
+    # x -> sqrt(-min(x, 0)) is non-increasing, so the middle distances are
+    # those of the middle raw values: dist[h] after one selection, and for
+    # an even count also the largest value below it
+    h = dist.size // 2
+    dist.partition(h)
+    med = _distance(dist[h])
+    if dist.size % 2 == 0:
+        med = (med + _distance(dist[:h].max())) / 2.0
     return max(med, BANDWIDTH_FLOOR)
 
 

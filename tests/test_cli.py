@@ -232,6 +232,78 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "abcas: I/O error: [Errno 28] No space left on device\n"
         assert not (out / "status.txt").exists()
 
+    def test_checkpoint_finds_the_rows_up_to_the_last_one_on_disk(self, tiny_config, tmp_path,
+                                                                   monkeypatch):
+        # with the clock stopped, rows are written with each checkpoint's row,
+        # so the checkpoint of step k + eval_every finds rows 0..k complete
+        monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
+        out = tmp_path / "run"
+        seen = {}
+        real = cli.write_tensor_file
+
+        def write(path, arr):
+            if Path(path).name == "g.abt":
+                seen[int(Path(path).parent.name[len("step_"):])] = \
+                    (out / "metrics.csv").read_text()
+            real(path, arr)
+
+        monkeypatch.setattr(cli, "write_tensor_file", write)
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+        assert sorted(seen) == [0, 10, 20, 30, 40]
+        for step, text in seen.items():
+            assert text == "".join(lines[:2 + max(step - 10, 0)])
+
+    def test_rows_reach_disk_a_second_after_the_last_write(self, tmp_path, monkeypatch):
+        # no checkpoint between steps 0 and 40, and the clock reads step / 8 s
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(TINY_CFG + "\neval_every = 1000\n")
+        out = tmp_path / "run"
+        now = [0.0]
+        monkeypatch.setattr(cli, "monotonic", lambda: now[0])
+        on_disk = {}
+        real = cli.TrainHooks
+
+        def hooks(on_record, on_eval):
+            def record(rec):
+                now[0] = rec.step / 8
+                on_record(rec)
+                on_disk[rec.step] = len((out / "metrics.csv").read_text().splitlines()) - 1
+            return real(on_record=record, on_eval=on_eval)
+
+        monkeypatch.setattr(cli, "TrainHooks", hooks)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        written = [step for step in range(41) if step % 8 == 0 or step == 40]
+        assert on_disk == {step: 1 + max(w for w in written if w <= step) for step in range(41)}
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       RuntimeError("killed")], ids=["OSError", "RuntimeError"])
+    def test_error_between_checkpoints_leaves_every_emitted_row(self, tiny_config, tmp_path,
+                                                               monkeypatch, error):
+        # rows 11..15 wait for a write when step 15's row raises; the way out writes them
+        ref = tmp_path / "ref"
+        assert cli.main(["train", "--config", str(tiny_config), "--out", str(ref)]) == 0
+        monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
+        real = cli.run_training
+
+        def failing(cfg, data, g_spec, d_spec, hooks, baseline):
+            def on_record(rec):
+                hooks.on_record(rec)
+                if rec.step == 15:
+                    raise error
+            return real(cfg, data, g_spec, d_spec, baseline=baseline,
+                        hooks=train.TrainHooks(on_record=on_record, on_eval=hooks.on_eval))
+
+        monkeypatch.setattr(cli, "run_training", failing)
+        out = tmp_path / "run"
+        if isinstance(error, OSError):
+            assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 3
+        else:
+            with pytest.raises(RuntimeError, match="killed"):
+                cli.main(["train", "--config", str(tiny_config), "--out", str(out)])
+        assert _csv_lines_without_wall(out / "metrics.csv") == \
+            _csv_lines_without_wall(ref / "metrics.csv")[:17]
+
     def test_missing_data_path_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "file.cfg"
         gone = tmp_path / "gone.abt"
@@ -355,7 +427,7 @@ class TestTrainCommand:
 
     def test_short_train_loads_no_scipy_or_numpy_ma(self, tiny_config, tmp_path):
         # np.median would import numpy.ma on its first call: about 18 ms and
-        # 0.8 MB of peak RSS that metrics._median_inplace avoids
+        # 0.8 MB of peak RSS that the bandwidth's own selection avoids
         code = ("import sys; from abcas import cli; "
                 f"code = cli.main(['train', '--config', {str(tiny_config)!r}, "
                 f"'--out', {str(tmp_path / 'run')!r}]); "

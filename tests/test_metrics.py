@@ -11,11 +11,11 @@ from scipy.spatial.distance import pdist
 from abcas.metrics import (
     CSV_HEADER,
     EXP_SUM_BLOCK,
+    MEDIAN_EXACT_LIMIT,
     PAIR_LEAF,
     MetricsRecord,
     _bytes_greater,
     _exp_sum,
-    _median_inplace,
     _pair_blocks,
     _pair_rows,
     median_heuristic_bandwidth,
@@ -289,17 +289,6 @@ class TestScipyOracle:
         want = float(np.median(pdist(z)))
         assert abs(median_heuristic_bandwidth(z) - want) <= 1e-13 * want
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 1000, 1001, 65536, 65537])
-    def test_inplace_median_is_np_median_bitwise(self, size):
-        rng = np.random.default_rng([17, size])
-        draws = [rng.standard_normal(size), rng.integers(0, 3, size).astype(np.float64),
-                 np.sqrt(rng.uniform(0, 1e-300, size))]
-        for v in draws:
-            want = np.float64(np.median(v)).tobytes()
-            assert np.float64(_median_inplace(v.copy())).tobytes() == want
-        draws[0][size // 3] = np.nan
-        assert np.isnan(np.median(draws[0])) and np.isnan(_median_inplace(draws[0]))
-
 
 def kernel_rows(n, m, d, seed):
     """The centred pair rows of two training-like sets, exponents near -1."""
@@ -422,6 +411,48 @@ class TestBandwidth:
     def test_identical_points_floor(self):
         z = np.ones((10, 3))
         assert median_heuristic_bandwidth(z) == 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, PAIR_LEAF, PAIR_LEAF + 1,
+                                   PAIR_LEAF + 2, PAIR_LEAF + 3, 130, 131, 132, 133,
+                                   362, 363, 364, 365])
+    def test_matches_full_blocks_bitwise(self, n):
+        # n = 0, 1 mod 4 gives an even pair count, n = 2, 3 an odd one; integer
+        # points tie many distances, identical and tiny ones hit the floor
+        rng = np.random.default_rng([23, n])
+        for z in (rng.standard_normal((n, 2)), rng.integers(0, 3, (n, 2)).astype(np.float64),
+                  np.ones((n, 3)), 1e-9 * rng.standard_normal((n, 2))):
+            want = bandwidth_by_full_blocks(z)
+            assert np.float64(median_heuristic_bandwidth(z)).tobytes() == \
+                np.float64(want).tobytes()
+
+    def test_even_count_takes_the_largest_value_below_the_middle(self):
+        # 500500 pairs; numpy's selection happens to leave a value other than
+        # the largest below the middle at position h - 1 for this draw
+        z = np.random.default_rng([23, 1001, 44]).standard_normal((1001, 2))
+        assert median_heuristic_bandwidth(z) == bandwidth_by_full_blocks(z)
+
+    def test_overflowing_distances_match_full_blocks(self):
+        # -|z_i - z_j|^2 overflows to -inf, a distance of inf; where two large
+        # terms cancel as inf - inf a distance is nan, and so is the result
+        z = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert median_heuristic_bandwidth(z) == bandwidth_by_full_blocks(z) == math.inf
+            z = np.array([[1e200], [2e200], [-3e200]])
+            assert math.isnan(bandwidth_by_full_blocks(z))
+            assert math.isnan(median_heuristic_bandwidth(z))
+
+    def test_peak_memory_is_the_distance_buffer(self):
+        # the n(n-1)/2 float64 distances are the one large allocation: no
+        # copy of them, and no temporary of their size, is made beside them
+        z = np.random.default_rng(24).standard_normal((MEDIAN_EXACT_LIMIT, 2))
+        buffer = 8 * MEDIAN_EXACT_LIMIT * (MEDIAN_EXACT_LIMIT - 1) // 2
+        tracemalloc.start()
+        try:
+            median_heuristic_bandwidth(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * buffer
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(4)

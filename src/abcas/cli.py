@@ -35,14 +35,15 @@ OK, CONFIG_ERROR, NUMERIC_ABORT, IO_ERROR = 0, 1, 2, 3
 ROW_WRITE_SECONDS = 1.0
 
 
-def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
+def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | NumericAbort]:
     """The dataset and step-0 evaluation baseline of a run.
 
     A sweep builds them once from its base settings: its settings differ
-    only in mode, m and beta, none of which the baseline depends on. The
-    baseline is None when the initial generator's evaluation sample is
-    not finite; the run then aborts at step 0 by itself. A dataset that
-    cannot be read is a config error.
+    only in mode, m and beta, none of which the baseline depends on. In
+    place of the baseline comes the step-0 ``NumericAbort`` when the
+    initial generator's evaluation sample is not finite; every run that
+    is given it reports it as its own abort. A dataset that cannot be
+    read is a config error.
     """
     try:
         data = settings.dataset_spec().load()
@@ -51,13 +52,13 @@ def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | None]:
     g_spec, _ = build_networks(settings, tuple(data.shape[1:]))
     try:
         return data, eval_baseline(settings.train, data, g_spec)
-    except NumericAbort:
-        return data, None
+    except NumericAbort as exc:
+        return data, exc
 
 
 def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
-             baseline: EvalBaseline | None) -> str:
-    """Train one configuration on ``data`` into out_dir. Returns the status it wrote."""
+             baseline: EvalBaseline | NumericAbort) -> str:
+    """Train one configuration into out_dir. Returns the status it wrote."""
     g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun replaces the earlier run's outputs; manifest.cfg is rewritten below
@@ -69,8 +70,7 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
     (out_dir / "manifest.cfg").write_text(
         manifest_text(settings, f"abcas-{__version__}", out_dir.name))
 
-    last_g_store = None
-    aborted = None
+    aborted = baseline if isinstance(baseline, NumericAbort) else None
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         # rows are formatted and written in batches, outside every step's wall:
@@ -95,18 +95,17 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
                 write_pending()
 
         def on_eval(step, g_store, d_store):
-            nonlocal last_g_store, checkpoint_step
+            nonlocal checkpoint_step
             ckpt = ckpt_root / f"step_{step:06d}"
             ckpt.mkdir(parents=True, exist_ok=True)
             write_tensor_file(ckpt / "g.abt", g_store.flat)
             write_tensor_file(ckpt / "d.abt", d_store.flat)
-            last_g_store = g_store
             checkpoint_step = step
 
         try:
-            run_training(settings.train, data, g_spec, d_spec,
-                         hooks=TrainHooks(on_record=on_record, on_eval=on_eval),
-                         baseline=baseline)
+            if aborted is None:
+                g_store = run_training(settings.train, baseline, g_spec, d_spec,
+                                       hooks=TrainHooks(on_record=on_record, on_eval=on_eval))
         except NumericAbort as exc:
             aborted = exc
         finally:
@@ -121,10 +120,9 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
         (out_dir / "status.txt").write_text(status + "\n")
         return status
 
-    # run_training calls on_eval at step 0, so last_g_store is set here
     z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
                       settings.train.eval_samples, g_spec)
-    samples, _ = forward(g_spec, last_g_store, z)
+    samples, _ = forward(g_spec, g_store, z)
     write_tensor_file(out_dir / "samples.abt", samples)
     (out_dir / "status.txt").write_text("ok\n")
     return "ok"

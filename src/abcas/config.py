@@ -30,15 +30,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 @dataclass
 class Settings:
     """Fully resolved run settings: training config plus dataset and nets."""
@@ -71,8 +62,6 @@ _KEYS = tuple(_owners(Settings()))
 
 def _parse(text: str, default):
     """``text`` as the type of ``default``; a list takes its first entry's type."""
-    if isinstance(default, bool):
-        return _parse_bool(text)
     if isinstance(default, list):
         return [type(default[0])(tok) for tok in text.split(",") if tok.strip()]
     return type(default)(text)
@@ -166,8 +155,6 @@ def manifest_text(settings: Settings, version: str, out_dir: str) -> str:
         value = getattr(owner, key)
         if isinstance(value, list):
             value = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         elif isinstance(value, float):
             value = f"{value:.17g}"
         lines.append(f"{key} = {value}")

@@ -64,7 +64,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 250
     latent_dim: int = 8
-    rectify: bool = False
     eval_samples: int = 1024
 
     def validate(self) -> None:
@@ -161,10 +160,11 @@ def sample_latent(rng, n: int, g_spec: NetworkSpec) -> np.ndarray:
 class EvalBaseline:
     """The step-0 evaluation, shared by every run with the same inputs.
 
-    ``seed``, ``eval_samples``, ``g_spec`` and ``data`` are what it was
-    built from; the rest is what it holds: the fixed real evaluation set,
-    the MMD bandwidth frozen for the whole run so the column stays
-    comparable, the real set's within-set kernel mean and the step-0 MMD.
+    ``seed``, ``eval_samples`` and ``g_spec`` are what it was built from,
+    and ``data`` is the float32 training set the runs that share it train
+    on. The rest is what it holds: the fixed real evaluation set, the MMD
+    bandwidth frozen for the whole run so the column stays comparable, the
+    real set's within-set kernel mean and the step-0 MMD.
     """
 
     seed: int
@@ -176,7 +176,7 @@ class EvalBaseline:
     real_within: float
     mmd2: float
 
-    def check(self, cfg: TrainConfig, data: np.ndarray, g_spec: NetworkSpec) -> None:
+    def check(self, cfg: TrainConfig, g_spec: NetworkSpec) -> None:
         """Raise ``ValueError`` naming the first input this baseline was not built from."""
         for name in ("seed", "eval_samples"):
             if getattr(self, name) != getattr(cfg, name):
@@ -184,15 +184,6 @@ class EvalBaseline:
                                  f"{getattr(self, name)}, not {getattr(cfg, name)}")
         if self.g_spec != g_spec:
             raise ValueError("evaluation baseline was built for another generator spec")
-        if self.data is not data and not np.array_equal(self.data, data):
-            raise ValueError("evaluation baseline was built for another dataset")
-
-
-def _as_dataset(dataset) -> np.ndarray:
-    data = np.ascontiguousarray(np.asarray(dataset, dtype=np.float32))
-    if len(data) < 1:
-        raise ValueError("empty dataset")
-    return data
 
 
 def _eval_sample(cfg: TrainConfig, g_spec: NetworkSpec, g_store: ParamStore,
@@ -211,7 +202,9 @@ def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) ->
     Raises :class:`NumericAbort` at step 0 when the initial generator's
     evaluation sample is not finite.
     """
-    data = _as_dataset(dataset)
+    data = np.ascontiguousarray(np.asarray(dataset, dtype=np.float32))
+    if len(data) < 1:
+        raise ValueError("empty dataset")
     seed = cfg.seed
     n_eval_real = min(cfg.eval_samples, len(data))
     eval_idx = np.random.default_rng([seed, 4]).choice(len(data), size=n_eval_real, replace=False)
@@ -225,62 +218,56 @@ def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) ->
                         mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within))
 
 
-def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
-                 d_spec: NetworkSpec, hooks: TrainHooks | None = None,
-                 baseline: EvalBaseline | None = None) -> list[MetricsRecord]:
-    """Run the full loop and return one metrics record per step.
+def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
+                 d_spec: NetworkSpec, hooks: TrainHooks | None = None) -> ParamStore:
+    """Train on ``baseline.data`` and return the trained generator.
 
-    Row 0 is the pre-training evaluation (``baseline``, built here when
-    not given; its build time is row 0's ``wall_ms``); rows 1..steps
-    follow the counter. Losses and the MMD column carry their last
-    computed value forward between the steps that refresh them. A
-    ``baseline`` built from another seed, evaluation size, generator spec
-    or dataset raises ``ValueError``. Raises :class:`NumericAbort` on the
-    first non-finite loss, critic output or generated evaluation sample
-    (step 0's included).
+    Each step's metrics record goes to ``hooks.on_record`` and is not
+    kept. Row 0 is the pre-training evaluation (``baseline``); rows
+    1..steps follow the counter. Losses and the MMD column carry their
+    last computed value forward between the steps that refresh them. A
+    ``baseline`` built from another seed, evaluation size or generator
+    spec raises ``ValueError``. Raises :class:`NumericAbort` on the first
+    non-finite loss, critic output or generated evaluation sample.
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
-    data = _as_dataset(dataset)
+    baseline.check(cfg, g_spec)
+    data = baseline.data
     n_data = len(data)
     if data.shape[1:] != tuple(d_spec.input_shape):
         raise ValueError(
             f"dataset sample shape {data.shape[1:]} does not match the "
             f"discriminator input {tuple(d_spec.input_shape)}"
         )
-    if baseline is not None:
-        baseline.check(cfg, data, g_spec)
     seed = cfg.seed
 
     g_store = ParamStore(g_spec, seed=(seed, 0))
     d_store = ParamStore(d_spec, seed=(seed, 1))
     d_spectral = init_spectral_states(d_spec, d_store, seed=(seed, 2))
     controller = AbcasState(beta=cfg.beta, alpha=cfg.alpha, mode=cfg.mode, m0=cfg.m)
-    opt_g = Adam(g_store, cfg.lr_g, cfg.beta1, cfg.beta2, rectify=cfg.rectify)
-    opt_d = Adam(d_store, cfg.lr_d, cfg.beta1, cfg.beta2, rectify=cfg.rectify)
+    opt_g = Adam(g_store, cfg.lr_g, cfg.beta1, cfg.beta2)
+    opt_d = Adam(d_store, cfg.lr_d, cfg.beta1, cfg.beta2)
     rng_train = np.random.default_rng([seed, 3])
 
     t0 = time.perf_counter()
-    if baseline is None:
-        baseline = eval_baseline(cfg, data, g_spec)
     last_mmd = baseline.mmd2
     last_d = last_g = 0.0
     steps_per_epoch = max(1, n_data // cfg.batch_size)
-    records: list[MetricsRecord] = []
 
-    def emit(step: int, t0: float) -> None:
+    def emit(step: int, t0: float) -> MetricsRecord:
         rec = MetricsRecord(step=step, epoch=step // steps_per_epoch, d_loss=last_d,
                             g_loss=last_g, dist=controller.last_dist, dm=controller.dm,
                             r=controller.r, m=controller.m, mmd2=last_mmd,
                             wall_ms=(time.perf_counter() - t0) * 1e3)
-        records.append(rec)
         hooks.on_record(rec)
+        return rec
 
     def abort(step: int, what: str):
-        # row 0 is emitted before the first step, so records is never empty here
-        raise NumericAbort(step, records[-1], what)
+        # row 0 is emitted before the first step, so there is always a last row
+        raise NumericAbort(step, last, what)
 
-    emit(0, t0)
+    last = emit(0, t0)
     hooks.on_eval(0, g_store, d_store)
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
@@ -334,5 +321,5 @@ def run_training(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec,
             last_mmd = mmd2_unbiased(baseline.real_eval, fake, baseline.bandwidth,
                                      x_within=baseline.real_within)
             hooks.on_eval(step, g_store, d_store)
-        emit(step, t0)
-    return records
+        last = emit(step, t0)
+    return g_store

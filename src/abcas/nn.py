@@ -54,7 +54,6 @@ __all__ = [
     "lrelu",
     "mlp_discriminator",
     "mlp_generator",
-    "output_shape",
     "pixelnorm",
     "relu",
     "shape_plan",
@@ -174,11 +173,6 @@ def shape_plan(spec: NetworkSpec) -> list[tuple[int, ...]]:
             raise ShapeError(f"{where}: unknown layer kind")
         shapes.append(cur)
     return shapes
-
-
-def output_shape(spec: NetworkSpec) -> tuple[int, ...]:
-    plan = shape_plan(spec)
-    return plan[-1] if plan else tuple(spec.input_shape)
 
 
 class ParamStore:

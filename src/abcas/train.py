@@ -4,7 +4,10 @@ Odd steps update the discriminator and feed the controller, even steps
 update the generator; the spectral norm of every normalized layer is
 re-estimated once per step (one persistent power-iteration step) and the
 effective weights m * W / sigma are rebuilt before any forward pass.
-Two time scales are realized purely as different learning rates.
+Two time scales are realized purely as different learning rates. Every
+evaluation generates its samples in cache-sized chunks (:func:`generate`),
+which is exact for conv generators; the committed dense generators fit
+one chunk.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import numpy as np
 from .controller import AbcasState
 from .metrics import (MetricsRecord, median_heuristic_bandwidth, mmd2_unbiased,
                       within_set_mean)
-from .nn import NetworkSpec, ParamStore, backward, forward
+from .nn import NetworkSpec, ParamStore, backward, forward, shape_plan
 from .optim import Adam
 from .specnorm import apply_norm_backward, init_spectral_states, refresh
 
 __all__ = [
+    "EVAL_CHUNK_BYTES",
     "EvalBaseline",
     "NumericAbort",
     "TrainConfig",
@@ -33,6 +37,7 @@ __all__ = [
     "eval_baseline",
     "g_loss",
     "g_loss_grad",
+    "generate",
     "run_training",
     "sample_latent",
     "sigmoid",
@@ -186,11 +191,42 @@ class EvalBaseline:
             raise ValueError("evaluation baseline was built for another generator spec")
 
 
+# The most bytes that one chunk of :func:`generate` holds in its widest layer
+# output. At 256 KB a blobs16 chunk of 64 samples keeps its activations and
+# columns within a 2 MB L2 cache, and the committed dense generators (at most
+# 1024 samples of 64 floats) still run as one chunk.
+EVAL_CHUNK_BYTES = 256 * 1024
+
+
+def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
+             fwd: Callable) -> np.ndarray:
+    """The generator's output on the latent batch ``z``, run through ``fwd`` in chunks.
+
+    ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. A chunk is as
+    many samples as fit :data:`EVAL_CHUNK_BYTES` in the widest layer
+    output, and at least one. Every op of a conv generator is per sample,
+    so its output has the bits of one pass under any chunking. A dense
+    layer's GEMM rows can depend on the row count, so a dense generator
+    keeps those bits only when ``z`` fits one chunk, as it does at every
+    committed config.
+    """
+    widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
+    chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.dtype.itemsize))
+    if len(z) <= chunk:
+        return fwd(g_spec, g_store, z)[0]
+    return np.concatenate([fwd(g_spec, g_store, z[i:i + chunk])[0]
+                           for i in range(0, len(z), chunk)])
+
+
 def _eval_sample(cfg: TrainConfig, g_spec: NetworkSpec, g_store: ParamStore,
                  step: int) -> np.ndarray:
-    """The generator's evaluation sample at ``step``, flattened to float64 rows."""
+    """The generator's evaluation sample at ``step``, flattened to float64 rows.
+
+    The latents come from one draw for the whole sample, so the random
+    stream does not depend on how :func:`generate` chunks them.
+    """
     z = sample_latent(np.random.default_rng([cfg.seed, 5, step]), cfg.eval_samples, g_spec)
-    fake, _ = forward(g_spec, g_store, z)
+    fake = generate(g_spec, g_store, z, forward)
     return fake.reshape(cfg.eval_samples, -1).astype(np.float64)
 
 

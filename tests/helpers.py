@@ -245,10 +245,14 @@ def break_training_at(monkeypatch, site):
         poison("_eval_sample", lambda fake: np.full_like(fake, np.nan))
 
 
+def abcas_env(**extra):
+    """The environment of a fresh interpreter that imports this abcas, plus ``extra``."""
+    src = Path(abcas.__file__).resolve().parents[1]
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def run_python(code):
     """Standard output of ``code`` run by a fresh interpreter that imports this abcas."""
-    src = Path(abcas.__file__).resolve().parents[1]
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=abcas_env(), capture_output=True,
                           text=True, check=True).stdout.strip()

@@ -2,10 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings as the suite executes. The training criteria (7 and 9) share one
-set of seeded 20,000-step runs through a session-scoped fixture.
+set of seeded 20,000-step runs through a session-scoped fixture, which
+runs each as its own ``python -m abcas train`` process.
 """
 
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from abcas.specnorm import init_spectral_states, refresh
 from abcas.train import d_loss, d_loss_grads, g_loss, g_loss_grad
 
 from helpers import (
+    abcas_env,
     central_diff_grad,
     gradcheck_layer,
     mmd2_bruteforce,
@@ -260,18 +266,30 @@ DESK_SETTINGS = {
 }
 
 
+def _train_child(cfg, out, flags):
+    """(exit code, stderr, ``out``, seconds) of one ``abcas train`` in its own process."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "abcas", "train", "--config", str(cfg),
+                           "--out", str(out)] + flags,
+                          env=abcas_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=1200)  # twice criterion 7's bound
+    return proc.returncode, proc.stderr, out, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="session")
 def desk_runs(tmp_path_factory):
+    """{(label, "first" | "repeat"): (exit code, stderr, run dir, seconds)}.
+
+    Each setting runs twice, each time in a fresh interpreter with one BLAS
+    thread, at most two at a time (one on a 1-CPU host).
+    """
     root = tmp_path_factory.mktemp("desk")
     cfg = root / "desk.cfg"
     cfg.write_text(DESK_CFG)
-    results = {}
-    for label, flags in DESK_SETTINGS.items():
-        out = root / label
-        t0 = time.perf_counter()
-        code = cli.main(["train", "--config", str(cfg), "--out", str(out)] + flags)
-        results[label] = (code, out, time.perf_counter() - t0)
-    return cfg, results
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        futures = {(label, which): pool.submit(_train_child, cfg, root / which / label, flags)
+                   for which in ("first", "repeat") for label, flags in DESK_SETTINGS.items()}
+    return {key: future.result() for key, future in futures.items()}
 
 
 def _read_rows(metrics_path):
@@ -281,17 +299,17 @@ def _read_rows(metrics_path):
 
 
 def test_criterion_7_desk_scale_training(desk_runs):
-    _, results = desk_runs
     problems = []
     details = []
-    for label, (code, out, elapsed) in results.items():
+    for label in DESK_SETTINGS:
+        code, err, out, elapsed = desk_runs[label, "first"]
         if code != 0:
-            problems.append(f"{label} aborted (exit {code})")
+            problems.append(f"{label} aborted (exit {code}): {err.strip()}")
         if elapsed >= 600.0:
             problems.append(f"{label} too slow ({elapsed:.0f}s)")
         details.append(f"{label} {elapsed:.0f}s")
 
-    rows = _read_rows(results["abcas_b4"][1] / "metrics.csv")
+    rows = _read_rows(desk_runs["abcas_b4", "first"][2] / "metrics.csv")
     mmd_start = float(rows[0]["mmd2"])
     mmd_final = float(rows[-1]["mmd2"])
     if not mmd_final <= 0.5 * mmd_start:
@@ -345,17 +363,15 @@ sweep_abcas_beta = 1,4
     _report(8, "sweep shape", ok, f"{len(lines) - 1} rows")
 
 
-def test_criterion_9_determinism(desk_runs, tmp_path_factory):
-    cfg, results = desk_runs
-    root = tmp_path_factory.mktemp("desk_repeat")
+def test_criterion_9_determinism(desk_runs):
+    # the first run and its repeat ran in separate processes
     problems = []
-    for label, flags in DESK_SETTINGS.items():
-        out = root / label
-        code = cli.main(["train", "--config", str(cfg), "--out", str(out)] + flags)
+    for label in DESK_SETTINGS:
+        code, err, out, _ = desk_runs[label, "repeat"]
         if code != 0:
-            problems.append(f"{label} repeat aborted")
+            problems.append(f"{label} repeat aborted: {err.strip()}")
             continue
-        first = results[label][1] / "metrics.csv"
+        first = desk_runs[label, "first"][2] / "metrics.csv"
         a = [",".join(line.split(",")[:-1]) for line in first.read_text().splitlines()]
         b = [",".join(line.split(",")[:-1]) for line in (out / "metrics.csv").read_text().splitlines()]
         if a != b:

@@ -303,14 +303,29 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("abcas: config error: ") and str(gone) in err
 
-    @pytest.mark.parametrize("cfg_text", [TINY_CFG, TINY_CONV_CFG], ids=["mlp", "conv"])
-    def test_checkpoint_restores_the_final_generator(self, tmp_path, cfg_text):
+    # the conv generator's widest layer holds 64 floats a sample: 3 fit the bound
+    @pytest.mark.parametrize("cfg_text,chunk_bytes,chunks",
+                             [(TINY_CFG, None, [32]), (TINY_CONV_CFG, 3 * 64 * 4, [3, 3, 2])],
+                             ids=["mlp", "conv"])
+    def test_checkpoint_restores_the_final_generator(self, tmp_path, monkeypatch, cfg_text,
+                                                     chunk_bytes, chunks):
         # each checkpoint is g.abt and d.abt, each its network's flat vector;
         # restoring the last g.abt must regenerate samples.abt byte for byte
+        # in one forward pass, also where the run generated it in chunks
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_text)
         out = tmp_path / "run"
+        if chunk_bytes:
+            monkeypatch.setattr(train, "EVAL_CHUNK_BYTES", chunk_bytes)
+        sizes = []
+
+        def counting_forward(spec, store, x):
+            sizes.append(len(x))
+            return forward(spec, store, x)
+
+        monkeypatch.setattr(cli, "forward", counting_forward)
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sizes == chunks
         settings = load_settings(out / "manifest.cfg")
         ckpts = sorted((out / "checkpoints").iterdir())
         assert ckpts[-1].name == f"step_{settings.train.steps:06d}"

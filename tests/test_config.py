@@ -12,7 +12,7 @@ from abcas.config import (
     parse_config_text,
     resolve_settings,
 )
-from abcas.nn import output_shape
+from abcas.nn import shape_plan
 
 
 class TestParsing:
@@ -106,15 +106,15 @@ class TestNetworksFromSettings:
     def test_mlp_family(self):
         s = resolve_settings({"g_hidden": "8,8", "d_hidden": "8,8", "latent_dim": "4"})
         g, d = build_networks(s, (2,))
-        assert output_shape(g) == (2,)
-        assert output_shape(d) == (1,)
+        assert shape_plan(g)[-1] == (2,)
+        assert shape_plan(d)[-1] == (1,)
 
     def test_conv_family(self):
         s = resolve_settings({"dataset": "blobs", "arch": "conv",
                               "g_channels": "12,8", "d_channels": "8,12"})
         g, d = build_networks(s, (1, 16, 16))
-        assert output_shape(g) == (1, 16, 16)
-        assert output_shape(d) == (1, 1, 1)
+        assert shape_plan(g)[-1] == (1, 16, 16)
+        assert shape_plan(d)[-1] == (1, 1, 1)
 
     @pytest.mark.parametrize("raw,key", [
         ({"d_hidden": ""}, "d_hidden"),

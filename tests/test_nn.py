@@ -626,24 +626,24 @@ class TestFloat32ConvGradients:
 class TestArchitectures:
     def test_mlp_shapes(self):
         g = nn.mlp_generator(8, [32, 32], 2)
-        assert nn.output_shape(g) == (2,)
+        assert nn.shape_plan(g)[-1] == (2,)
         d = nn.mlp_discriminator(2, [32, 32])
-        assert nn.output_shape(d) == (1,)
+        assert nn.shape_plan(d)[-1] == (1,)
         assert sum(1 for L in d.layers if L.normalized) == 3
 
     def test_conv_shapes(self):
         g = nn.conv_generator(16, [12, 8], 1, 16)
-        assert nn.output_shape(g) == (1, 16, 16)
+        assert nn.shape_plan(g)[-1] == (1, 16, 16)
         d = nn.conv_discriminator(1, [8, 12], 16)
-        assert nn.output_shape(d) == (1, 1, 1)
+        assert nn.shape_plan(d)[-1] == (1, 1, 1)
         assert all(L.normalized for L in d.layers if L.kind == "conv2d")
 
     def test_full_scale_ladder_is_expressible(self):
         # 256x256 generator/discriminator with the production channel ladder
         g = nn.conv_generator(140, [384, 192, 96, 96, 48, 24], 3, 256)
-        assert nn.output_shape(g) == (3, 256, 256)
+        assert nn.shape_plan(g)[-1] == (3, 256, 256)
         d = nn.conv_discriminator(3, [24, 48, 96, 96, 192, 384], 256)
-        assert nn.output_shape(d) == (1, 1, 1)
+        assert nn.shape_plan(d)[-1] == (1, 1, 1)
 
     def test_channel_count_validation(self):
         with pytest.raises(ValueError):

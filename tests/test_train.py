@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abcas import nn, train
+from abcas.config import build_networks, load_settings
 from abcas.data import generate_ring2d
 from abcas.nn import NetworkSpec, ParamStore, dense
 from abcas.optim import Adam
@@ -24,6 +27,8 @@ from abcas.train import (
 )
 
 from helpers import ABORT_SITES, break_training_at, central_diff_grad, rel_err
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestLosses:
@@ -183,6 +188,71 @@ def _train(cfg, data, g, d, rows=None, baseline=None, **hooks):
         baseline = eval_baseline(cfg, data, g)
     run_training(cfg, baseline, g, d, hooks=TrainHooks(on_record=rows.append, **hooks))
     return rows
+
+
+def _blobs16_generator():
+    # configs/blobs16.cfg's generator, with every parameter drawn at a scale
+    # where each layer's nonlinearity and normalization matter
+    g = nn.conv_generator(16, [32, 16], 1, 16)
+    store = ParamStore(g, seed=(0, 0))
+    store.flat[:] = np.random.default_rng(8).standard_normal(store.flat.size) * 0.2
+    return g, store
+
+
+def _chunk_sizes(g_spec, store, z):
+    """The batch sizes ``train.generate`` runs ``z`` in, and its output."""
+    sizes = []
+
+    def fwd(spec, st, x):
+        sizes.append(len(x))
+        return nn.forward(spec, st, x)
+
+    return sizes, train.generate(g_spec, store, z, fwd)
+
+
+class TestGenerate:
+    # the widest layer of blobs16's generator holds 16 x 8 x 8 floats a sample
+    SAMPLE_BYTES = 16 * 8 * 8 * 4
+
+    # a bound below one sample still runs one sample a chunk; 7 and 255 leave
+    # a ragged last chunk
+    @pytest.mark.parametrize("bound,chunk", [(1, 1), (7 * SAMPLE_BYTES, 7),
+                                             (65 * SAMPLE_BYTES - 1, 64),
+                                             (255 * SAMPLE_BYTES, 255), (256 * SAMPLE_BYTES, 256)])
+    def test_conv_chunks_have_the_bits_of_one_pass(self, monkeypatch, bound, chunk):
+        g, store = _blobs16_generator()
+        z = train.sample_latent(np.random.default_rng(9), 256, g)
+        whole = nn.forward(g, store, z)[0]
+        monkeypatch.setattr(train, "EVAL_CHUNK_BYTES", bound)
+        sizes, out = _chunk_sizes(g, store, z)
+        assert sizes == [chunk] * (256 // chunk) + ([256 % chunk] if 256 % chunk else [])
+        assert out.shape == whole.shape and out.dtype == whole.dtype
+        assert out.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("name,chunks", [("ring2d", [1024]), ("ring2d_sweep", [512]),
+                                             ("blobs16", [64] * 4)])
+    def test_committed_configs_chunk_sizes(self, name, chunks):
+        # a dense generator's GEMM rows can depend on the row count, so each
+        # committed dense config must evaluate in one chunk to keep its bits
+        settings = load_settings(CONFIGS / f"{name}.cfg")
+        g, _ = build_networks(settings, tuple(settings.dataset_spec().load().shape[1:]))
+        store = ParamStore(g, seed=(0, 0))
+        z = train.sample_latent(np.random.default_rng(0), settings.train.eval_samples, g)
+        assert _chunk_sizes(g, store, z)[0] == chunks
+
+    def test_eval_sample_peak_memory_at_blobs16_shapes(self):
+        # one 256-sample pass peaks at about 7.6 MB; 64-sample chunks at about 2 MB
+        g, store = _blobs16_generator()
+        cfg = TrainConfig(latent_dim=16, eval_samples=256)
+        train._eval_sample(cfg, g, store, 0)  # builds the cached gather tables
+        tracemalloc.start()
+        try:
+            fake = train._eval_sample(cfg, g, store, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fake.shape == (256, 256) and fake.dtype == np.float64
+        assert peak < 3 * 2**20
 
 
 class TestTrainingLoop:

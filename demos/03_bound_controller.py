@@ -22,17 +22,15 @@ profile = [("wide gap (dist = 6)", 6.0, 15000), ("overlap (dist = -0.5)", -0.5, 
 state = AbcasState(beta=4.0)
 print("simulated training, controller updates on odd steps only:")
 for label, dist, steps in profile:
-    for _ in range(steps):
-        state.begin_step()
+    for _ in range(steps // 2):  # one call per discriminator step
         # craft critic batches realizing the wanted gap
-        state.observe_and_update([dist], [0.0])
+        state.observe_and_update(np.array([dist]), np.array([0.0]))
     print(f"after {steps:6d} steps of {label:22s}: dm = {state.dm:7.4f}  "
           f"r = {state.r:6.4f}  m = {state.m:.4f}")
 
 print()
 print("fixed mode never moves:")
 fixed = AbcasState(mode="fixed", m0=0.7)
-for _ in range(1000):
-    fixed.begin_step()
-    fixed.observe_and_update([100.0], [-100.0])
+for _ in range(1000 // 2):
+    fixed.observe_and_update(np.array([100.0]), np.array([-100.0]))
 print(f"after 1000 steps of huge gaps: r = {fixed.r}, m = {fixed.m}")

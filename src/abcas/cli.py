@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import shutil
 import sys
 from pathlib import Path
@@ -138,16 +139,17 @@ def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> i
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except OSError as exc:  # unreadable inputs are ConfigErrors, so this is a write
-        print(f"abcas: I/O error: {exc}", file=sys.stderr)
-        return IO_ERROR
+        return _io_error(exc)
 
 
 def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
     """Row-wise minimum of the mmd2 column and the first step attaining it."""
-    if not metrics_path.exists():
+    try:
+        fh = open(metrics_path, newline="", encoding="utf-8")
+    except OSError:  # none was written, or it is not a file
         return None
     best = None
-    with open(metrics_path, newline="", encoding="utf-8") as fh:
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -188,7 +190,10 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
               "a sweep needs at least one setting", file=sys.stderr)
         return CONFIG_ERROR
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _io_error(exc)
     # an error here is reported by every setting, as when each loaded its own data
     try:
         shared = _run_inputs(base)
@@ -228,34 +233,47 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                                  overrides.get("beta", ""), status.replace(" ", "_"),
                                  f"{best[0]:.17g}" if best else "",
                                  str(best[1]) if best else "")) + "\n")
-    (out_dir / "summary.csv").write_text("".join(summary), encoding="utf-8")
-    return OK
+    return _write_text(out_dir / "summary.csv", "".join(summary))
 
 
 def cmd_traj(run_dir: str) -> int:
     metrics_path = Path(run_dir) / "metrics.csv"
-    if not metrics_path.exists():
-        print(f"abcas: no metrics.csv in {run_dir}", file=sys.stderr)
+    try:
+        text = metrics_path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"abcas: cannot read {metrics_path}: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     lines = ["step,r,m\n"]
-    with open(metrics_path, newline="", encoding="utf-8") as src:
-        reader = csv.reader(src)
-        header = next(reader, [])
-        missing = [name for name in ("step", "r", "m") if name not in header]
-        if missing:
-            print(f"abcas: {metrics_path}: missing column {', '.join(missing)}", file=sys.stderr)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    missing = [name for name in ("step", "r", "m") if name not in header]
+    if missing:
+        print(f"abcas: {metrics_path}: missing column {', '.join(missing)}", file=sys.stderr)
+        return CONFIG_ERROR
+    picks = [header.index(name) for name in ("step", "r", "m")]
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            print(f"abcas: {metrics_path}: line {reader.line_num} has {len(row)} fields, "
+                  f"the header has {len(header)}", file=sys.stderr)
             return CONFIG_ERROR
-        picks = [header.index(name) for name in ("step", "r", "m")]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                print(f"abcas: {metrics_path}: line {reader.line_num} has {len(row)} fields, "
-                      f"the header has {len(header)}", file=sys.stderr)
-                return CONFIG_ERROR
-            # copy field strings verbatim so the projection is exact
-            lines.append(",".join(row[j] for j in picks) + "\n")
-    (Path(run_dir) / "r_traj.csv").write_text("".join(lines), encoding="utf-8")
+        # copy field strings verbatim so the projection is exact
+        lines.append(",".join(row[j] for j in picks) + "\n")
+    return _write_text(Path(run_dir) / "r_traj.csv", "".join(lines))
+
+
+def _io_error(exc: OSError) -> int:
+    print(f"abcas: I/O error: {exc}", file=sys.stderr)
+    return IO_ERROR
+
+
+def _write_text(path: Path, text: str) -> int:
+    """Write ``text`` to ``path``; an error is reported as an I/O error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _io_error(exc)
     return OK
 
 

@@ -1,8 +1,10 @@
 """Adaptive bound control of the spectral-norm multiplier.
 
-The controller watches the critic gap ``dist = max(C_real) - min(C_fake)``
-on discriminator steps, keeps a running average ``dm`` with constant
-``alpha = 0.9999``, and maps it to a restriction exponent and multiplier:
+The training loop calls the controller once per discriminator step, with
+critic batches it has already checked to be finite. The controller takes
+the critic gap ``dist = max(C_real) - min(C_fake)``, keeps a running
+average ``dm`` with constant ``alpha = 0.9999``, and maps it to a
+restriction exponent and multiplier:
 
     clbr = clamp(dm / beta, 0, 0.98)
     r    = clbr / (1 - clbr)
@@ -21,8 +23,6 @@ be replayed bit-exactly through the two-line recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["AbcasState", "CLBR_CAP", "DECAY_BASE", "target_multiplier"]
 
@@ -43,7 +43,8 @@ class AbcasState:
 
     ``mode`` is "adaptive" or "fixed". In fixed mode the multiplier stays
     at ``m0`` forever and neither ``r`` nor ``dm`` is updated, which is
-    how the fixed-m sweep settings run.
+    how the fixed-m sweep settings run. The arguments are checked by
+    :meth:`abcas.train.TrainConfig.validate`.
     """
 
     beta: float = 4.0
@@ -52,39 +53,16 @@ class AbcasState:
     m0: float = 1.0
     r: float = 0.0
     dm: float = 0.0
-    counter: int = 0
     m: float = 1.0
     last_dist: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "fixed":
-            if not 0.0 < self.m0 <= 1.0:
-                raise ValueError(f"fixed multiplier must be in (0, 1], got {self.m0}")
             self.m = self.m0
 
-    def begin_step(self) -> None:
-        """Advance the step counter; called exactly once per training step."""
-        self.counter += 1
-
     def observe_and_update(self, c_real, c_fake) -> None:
-        """Feed one batch of critic outputs.
-
-        Only acts on discriminator steps (odd counter); calls on even
-        steps validate their inputs but leave the state untouched.
-        """
-        c_real = np.asarray(c_real)
-        c_fake = np.asarray(c_fake)
-        if c_real.size == 0 or c_fake.size == 0:
-            raise ValueError("empty critic batch")
-        if not (np.isfinite(c_real).all() and np.isfinite(c_fake).all()):
-            raise ValueError("non-finite critic values")
-        if self.counter % 2 == 0:
-            return
-        dist = float(c_real.max()) - float(c_fake.min())
-        self.last_dist = dist
-        if self.mode == "fixed":
-            return
-        self.dm = self.alpha * self.dm + (1.0 - self.alpha) * dist
-        self.r, self.m = target_multiplier(self.dm, self.beta)
+        """Feed one discriminator step's finite, non-empty critic batches."""
+        self.last_dist = float(c_real.max()) - float(c_fake.min())
+        if self.mode == "adaptive":
+            self.dm = self.alpha * self.dm + (1.0 - self.alpha) * self.last_dist
+            self.r, self.m = target_multiplier(self.dm, self.beta)

@@ -5,9 +5,8 @@ update the generator; the spectral norm of every normalized layer is
 re-estimated once per step (one persistent power-iteration step) and the
 effective weights m * W / sigma are rebuilt before any forward pass.
 Two time scales are realized purely as different learning rates. Every
-evaluation generates its samples in cache-sized chunks (:func:`generate`),
-which is exact for conv generators; the committed dense generators fit
-one chunk.
+evaluation of a conv generator generates its samples in cache-sized
+chunks (:func:`generate`), which is exact; a dense generator runs in one.
 """
 
 from __future__ import annotations
@@ -191,11 +190,9 @@ class EvalBaseline:
             raise ValueError("evaluation baseline was built for another generator spec")
 
 
-# The most bytes that one chunk of :func:`generate` holds in its widest layer
-# output. At 256 KB a blobs16 chunk of 64 samples keeps its activations and
-# columns within a 2 MB L2 cache. ring2d (1024 samples of 64 floats) sits
-# exactly on the bound, so a dense config with more samples or wider layers
-# would run in several chunks and change its output's rounding.
+# The most bytes that one chunk of :func:`generate` holds in a conv
+# generator's widest layer output. At 256 KB a blobs16 chunk of 64 samples
+# keeps its activations and columns within a 2 MB L2 cache.
 EVAL_CHUNK_BYTES = 256 * 1024
 
 
@@ -203,16 +200,18 @@ def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
              fwd: Callable) -> np.ndarray:
     """The generator's output on the latent batch ``z``, run through ``fwd`` in chunks.
 
-    ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. A chunk is as
-    many samples as fit :data:`EVAL_CHUNK_BYTES` in the widest layer
-    output, and at least one. Every op of a conv generator is per sample,
-    so its output has the bits of one pass under any chunking. A dense
-    layer's GEMM rows can depend on the row count, so a dense generator
-    keeps those bits only when ``z`` fits one chunk, as it does at every
-    committed config.
+    ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. Every op of a
+    conv generator is per sample, so its output has the bits of one pass
+    under any chunking; a chunk is as many samples as fit
+    :data:`EVAL_CHUNK_BYTES` in the widest layer output, and at least one.
+    A dense layer's GEMM rows can depend on the row count, so a generator
+    with a dense layer runs ``z`` as one chunk.
     """
-    widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
-    chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.dtype.itemsize))
+    if any(layer.kind == "dense" for layer in g_spec.layers):
+        chunk = len(z)
+    else:
+        widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
+        chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.dtype.itemsize))
     return np.concatenate([fwd(g_spec, g_store, z[i:i + chunk])[0]
                            for i in range(0, len(z), chunk)])
 
@@ -259,7 +258,7 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
 
     Each step's metrics record goes to ``hooks.on_record`` and is not
     kept. Row 0 is the pre-training evaluation (``baseline``); rows
-    1..steps follow the counter. Losses and the MMD column carry their
+    1..steps are the training steps. Losses and the MMD column carry their
     last computed value forward between the steps that refresh them. A
     ``baseline`` built from another seed, evaluation size or generator
     spec raises ``ValueError``. Raises :class:`NumericAbort` on the first
@@ -306,7 +305,6 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     hooks.on_eval(0, g_store, d_store)
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
-        controller.begin_step()
         # the step's one multiplier: observe_and_update changes controller.m
         # before the norm backward, which must use the m the forward used
         m = controller.m
@@ -321,7 +319,7 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
         if not np.isfinite(c_fake).all():
             abort(step, "critic output")
 
-        if controller.counter % 2 == 1:
+        if step % 2 == 1:
             y_real, tape_real = forward(d_spec, d_store, x_real, weights=effective)
             c_real = _critic_vector(y_real)
             if not np.isfinite(c_real).all():

@@ -21,7 +21,9 @@ from abcas.linalg import init_power_iter_state, power_iterate, reshape_conv_weig
 from abcas.metrics import mmd2_unbiased
 from abcas.nn import NetworkSpec, ParamStore, convtranspose2d, forward
 from abcas.specnorm import init_spectral_states, refresh
-from abcas.train import d_loss, d_loss_grads, g_loss, g_loss_grad
+from abcas.data import generate_ring2d
+from abcas.train import (TrainConfig, TrainHooks, d_loss, d_loss_grads, eval_baseline, g_loss,
+                         g_loss_grad, run_training)
 
 from helpers import (
     abcas_env,
@@ -171,9 +173,8 @@ def test_criterion_5_controller_unit_suite():
 
     # example: overlapping distributions leave the bound fully relaxed
     st = AbcasState()
-    st.begin_step()
-    for _ in range(3):
-        st.observe_and_update([0.1], [0.5])
+    for _ in range(3):  # three D steps
+        st.observe_and_update(np.array([0.1]), np.array([0.5]))
     if not (st.r == 0.0 and st.m == 1.0):
         problems.append("overlap example")
 
@@ -183,8 +184,7 @@ def test_criterion_5_controller_unit_suite():
 
     # example: dm = 0 then one dist = 10 lands at the alpha complement
     st = AbcasState()
-    st.begin_step()
-    st.observe_and_update([10.0], [0.0])
+    st.observe_and_update(np.array([10.0]), np.array([0.0]))
     if st.dm != 0.9999 * 0.0 + (1.0 - 0.9999) * 10.0 or abs(st.dm - 0.001) > 1e-12:
         problems.append("running-average example")
 
@@ -196,26 +196,26 @@ def test_criterion_5_controller_unit_suite():
     if not all(a >= b for a, b in zip(ms, ms[1:])):
         problems.append("m antitonicity")
 
-    # even-step updates leave the state untouched
-    st = AbcasState()
-    st.begin_step()
-    st.observe_and_update([3.0], [0.0])
-    st.begin_step()
-    before = (st.r, st.dm, st.m, st.last_dist, st.counter)
-    st.observe_and_update([100.0], [-100.0])
-    if (st.r, st.dm, st.m, st.last_dist, st.counter) != before:
+    # a training run's even (G) steps leave the controller untouched: each
+    # even row carries the previous odd (D) step's values, which do move
+    cfg = TrainConfig(steps=40, batch_size=4, eval_every=20, latent_dim=4, eval_samples=32,
+                      alpha=0.9, beta=0.05)
+    data = generate_ring2d(64, 8, 0.7, 0.05, seed=0)
+    rows = []
+    run_training(cfg, eval_baseline(cfg, data, nn.mlp_generator(4, [8, 8], 2)),
+                 nn.mlp_generator(4, [8, 8], 2), nn.mlp_discriminator(2, [8, 8]),
+                 TrainHooks(on_record=lambda rec: rows.append((rec.dist, rec.dm, rec.r, rec.m))))
+    if rows[2::2] != rows[1::2] or len(set(rows[1::2])) != cfg.steps // 2:
         problems.append("even-step no-op")
 
     # bitwise replay of a 10,000-update logged dist sequence
     rng = np.random.default_rng(55)
     st = AbcasState(beta=4.0)
     logged = []
-    for _ in range(20000):
-        st.begin_step()
+    for _ in range(10000):
         st.observe_and_update(rng.standard_normal(16) + rng.uniform(0, 5),
                               rng.standard_normal(16))
-        if st.counter % 2 == 1:
-            logged.append((st.last_dist, st.dm, st.r, st.m))
+        logged.append((st.last_dist, st.dm, st.r, st.m))
     dm = 0.0
     for dist, dm_logged, r_logged, m_logged in logged:
         dm = 0.9999 * dm + (1.0 - 0.9999) * dist

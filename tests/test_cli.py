@@ -638,6 +638,35 @@ class TestSweepCommand:
             assert v in err
         assert not out.exists()
 
+    def test_unreadable_metrics_of_a_setting_leaves_its_best_empty(self, tmp_path, capsys):
+        # the run cannot replace a directory named metrics.csv, nor read it
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        (out / "fixed_m0.7" / "metrics.csv").mkdir(parents=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "abcas sweep: fixed_m0.7: I/O error: [Errno 21]" in capsys.readouterr().err
+        line = (out / "summary.csv").read_text().strip().splitlines()[1]
+        assert line.split(",")[4:] == ["io_error", "", ""]
+
+    def test_out_under_a_regular_file_is_an_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"abcas: I/O error: [Errno 20] Not a directory: '{out}'\n"
+
+    def test_unwritable_summary_is_an_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        (out / "summary.csv").mkdir(parents=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "abcas sweep: fixed_m0.7: ok\n" in captured.out
+        assert captured.err == f"abcas: I/O error: [Errno 21] Is a directory: '{out / 'summary.csv'}'\n"
+
 
 class TestTrajCommand:
     def test_projection_matches_source(self, tmp_path):
@@ -680,4 +709,23 @@ class TestTrajCommand:
         assert cli.main(["traj", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"abcas: {metrics}: line 3 has {bad_row.count(',') + 1} fields")
+        assert not (tmp_path / "r_traj.csv").exists()
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "metrics.csv").write_text(CSV_HEADER + "\n")
+        (tmp_path / "r_traj.csv").mkdir()
+        assert cli.main(["traj", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"abcas: I/O error: [Errno 21] Is a directory: '{tmp_path / 'r_traj.csv'}'\n")
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+    def test_unreadable_metrics_errors(self, tmp_path, capsys, unreadable):
+        metrics = tmp_path / "metrics.csv"
+        if unreadable == "directory":
+            metrics.mkdir()
+        else:
+            metrics.write_bytes(b"step,r,m\n0,0,\xff\n")
+        assert cli.main(["traj", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"abcas: cannot read {metrics}: ") and err.count("\n") == 1
         assert not (tmp_path / "r_traj.csv").exists()

@@ -1,9 +1,7 @@
 import csv
-import dataclasses
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from abcas import cli
 from abcas.controller import AbcasState, target_multiplier
@@ -11,10 +9,8 @@ from abcas.controller import AbcasState, target_multiplier
 RING2D_CFG = Path(__file__).resolve().parents[1] / "configs" / "ring2d.cfg"
 
 
-def _odd_state(**kw):
-    st = AbcasState(**kw)
-    st.begin_step()  # counter 1, a discriminator step
-    return st
+def _batch(*values):
+    return np.array(values)
 
 
 class TestMap:
@@ -49,83 +45,47 @@ class TestMap:
 
 
 class TestObserveAndUpdate:
+    # each call is one discriminator step; the training loop makes no other
+
     def test_negative_dist_history_keeps_m_one(self):
-        st = _odd_state()
+        st = AbcasState()
         for _ in range(5):
-            st.observe_and_update([0.1], [0.5])  # dist = -0.4
-            st.begin_step()
-            st.begin_step()
+            st.observe_and_update(_batch(0.1), _batch(0.5))  # dist = -0.4
         assert st.r == 0.0
         assert st.m == 1.0
         assert st.dm <= 0.0
 
     def test_running_average_single_spike(self):
         # dm = 0 then one dist = 10 lands at the alpha-complement of 10
-        st = _odd_state()
-        st.observe_and_update([10.0], [0.0])
+        st = AbcasState()
+        st.observe_and_update(_batch(10.0), _batch(0.0))
         expected = 0.9999 * 0.0 + (1.0 - 0.9999) * 10.0
         assert st.dm == expected
         assert abs(st.dm - 0.001) < 1e-12
 
     def test_steady_state_example_values(self):
-        st = _odd_state()
+        st = AbcasState()
         st.dm = 2.0
-        st.observe_and_update([2.0], [0.0])  # dist = 2 keeps dm at 2 up to rounding
+        st.observe_and_update(_batch(2.0), _batch(0.0))  # dist = 2 keeps dm at 2 up to rounding
         assert abs(st.dm - 2.0) < 1e-12
         assert abs(st.r - 1.0) < 1e-12
         assert abs(st.m - 0.9) < 1e-12
 
     def test_m_always_equals_decay_power_r(self):
         rng = np.random.default_rng(0)
-        st = _odd_state(beta=4.0)
+        st = AbcasState(beta=4.0)
         for _ in range(200):
             st.observe_and_update(rng.standard_normal(8) + 2.0, rng.standard_normal(8))
             assert st.m == 0.9 ** st.r
-            st.begin_step()
-            st.begin_step()
-
-    def test_even_step_is_noop(self):
-        st = AbcasState()
-        st.begin_step()
-        st.observe_and_update([5.0], [0.0])
-        st.begin_step()  # counter 2, even
-        before = dataclasses.asdict(st)
-        st.observe_and_update([50.0], [-50.0])
-        assert dataclasses.asdict(st) == before
-
-    def test_counter_increments_once_per_step(self):
-        st = AbcasState()
-        for k in range(1, 6):
-            st.begin_step()
-            assert st.counter == k
 
     def test_fixed_mode_never_updates(self):
-        st = _odd_state(mode="fixed", m0=0.7)
+        st = AbcasState(mode="fixed", m0=0.7)
         for _ in range(10):
-            st.observe_and_update([100.0], [-100.0])
-            st.begin_step()
-            st.begin_step()
+            st.observe_and_update(_batch(100.0), _batch(-100.0))
         assert st.m == 0.7
         assert st.r == 0.0
         assert st.dm == 0.0
-
-    def test_fixed_mode_validation(self):
-        with pytest.raises(ValueError):
-            AbcasState(mode="fixed", m0=0.0)
-        with pytest.raises(ValueError):
-            AbcasState(mode="nonsense")
-
-    def test_empty_batch_raises(self):
-        st = _odd_state()
-        with pytest.raises(ValueError, match="empty"):
-            st.observe_and_update([], [1.0])
-
-    def test_non_finite_critic_raises(self):
-        st = _odd_state()
-        with pytest.raises(ValueError, match="non-finite"):
-            st.observe_and_update([np.nan], [1.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            st.observe_and_update([1.0], [np.inf])
+        assert st.last_dist == 200.0
 
     def test_initial_multiplier_is_one(self):
         assert AbcasState().m == 1.0
@@ -136,13 +96,11 @@ class TestReplay:
         rng = np.random.default_rng(42)
         st = AbcasState(beta=4.0)
         logged = []
-        for _ in range(2000):
-            st.begin_step()
+        for _ in range(1000):
             c_real = rng.standard_normal(16) + rng.uniform(0, 4)
             c_fake = rng.standard_normal(16)
             st.observe_and_update(c_real, c_fake)
-            if st.counter % 2 == 1:
-                logged.append((st.last_dist, st.dm, st.r, st.m))
+            logged.append((st.last_dist, st.dm, st.r, st.m))
 
         # independent 64-bit replay of the recurrence
         alpha, beta = 0.9999, 4.0

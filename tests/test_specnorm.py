@@ -11,6 +11,7 @@ from abcas.specnorm import (
     normalized_weight,
     refresh,
 )
+from abcas.train import d_loss_grads
 
 from helpers import central_diff_grad, rel_err
 
@@ -208,6 +209,85 @@ class TestLipschitzBound:
         gaps = np.abs(y1 - y2)[:, 0]
         dist = np.linalg.norm(x1 - x2, axis=1)
         assert np.all(gaps <= (m ** 3) * dist * (1.0 + 1e-4))
+
+
+def _random_critic(family, activation):
+    """A float64 critic of ``family`` with ``activation`` between its
+    normalized layers, every parameter (biases too) drawn at scale 0.5,
+    and a batch of 16 inputs."""
+    rng = np.random.default_rng(13)
+    if family == "mlp":
+        spec, x = nn.mlp_discriminator(2, [16, 16]), rng.uniform(-1, 1, (16, 2))
+    else:
+        spec, x = nn.conv_discriminator(1, [4, 8], 16), rng.uniform(-1, 1, (16, 1, 16, 16))
+    spec.layers = [nn.Layer(activation) if layer.kind == "relu" else layer
+                   for layer in spec.layers]
+    store = ParamStore(spec, dtype=np.float64)
+    store.flat[:] = rng.standard_normal(store.flat.size) * 0.5
+    return spec, store, x
+
+
+class TestFixedMultiplierIsTemperature:
+    """A critic C_m run at multiplier m is m^L * C', where C' is the same
+    critic at m = 1 with the k-th of its L normalized layers' biases
+    divided by m^k. It holds when only positively homogeneous activations
+    (ReLU) sit between the normalized layers and the biases are free."""
+
+    def _pair(self, family, activation, m):
+        """C_m and C' as (store, effective weights, spectral states), and L.
+
+        Both stores hold the same W, so one power step from the same seed
+        gives both the same sigma estimate.
+        """
+        spec, store, x = _random_critic(family, activation)
+        prime = ParamStore(spec, dtype=np.float64)
+        prime.flat[:] = store.flat
+        normalized = [i for i, layer in enumerate(spec.layers) if layer.normalized]
+        for k, i in enumerate(normalized, start=1):
+            prime.params[i]["b"][...] /= m ** k
+        nets = []
+        for st, mult in ((store, m), (prime, 1.0)):
+            states = init_spectral_states(spec, st, seed=1)
+            nets.append((st, refresh(states, st, mult), states))
+        return spec, x, nets, normalized
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    @pytest.mark.parametrize("m", [0.5, 0.7])
+    def test_critic_at_m_is_scaled_sn_critic(self, family, m):
+        spec, x, ((store, eff, _), (prime, eff_p, _)), normalized = self._pair(family, "relu", m)
+        c_m = forward(spec, store, x, weights=eff)[0]
+        c_p = forward(spec, prime, x, weights=eff_p)[0]
+        assert np.abs(c_m).max() > 0.1
+        assert rel_err(c_m, m ** len(normalized) * c_p) < 1e-13
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_tanh_between_layers_breaks_the_identity(self, family):
+        m = 0.7
+        spec, x, ((store, eff, _), (prime, eff_p, _)), normalized = self._pair(family, "tanh", m)
+        c_m = forward(spec, store, x, weights=eff)[0]
+        c_p = forward(spec, prime, x, weights=eff_p)[0]
+        assert rel_err(c_m, m ** len(normalized) * c_p) > 1e-3
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    @pytest.mark.parametrize("m", [0.5, 0.7])
+    def test_one_step_gradients(self, family, m):
+        # loss(C_m) and loss(m^L * C') are one function of W, and of b through
+        # b' = b / m^k: equal W gradients, bias gradients m^-k apart
+        spec, x, nets, normalized = self._pair(family, "relu", m)
+        scales = (1.0, m ** len(normalized))
+        for (st, eff, states), mult, scale in zip(nets, (m, 1.0), scales):
+            y_real, tape_real = forward(spec, st, x[:8], weights=eff)
+            y_fake, tape_fake = forward(spec, st, x[8:], weights=eff)
+            gr, gf = d_loss_grads(scale * y_real.ravel(), scale * y_fake.ravel())
+            st.zero_grad()
+            backward(tape_real, scale * gr.reshape(y_real.shape))
+            backward(tape_fake, scale * gf.reshape(y_fake.shape))
+            apply_norm_backward(states, st, mult)
+        (store, _, _), (prime, _, _) = nets
+        for k, i in enumerate(normalized, start=1):
+            assert np.abs(store.grads[i]["b"]).max() > 1e-3
+            assert rel_err(store.grads[i]["W"], prime.grads[i]["W"]) < 1e-12
+            assert rel_err(store.grads[i]["b"], m ** -k * prime.grads[i]["b"]) < 1e-12
 
 
 class TestPlumbing:

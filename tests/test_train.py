@@ -232,13 +232,23 @@ class TestGenerate:
     @pytest.mark.parametrize("name,chunks", [("ring2d", [1024]), ("ring2d_sweep", [512]),
                                              ("blobs16", [64] * 4)])
     def test_committed_configs_chunk_sizes(self, name, chunks):
-        # a dense generator's GEMM rows can depend on the row count, so each
-        # committed dense config must evaluate in one chunk to keep its bits
         settings = load_settings(CONFIGS / f"{name}.cfg")
         g, _ = build_networks(settings, tuple(settings.dataset_spec().load().shape[1:]))
         store = ParamStore(g, seed=(0, 0))
         z = train.sample_latent(np.random.default_rng(0), settings.train.eval_samples, g)
         assert _chunk_sizes(g, store, z)[0] == chunks
+
+    def test_dense_generator_runs_as_one_pass(self):
+        # 1536 samples of ring2d's 64-float layers are 384 KB, past the bound;
+        # split into chunks, its GEMMs would round differently from one pass
+        settings = load_settings(CONFIGS / "ring2d.cfg")
+        g, _ = build_networks(settings, (2,))
+        store = ParamStore(g, seed=(0, 0))
+        z = train.sample_latent(np.random.default_rng(0), 1536, g)
+        whole = nn.forward(g, store, z)[0]
+        sizes, out = _chunk_sizes(g, store, z)
+        assert sizes == [1536]
+        assert out.tobytes() == whole.tobytes()
 
     def test_eval_sample_peak_memory_at_blobs16_shapes(self):
         # one 256-sample pass peaks at about 7.6 MB; 64-sample chunks at about 2 MB
@@ -333,6 +343,25 @@ class TestTrainingLoop:
         for prev, cur in zip(recs, recs[1:]):
             if cur.step % 2 == 0:
                 assert (cur.dist, cur.dm, cur.r, cur.m) == (prev.dist, prev.dm, prev.r, prev.m)
+
+    def test_controller_observes_once_per_odd_step(self, monkeypatch):
+        # a subclass counts the calls, as perfbench's tracer wraps them
+        calls = []
+        seen = []  # (step, the calls made since the last row)
+
+        class Counting(train.AbcasState):
+            def observe_and_update(self, c_real, c_fake):
+                calls.append(1)
+                super().observe_and_update(c_real, c_fake)
+
+        def on_record(rec):
+            seen.append((rec.step, len(calls)))
+            calls.clear()
+
+        monkeypatch.setattr(train, "AbcasState", Counting)
+        cfg, data, g, d = _tiny_setup(steps=9)
+        run_training(cfg, eval_baseline(cfg, data, g), g, d, TrainHooks(on_record=on_record))
+        assert seen == [(step, step % 2) for step in range(cfg.steps + 1)]
 
     def test_adaptive_m_matches_power_of_r(self):
         cfg, data, g, d = _tiny_setup(steps=9)

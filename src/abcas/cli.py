@@ -204,8 +204,13 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
     for label, overrides in points:
         sub_dir = out_dir / label
         status_path = sub_dir / "status.txt"
-        if resume and status_path.exists():
-            status = status_path.read_text().strip()
+        status = None
+        if resume:
+            try:
+                status = status_path.read_text().strip()
+            except OSError:  # none was written, or it cannot be read: run it again
+                pass
+        if status is not None:
             print(f"abcas sweep: {label}: skipped (already {status})")
         else:
             try:
@@ -224,7 +229,10 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                     sub_dir.mkdir(parents=True, exist_ok=True)
                     status_path.write_text(status + "\n")
                 except OSError:
-                    status_path.unlink(missing_ok=True)  # the next --resume reruns it
+                    try:
+                        status_path.unlink(missing_ok=True)  # the next --resume reruns it
+                    except OSError:  # nor can it be removed; --resume reruns it too
+                        pass
             print(f"abcas sweep: {label}: {status}")
         # a config error's metrics.csv, if any, is an earlier run's; an I/O
         # error's is this run's, since a run deletes the old one first

@@ -105,10 +105,20 @@ def generate_blobs(n: int, img_size: int = 16, seed: int = 0) -> np.ndarray:
     s = img_size
     cx = rng.uniform(0.0, s, size=n)
     cy = rng.uniform(0.0, s, size=n)
-    yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
+    grid = np.arange(s, dtype=np.float64)
     tau = s / 6.0
-    d2 = (xx[None] - cx[:, None, None]) ** 2 + (yy[None] - cy[:, None, None]) ** 2
-    imgs = 2.0 * np.exp(-d2 / (2.0 * tau * tau)) - 1.0
+    # 2 exp(-((x - cx)^2 + (y - cy)^2) / (2 tau^2)) - 1, one ufunc at a time
+    # in place in one (n, s, s) array; a row's (y - cy)^2 is one (n, s, 1)
+    imgs = np.subtract(grid, cx[:, None, None], out=np.empty((n, s, s)))
+    imgs **= 2
+    dy2 = grid[:, None] - cy[:, None, None]
+    dy2 **= 2
+    imgs += dy2
+    np.negative(imgs, out=imgs)
+    imgs /= 2.0 * tau * tau
+    np.exp(imgs, out=imgs)
+    imgs *= 2.0
+    imgs -= 1.0
     return imgs[:, None, :, :].astype(np.float32)
 
 

@@ -24,7 +24,9 @@ halves) never builds the whole product: :func:`_exp_sum` computes it in row
 blocks of at most ``EXP_SUM_BLOCK`` entries, small enough to stay in cache,
 and adds the blocks' sums in row order. The result is deterministic for a
 given numpy, BLAS and thread count, and within 1e-15 relative of the exact
-sum at the shapes of ``TestExpSum`` in ``tests/test_metrics.py``.
+sum at the shapes of ``TestExpSum`` in ``tests/test_metrics.py``. Nor does
+the bandwidth hold all of a set's pairs: it computes them twice, a buffer
+at a time (see :func:`median_heuristic_bandwidth`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ BANDWIDTH_FLOOR = 1e-6
 MEDIAN_EXACT_LIMIT = 2048
 PAIR_LEAF = 64
 EXP_SUM_BLOCK = 1 << 15
+# the bandwidth's pass buffer, in float64 values (512 KB), and the most
+# values it keeps for its selection; it holds a leaf's pairs and two rows of
+# the widest cross block (MEDIAN_EXACT_LIMIT / 2 columns)
+MEDIAN_CHUNK = 1 << 16
+_LOW63 = (1 << 63) - 1
 
 
 def _as_points(x, name):
@@ -196,18 +203,89 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     return within_x + within_y - 2.0 * cross
 
 
+def _pair_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
+    # -|z_i - z_j|^2 for every distinct pair of the points whose _pair_rows
+    # are a, b (gamma = 1), in _pair_blocks order, written into buf and handed
+    # out as its filled prefix whenever the next piece does not fit: a leaf's
+    # upper triangle, or a row chunk of a cross block. A chunk has at least
+    # two rows, so it is a matrix product like the whole block's (one row
+    # would be a matrix-vector product), and it gives the same bits
+    upper = {}
+    pos = 0
+    for rows, cols, leaf in _pair_blocks(0, len(a)):
+        if leaf:
+            r = rows.stop - rows.start
+            mask = upper.get(r)
+            if mask is None:
+                mask = upper[r] = ~np.tri(r, dtype=bool).ravel()
+            size = r * (r - 1) // 2
+            if pos + size > len(buf):
+                yield buf[:pos]
+                pos = 0
+            np.compress(mask, (a[rows] @ b[rows].T).ravel(), out=buf[pos:pos + size])
+            pos += size
+            continue
+        c = cols.stop - cols.start
+        i = rows.start
+        while i < rows.stop:
+            left = rows.stop - i
+            k = min(left, (len(buf) - pos) // c)
+            if k < left and left - k < 2:
+                k -= 1
+            if k < 2:
+                yield buf[:pos]
+                pos = 0
+                continue
+            np.matmul(a[i:i + k], b[cols].T, out=buf[pos:pos + k * c].reshape(k, c))
+            pos += k * c
+            i += k
+    if pos:
+        yield buf[:pos]
+
+
+def _key(bits):
+    # the int64 bits of a float64 -> a key in the order of the floats, -0
+    # just below +0; its own inverse. An int or an int64 array
+    return bits ^ ((bits >> 63) & _LOW63)
+
+
+def _bin_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray, lo: int, shift: int):
+    # each chunk of _pair_chunks, with its values whose keys lie in
+    # [lo, lo + 2^shift) for lo a multiple of 2^shift <= 2^48. Those keys
+    # share their sign, so the values are one closed range of floats, and of
+    # int64 bits: the floats are compared, unless an end is a zero (-0 ==
+    # +0), an infinity or a nan, when the bits are
+    ends = np.array([_key(lo), _key(lo + (1 << shift) - 1)])
+    floats = ends.view(np.float64)
+    by_bits = not (np.isfinite(floats).all() and floats.all())
+    first, last = sorted(ends if by_bits else floats)
+    for v in _pair_chunks(a, b, buf):
+        x = v.view(np.int64) if by_bits else v
+        yield v, np.compress((x >= first) & (x <= last), v)
+
+
 def median_heuristic_bandwidth(z, *, seed=0) -> float:
     """Median pairwise Euclidean distance of the pooled sample set.
 
     Exact up to ``MEDIAN_EXACT_LIMIT`` samples; larger sets are subsampled
     with the provided seed. All-identical samples hit the 1e-6 floor. The
     squared distances come from the same blocks as :func:`within_set_mean`
-    (with gamma = 1), each written straight into its slot of one n(n-1)/2
-    buffer of ``-|z_i - z_j|^2``. One in-place selection on that buffer finds
-    the middle value (and the largest value below it, for an even count);
-    only those are clipped at 0 and square-rooted, which gives the same
-    float as the median of all the distances. Any nan distance makes the
-    result nan.
+    (with gamma = 1) as values ``-|z_i - z_j|^2``, and x -> sqrt(-min(x, 0))
+    is non-increasing, so the middle distances are those of the middle
+    values: rank h = n(n-1)/4, rounded down, and for an even count also
+    rank h - 1. Only those are clipped at 0 and square-rooted, which gives
+    the same float as the median of all the distances.
+
+    The n(n-1)/2 values are never held at once: each pass recomputes them,
+    ``MEDIAN_CHUNK`` at a time, into one buffer (:func:`_pair_chunks`).
+    Pass 1 counts them by the top 16 bits of their order-preserving 64-bit
+    key (:func:`_key`), which finds the bin that holds rank h. Pass 2 keeps
+    that bin's values, and one selection there gives rank h and the largest
+    value below it. When rank h - 1 lies in a lower bin, pass 2 takes the
+    largest value below the bin instead. A bin of more than ``MEDIAN_CHUNK``
+    values is first split by the next 16 bits of the key, in one more
+    counting pass each time, at most three times. Any nan distance makes
+    the result nan.
     """
     z = _as_points(z, "z")
     if len(z) < 2:
@@ -216,29 +294,66 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
         idx = np.random.default_rng(seed).choice(len(z), size=MEDIAN_EXACT_LIMIT, replace=False)
         z = z[idx]
     n = len(z)
+    size = n * (n - 1) // 2
+    h = size // 2
     a, b = _pair_rows(z, z, 1.0)
-    dist = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for rows, cols, leaf in _pair_blocks(0, n):
-        r, c = rows.stop - rows.start, cols.stop - cols.start
-        if leaf:
-            size = r * (r - 1) // 2
-            dist[pos:pos + size] = (a[rows] @ b[rows].T)[np.triu_indices(r, 1)]
-        else:
-            size = r * c
-            np.matmul(a[rows], b[cols].T, out=dist[pos:pos + size].reshape(r, c))
-        pos += size
-    # the blocks hold -|z_i - z_j|^2; max propagates nan
-    if math.isnan(dist.max()):
+    buf = np.empty(min(size, MEDIAN_CHUNK))
+    counts = np.zeros(1 << 16, np.int64)
+    for v in _pair_chunks(a, b, buf):
+        bits = v.view(np.uint64)
+        # the top 16 bits, in place: this pass reads no value again
+        np.add.at(counts, np.right_shift(bits, 48, out=bits).view(np.int64), 1)
+    raw = np.flatnonzero(counts)
+    # a nan that arithmetic makes is quiet: its top 16 bits are above an
+    # infinity's, 0x7ff0 or 0xfff0
+    if ((raw & 0x7FFF) > 0x7FF0).any():
         return math.nan
-    # x -> sqrt(-min(x, 0)) is non-increasing, so the middle distances are
-    # those of the middle raw values: dist[h] after one selection, and for
-    # an even count also the largest value below it
-    h = dist.size // 2
-    dist.partition(h)
-    med = _distance(dist[h])
-    if dist.size % 2 == 0:
-        med = (med + _distance(dist[:h].max())) / 2.0
+    # the bins as the top 16 bits of the keys, in order
+    bins = raw ^ np.where(raw & 0x8000, 0xFFFF, 0x8000)
+    order = np.argsort(bins)
+    bins, counts = bins[order], counts[raw[order]]
+    # rank h is among the `count` values whose keys lie in [lo, lo + 2^shift),
+    # and `below` values have smaller keys
+    lo, shift, below = -1 << 63, 64, 0
+    while True:
+        cum = np.cumsum(counts)
+        j = int(np.searchsorted(cum, h - below, side="right"))
+        below += int(cum[j - 1]) if j else 0
+        count = int(counts[j])
+        shift -= 16
+        lo += int(bins[j]) << shift
+        if count <= MEDIAN_CHUNK or shift == 0:
+            break
+        # split rank h's bin by the next 16 bits of the key
+        counts = np.zeros(1 << 16, np.int64)
+        for _, sel in _bin_chunks(a, b, buf, lo, shift):
+            np.add.at(counts, (_key(sel.view(np.int64)) - lo) >> (shift - 16), 1)
+        bins = np.flatnonzero(counts)
+        counts = counts[bins]
+    r = h - below
+    # for an even count with rank h first in its bin, rank h - 1 is the
+    # largest value with a key below lo
+    lower = size % 2 == 0 and r == 0
+    kept = np.empty(count if shift else 0)
+    pos, largest_below = 0, -math.inf
+    for v, sel in _bin_chunks(a, b, buf, lo, shift) if shift or lower else ():
+        if shift:
+            kept[pos:pos + len(sel)] = sel
+            pos += len(sel)
+        if lower:
+            largest_below = max(largest_below, float(np.max(
+                v, where=_key(v.view(np.int64)) < lo, initial=-math.inf)))
+    if shift:
+        kept.partition(r)
+        mid = float(kept[r])
+    else:
+        # the bin is the one key lo
+        mid = float(np.int64(_key(lo)).view(np.float64))
+    med = _distance(mid)
+    if size % 2 == 0:
+        # rank h - 1, below the bin or in it
+        mid = largest_below if lower else float(kept[:r].max()) if shift else mid
+        med = (med + _distance(mid)) / 2.0
     return max(med, BANDWIDTH_FLOOR)
 
 

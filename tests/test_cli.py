@@ -649,6 +649,23 @@ class TestSweepCommand:
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
         assert line.split(",")[4:] == ["io_error", "", ""]
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["rerun", "resume"])
+    def test_status_that_is_a_directory_is_an_io_error(self, tmp_path, capsys, resume):
+        # the run cannot remove a directory named status.txt, nor write or
+        # remove it after the error; --resume cannot read it, so it reruns
+        # the setting. The other setting still runs and summary.csv is written
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta = 4\n")
+        out = tmp_path / "sw"
+        (out / "fixed_m0.7" / "status.txt").mkdir(parents=True)
+        args = ["sweep", "--config", str(cfg), "--out", str(out)] + (["--resume"] if resume else [])
+        assert cli.main(args) == 0
+        assert "abcas sweep: fixed_m0.7: I/O error: [Errno 21]" in capsys.readouterr().err
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert lines[1].split(",")[4:] == ["io_error", "", ""]
+        assert lines[2].split(",")[0] == "abcas_beta4" and lines[2].split(",")[4] == "ok"
+        assert (out / "fixed_m0.7" / "status.txt").is_dir()
+
     def test_out_under_a_regular_file_is_an_io_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")

@@ -60,6 +60,23 @@ class TestBlobs:
     def test_deterministic(self):
         assert np.array_equal(generate_blobs(8, 8, seed=3), generate_blobs(8, 8, seed=3))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("img_size", [8, 16, 32])
+    @pytest.mark.parametrize("n", [2, 17, 2048])
+    def test_matches_whole_array_expression_bitwise(self, n, img_size, seed):
+        # the images are built in place, ufunc by ufunc; this is the
+        # expression they replace, with a temporary per operation
+        rng = np.random.default_rng([seed, 202])
+        cx = rng.uniform(0.0, img_size, size=n)
+        cy = rng.uniform(0.0, img_size, size=n)
+        yy, xx = np.mgrid[0:img_size, 0:img_size].astype(np.float64)
+        tau = img_size / 6.0
+        d2 = (xx[None] - cx[:, None, None]) ** 2 + (yy[None] - cy[:, None, None]) ** 2
+        want = (2.0 * np.exp(-d2 / (2.0 * tau * tau)) - 1.0)[:, None].astype(np.float32)
+        got = generate_blobs(n, img_size, seed)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_center_uniformity_chi_square(self):
         # brightest pixel tracks the bump center; counts over a 4x4 grid
         imgs = generate_blobs(1000, img_size=16, seed=5)

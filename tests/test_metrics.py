@@ -11,12 +11,14 @@ from scipy.spatial.distance import pdist
 from abcas.metrics import (
     CSV_HEADER,
     EXP_SUM_BLOCK,
+    MEDIAN_CHUNK,
     MEDIAN_EXACT_LIMIT,
     PAIR_LEAF,
     MetricsRecord,
     _bytes_greater,
     _exp_sum,
     _pair_blocks,
+    _pair_chunks,
     _pair_rows,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -304,14 +306,32 @@ def assert_exact_sum(a, b):
     assert abs(_exp_sum(a, b) - want) <= 1e-15 * want
 
 
-def bandwidth_by_full_blocks(z):
-    """median_heuristic_bandwidth with every block built whole, then copied."""
+def pairs_by_full_blocks(z):
+    """The bandwidth's -|z_i - z_j|^2 in _pair_blocks order, every block built whole."""
     a, b = _pair_rows(z, z, 1.0)
     pairs = []
     for rows, cols, leaf in _pair_blocks(0, len(z)):
         k = a[rows] @ b[cols].T
         pairs.append(k[np.triu_indices(len(k), 1)] if leaf else k.ravel())
-    return max(float(np.median(np.sqrt(-np.minimum(np.concatenate(pairs), 0.0)))), 1e-6)
+    return np.concatenate(pairs)
+
+
+def bandwidth_by_full_blocks(z):
+    """median_heuristic_bandwidth with every block built whole, then copied."""
+    return max(float(np.median(np.sqrt(-np.minimum(pairs_by_full_blocks(z), 0.0)))), 1e-6)
+
+
+def middle_bin_size(pairs):
+    """How many values share the top 16 bits of the value of rank len // 2."""
+    h = len(pairs) // 2
+    middle = np.partition(pairs, h)[h:h + 1]
+    return np.count_nonzero(pairs.view(np.uint64) >> 48 == middle.view(np.uint64)[0] >> 48)
+
+
+def sphere_points(n, d, seed):
+    """Points on the unit sphere: in many dimensions their distances crowd near sqrt(2)."""
+    x = np.random.default_rng([26, n, d, seed]).standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 BLOCK_SHAPES = [
@@ -417,13 +437,62 @@ class TestBandwidth:
                                    362, 363, 364, 365])
     def test_matches_full_blocks_bitwise(self, n):
         # n = 0, 1 mod 4 gives an even pair count, n = 2, 3 an odd one; integer
-        # points tie many distances, identical and tiny ones hit the floor
+        # points tie many distances, identical and tiny ones hit the floor.
+        # With 4 in 5 points identical most distances are 0, so the median is
+        # too and the floor applies. Points on a line have integer squared
+        # distances, each in a top-16-bit bin of its own, so ranks h - 1 and
+        # h often lie in two bins, and rank h at a bin's edge
         rng = np.random.default_rng([23, n])
+        mostly_identical = np.zeros((n, 2))
+        mostly_identical[:n // 5] = rng.standard_normal((n // 5, 2))
         for z in (rng.standard_normal((n, 2)), rng.integers(0, 3, (n, 2)).astype(np.float64),
-                  np.ones((n, 3)), 1e-9 * rng.standard_normal((n, 2))):
+                  np.ones((n, 3)), 1e-9 * rng.standard_normal((n, 2)), mostly_identical,
+                  np.arange(n, dtype=np.float64)[:, None]):
             want = bandwidth_by_full_blocks(z)
             assert np.float64(median_heuristic_bandwidth(z)).tobytes() == \
                 np.float64(want).tobytes()
+        assert median_heuristic_bandwidth(mostly_identical) == 1e-6
+
+    @pytest.mark.parametrize("case", ["sphere-d8", "sphere-d16", "half-identical",
+                                      "mostly-identical"])
+    def test_crowded_middle_bin_matches_full_blocks(self, case):
+        # the top-16-bit bin of the middle value holds more than MEDIAN_CHUNK
+        # values, so it is split by the next 16 bits of the key before its
+        # values are kept: distances that crowd near one value, and ties.
+        # Of 697 points on a line, 493 identical ones give exactly half of
+        # the 242556 pairs a distance of 0, so rank h is the first 0 and rank
+        # h - 1 the largest value below it. Either way the working set stays
+        # the pass buffers, far below the 16.8 MB of all the distances
+        z = {"sphere-d8": lambda: sphere_points(2048, 8, 0),
+             "sphere-d16": lambda: sphere_points(2048, 16, 0),
+             "half-identical": lambda: np.concatenate(
+                 [np.full(493, 0.25), 1.0 + 0.37 * np.arange(204)])[:, None],
+             "mostly-identical": lambda: np.vstack(
+                 [np.full((1600, 2), 0.3), np.random.default_rng(27).standard_normal((448, 2))]),
+             }[case]()
+        assert middle_bin_size(pairs_by_full_blocks(z)) > MEDIAN_CHUNK
+        tracemalloc.start()
+        try:
+            got = median_heuristic_bandwidth(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.float64(got).tobytes() == np.float64(bandwidth_by_full_blocks(z)).tobytes()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("n,d", [(2048, 2), (1024, 2), (512, 256), (513, 2)])
+    def test_chunks_match_the_whole_blocks(self, n, d):
+        # the pooled sets of ring2d and sweep-ring2d (cross blocks of 1024 x
+        # 1024 and 512 x 512, d = 2) and of blobs16 (256 x 256, d = 256): the
+        # buffer's row chunks of each cross block, of at least two rows, and
+        # its leaves hold the whole blocks' values entry for entry, in order.
+        # At 513 points a full buffer would leave one row of a block over
+        z = np.tanh(np.random.default_rng([25, n, d]).standard_normal((n, d)))
+        a, b = _pair_rows(z, z, 1.0)
+        chunks = [v.copy() for v in _pair_chunks(a, b, np.empty(MEDIAN_CHUNK))]
+        assert len(chunks) > 1
+        whole = pairs_by_full_blocks(z)
+        assert np.array_equal(np.concatenate(chunks).view(np.int64), whole.view(np.int64))
 
     def test_even_count_takes_the_largest_value_below_the_middle(self):
         # 500500 pairs; numpy's selection happens to leave a value other than
@@ -441,18 +510,17 @@ class TestBandwidth:
             assert math.isnan(bandwidth_by_full_blocks(z))
             assert math.isnan(median_heuristic_bandwidth(z))
 
-    def test_peak_memory_is_the_distance_buffer(self):
-        # the n(n-1)/2 float64 distances are the one large allocation: no
-        # copy of them, and no temporary of their size, is made beside them
+    def test_peak_memory_stays_below_4_mb(self):
+        # all n(n-1)/2 float64 distances would take 16.8 MB; the passes hold a
+        # 512 KB buffer, their bin counts and the middle bin's values
         z = np.random.default_rng(24).standard_normal((MEDIAN_EXACT_LIMIT, 2))
-        buffer = 8 * MEDIAN_EXACT_LIMIT * (MEDIAN_EXACT_LIMIT - 1) // 2
         tracemalloc.start()
         try:
             median_heuristic_bandwidth(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.05 * buffer
+        assert peak < 4e6
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(4)

@@ -252,15 +252,13 @@ def _key(bits):
 def _bin_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray, lo: int, shift: int):
     # each chunk of _pair_chunks, with its values whose keys lie in
     # [lo, lo + 2^shift) for lo a multiple of 2^shift <= 2^48. Those keys
-    # share their sign, so the values are one closed range of floats, and of
-    # int64 bits: the floats are compared, unless an end is a zero (-0 ==
-    # +0), an infinity or a nan, when the bits are
-    ends = np.array([_key(lo), _key(lo + (1 << shift) - 1)])
-    floats = ends.view(np.float64)
-    by_bits = not (np.isfinite(floats).all() and floats.all())
-    first, last = sorted(ends if by_bits else floats)
+    # share their sign, and within one sign the int64 bits of the floats are
+    # their keys, or the keys reversed for a negative sign, so the values are
+    # one closed range of bits. Values of the other sign have bits of the
+    # other sign and fall outside it
+    first, last = sorted([_key(lo), _key(lo + (1 << shift) - 1)])
     for v in _pair_chunks(a, b, buf):
-        x = v.view(np.int64) if by_bits else v
+        x = v.view(np.int64)
         yield v, np.compress((x >= first) & (x <= last), v)
 
 

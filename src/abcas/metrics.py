@@ -19,14 +19,15 @@ recursively: the pairs across two halves are one product, and a leaf of at
 most ``PAIR_LEAF`` points is one square product that holds each of its
 pairs twice and its diagonal.
 
-A kernel sum over two sets (the cross kernel, and a set's pairs across two
-halves) never builds the whole product: :func:`_exp_sum` computes it in row
-blocks of at most ``EXP_SUM_BLOCK`` entries, small enough to stay in cache,
-and adds the blocks' sums in row order. The result is deterministic for a
-given numpy, BLAS and thread count, and within 1e-15 relative of the exact
-sum at the shapes of ``TestExpSum`` in ``tests/test_metrics.py``. Nor does
-the bandwidth hold all of a set's pairs: it computes them twice, a buffer
-at a time (see :func:`median_heuristic_bandwidth`).
+Every product is formed by :func:`_products`, in row blocks written into
+one buffer. A kernel sum over two sets (the cross kernel, and a set's pairs
+across two halves) never builds the whole product: :func:`_exp_sum` adds
+the sums of blocks of at most ``EXP_SUM_BLOCK`` entries, which stay in
+cache, in row order. The result is deterministic for a given numpy, BLAS
+and thread count, and within 1e-15 relative of the exact sum at the shapes
+of ``TestExpSum`` in ``tests/test_metrics.py``. Nor does the bandwidth hold
+all of a set's pairs: each pass computes them again (see
+:func:`median_heuristic_bandwidth`).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ MEDIAN_EXACT_LIMIT = 2048
 PAIR_LEAF = 64
 EXP_SUM_BLOCK = 1 << 15
 # the bandwidth's pass buffer, in float64 values (512 KB), and the most
-# values it keeps for its selection; it holds a leaf's pairs and two rows of
-# the widest cross block (MEDIAN_EXACT_LIMIT / 2 columns)
+# values it keeps for its selection; it holds a leaf's square block and 64
+# rows of the widest cross block (MEDIAN_EXACT_LIMIT / 2 columns)
 MEDIAN_CHUNK = 1 << 16
 _LOW63 = (1 << 63) - 1
 
@@ -90,16 +91,28 @@ def _pair_rows(x: np.ndarray, y: np.ndarray, gamma: float) -> tuple[np.ndarray, 
     return a, b
 
 
-def _exp_sum(a: np.ndarray, b: np.ndarray) -> float:
-    # the sum of exp(a @ b.T), in row blocks of at most EXP_SUM_BLOCK entries
-    # (one row when a row is longer) added in row order; each block is let go
-    # before the next is built, so one is alive at a time
-    rows = max(1, EXP_SUM_BLOCK // len(b))
+def _products(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
+    # a @ b.T in row order, in row blocks of at most len(buf) entries, each
+    # written into buf; a block too big for buf gets its own array. A block
+    # has at least two rows, and a lone last row joins the block before, so
+    # each is a matrix product (one row rounds as a matrix-vector product).
+    # Other splits can round a few values otherwise too; none do at the
+    # committed configs' shapes, which tests/test_metrics.py checks
+    n, m = len(a), len(b)
+    rows = max(2, len(buf) // m)
+    r = 0
+    while r < n:
+        k = n - r if n - r <= rows + 1 else rows
+        out = buf[:k * m].reshape(k, m) if k * m <= len(buf) else None
+        yield np.matmul(a[r:r + k], b.T, out=out)
+        r += k
+
+
+def _exp_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    # the sum of exp(a @ b.T), its row blocks' sums added in row order
     total = 0.0
-    for r in range(0, len(a), rows):
-        k = a[r:r + rows] @ b.T
+    for k in _products(a, b, buf):
         total += float(np.sum(np.exp(k, out=k)))
-        del k
     return total
 
 
@@ -150,18 +163,24 @@ def within_set_mean(x, bandwidth: float) -> float:
     """
     gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(x)}")
+    return _within(x, gamma, np.empty(EXP_SUM_BLOCK))
+
+
+def _within(x: np.ndarray, gamma: float, buf: np.ndarray) -> float:
+    # within_set_mean of checked points, its products formed in buf
     n = len(x)
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     a, b = _pair_rows(x, x, gamma)
     total = 0.0
     for rows, cols, leaf in _pair_blocks(0, n):
         if leaf:
-            k = a[rows] @ b[rows].T
+            # a leaf of at most PAIR_LEAF points is one block
+            (k,) = _products(a[rows], b[rows], buf)
             np.exp(k, out=k)
             total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
         else:
-            total += _exp_sum(a[rows], b[cols])
+            total += _exp_sum(a[rows], b[cols], buf)
     # the distinct pairs once, doubled: the mean over i != j
     return 2.0 * total / (n * (n - 1))
 
@@ -193,54 +212,28 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"x and y must have the same number of features, got "
                          f"{x.shape[1]} and {y.shape[1]}")
-    within_x = within_set_mean(x, bandwidth) if x_within is None else x_within
+    buf = np.empty(EXP_SUM_BLOCK)
+    within_x = _within(x, gamma, buf) if x_within is None else x_within
     if n > m or (n == m and _bytes_greater(x, y)):
         x, y, n, m = y, x, m, n
-        within_x, within_y = within_set_mean(x, bandwidth), within_x
+        within_x, within_y = _within(x, gamma, buf), within_x
     else:
-        within_y = within_set_mean(y, bandwidth)
-    cross = _exp_sum(*_pair_rows(x, y, gamma)) / (n * m)
+        within_y = _within(y, gamma, buf)
+    cross = _exp_sum(*_pair_rows(x, y, gamma), buf) / (n * m)
     return within_x + within_y - 2.0 * cross
 
 
-def _pair_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
+def _pair_values(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
     # -|z_i - z_j|^2 for every distinct pair of the points whose _pair_rows
-    # are a, b (gamma = 1), in _pair_blocks order, written into buf and handed
-    # out as its filled prefix whenever the next piece does not fit: a leaf's
-    # upper triangle, or a row chunk of a cross block. A chunk has at least
-    # two rows, so it is a matrix product like the whole block's (one row
-    # would be a matrix-vector product), and it gives the same bits
-    upper = {}
-    pos = 0
+    # are a, b (gamma = 1), in _pair_blocks order: a leaf's upper triangle,
+    # or a cross block's row blocks, each formed in buf, which holds a leaf
+    upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
     for rows, cols, leaf in _pair_blocks(0, len(a)):
         if leaf:
-            r = rows.stop - rows.start
-            mask = upper.get(r)
-            if mask is None:
-                mask = upper[r] = ~np.tri(r, dtype=bool).ravel()
-            size = r * (r - 1) // 2
-            if pos + size > len(buf):
-                yield buf[:pos]
-                pos = 0
-            np.compress(mask, (a[rows] @ b[rows].T).ravel(), out=buf[pos:pos + size])
-            pos += size
-            continue
-        c = cols.stop - cols.start
-        i = rows.start
-        while i < rows.stop:
-            left = rows.stop - i
-            k = min(left, (len(buf) - pos) // c)
-            if k < left and left - k < 2:
-                k -= 1
-            if k < 2:
-                yield buf[:pos]
-                pos = 0
-                continue
-            np.matmul(a[i:i + k], b[cols].T, out=buf[pos:pos + k * c].reshape(k, c))
-            pos += k * c
-            i += k
-    if pos:
-        yield buf[:pos]
+            (k,) = _products(a[rows], b[rows], buf)
+            yield k[upper[:len(k), :len(k)]]
+        else:
+            yield from (k.ravel() for k in _products(a[rows], b[cols], buf))
 
 
 def _key(bits):
@@ -250,14 +243,14 @@ def _key(bits):
 
 
 def _bin_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray, lo: int, shift: int):
-    # each chunk of _pair_chunks, with its values whose keys lie in
+    # each chunk of _pair_values, with its values whose keys lie in
     # [lo, lo + 2^shift) for lo a multiple of 2^shift <= 2^48. Those keys
     # share their sign, and within one sign the int64 bits of the floats are
     # their keys, or the keys reversed for a negative sign, so the values are
     # one closed range of bits. Values of the other sign have bits of the
     # other sign and fall outside it
     first, last = sorted([_key(lo), _key(lo + (1 << shift) - 1)])
-    for v in _pair_chunks(a, b, buf):
+    for v in _pair_values(a, b, buf):
         x = v.view(np.int64)
         yield v, np.compress((x >= first) & (x <= last), v)
 
@@ -267,15 +260,19 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
 
     Exact up to ``MEDIAN_EXACT_LIMIT`` samples; larger sets are subsampled
     with the provided seed. All-identical samples hit the 1e-6 floor. The
-    squared distances come from the same blocks as :func:`within_set_mean`
-    (with gamma = 1) as values ``-|z_i - z_j|^2``, and x -> sqrt(-min(x, 0))
-    is non-increasing, so the middle distances are those of the middle
-    values: rank h = n(n-1)/4, rounded down, and for an even count also
-    rank h - 1. Only those are clipped at 0 and square-rooted, which gives
-    the same float as the median of all the distances.
+    squared distances come from the same pair blocks as
+    :func:`within_set_mean` (with gamma = 1) as values ``-|z_i - z_j|^2``,
+    and x -> sqrt(-min(x, 0)) is non-increasing, so the middle distances
+    are those of the middle values: rank h = n(n-1)/4, rounded down, and
+    for an even count also rank h - 1. Only those are clipped at 0 and
+    square-rooted, which gives exactly the median of the distances the
+    passes compute. At the committed configs' pooled sizes those are the
+    whole pair blocks' values, which ``tests/test_metrics.py`` checks;
+    elsewhere a few can round otherwise (see :func:`_products`).
 
-    The n(n-1)/2 values are never held at once: each pass recomputes them,
-    ``MEDIAN_CHUNK`` at a time, into one buffer (:func:`_pair_chunks`).
+    The n(n-1)/2 values are never held at once: each pass recomputes them
+    into one buffer of at most ``MEDIAN_CHUNK`` values, a leaf's upper
+    triangle or a cross block's row block at a time (:func:`_pair_values`).
     Pass 1 counts them by the top 16 bits of their order-preserving 64-bit
     key (:func:`_key`), which finds the bin that holds rank h. Pass 2 keeps
     that bin's values, and one selection there gives rank h and the largest
@@ -295,9 +292,9 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
     size = n * (n - 1) // 2
     h = size // 2
     a, b = _pair_rows(z, z, 1.0)
-    buf = np.empty(min(size, MEDIAN_CHUNK))
+    buf = np.empty(min(n * n, MEDIAN_CHUNK))
     counts = np.zeros(1 << 16, np.int64)
-    for v in _pair_chunks(a, b, buf):
+    for v in _pair_values(a, b, buf):
         bits = v.view(np.uint64)
         # the top 16 bits, in place: this pass reads no value again
         np.add.at(counts, np.right_shift(bits, 48, out=bits).view(np.int64), 1)

@@ -310,7 +310,8 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
         m = controller.m
         effective = refresh(d_spectral, d_store, m)
         z = sample_latent(rng_train, cfg.batch_size, g_spec)
-        x_real = data[rng_train.integers(0, n_data, cfg.batch_size)]
+        # the real batch's indices, drawn every step to keep the random stream; D's step gathers it
+        real = rng_train.integers(0, n_data, cfg.batch_size)
         # both parities generate a fake batch and score it; nothing needs G's input gradient
         x_fake, tape_g = forward(g_spec, g_store, z)
         tape_g.input_grad = False
@@ -320,7 +321,7 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
             abort(step, "critic output")
 
         if step % 2 == 1:
-            y_real, tape_real = forward(d_spec, d_store, x_real, weights=effective)
+            y_real, tape_real = forward(d_spec, d_store, data[real], weights=effective)
             c_real = _critic_vector(y_real)
             if not np.isfinite(c_real).all():
                 abort(step, "critic output")

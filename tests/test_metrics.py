@@ -18,8 +18,9 @@ from abcas.metrics import (
     _bytes_greater,
     _exp_sum,
     _pair_blocks,
-    _pair_chunks,
     _pair_rows,
+    _pair_values,
+    _products,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     within_set_mean,
@@ -301,9 +302,9 @@ def kernel_rows(n, m, d, seed):
 
 
 def assert_exact_sum(a, b):
-    """_exp_sum(a, b) is within 1e-15 relative of math.fsum, the correctly rounded sum."""
+    """_exp_sum(a, b, buf) is within 1e-15 relative of math.fsum, the correctly rounded sum."""
     want = math.fsum(np.exp(a @ b.T).ravel())
-    assert abs(_exp_sum(a, b) - want) <= 1e-15 * want
+    assert abs(_exp_sum(a, b, np.empty(EXP_SUM_BLOCK)) - want) <= 1e-15 * want
 
 
 def pairs_by_full_blocks(z):
@@ -316,9 +317,54 @@ def pairs_by_full_blocks(z):
     return np.concatenate(pairs)
 
 
+def bandwidth_of(pairs):
+    """The floored median of the distances whose -|z_i - z_j|^2 are pairs, all held at once."""
+    return max(float(np.median(np.sqrt(-np.minimum(pairs, 0.0)))), 1e-6)
+
+
 def bandwidth_by_full_blocks(z):
     """median_heuristic_bandwidth with every block built whole, then copied."""
-    return max(float(np.median(np.sqrt(-np.minimum(pairs_by_full_blocks(z), 0.0)))), 1e-6)
+    return bandwidth_of(pairs_by_full_blocks(z))
+
+
+def walker_pairs(z):
+    """The -|z_i - z_j|^2 that median_heuristic_bandwidth's passes compute, concatenated."""
+    a, b = _pair_rows(z, z, 1.0)
+    return np.concatenate([v.copy() for v in _pair_values(a, b, np.empty(MEDIAN_CHUNK))])
+
+
+def sums_by_fresh_blocks(a, b):
+    """The sum of exp(a @ b.T) over row blocks of EXP_SUM_BLOCK entries, or of one
+    row when a row is longer, each a fresh product, the sums added in row order."""
+    rows = max(1, EXP_SUM_BLOCK // len(b))
+    return sum(float(np.sum(np.exp(a[r:r + rows] @ b.T))) for r in range(0, len(a), rows))
+
+
+def lone_last_row(n, m):
+    """Whether an n x m product's row blocks of EXP_SUM_BLOCK entries leave one row over."""
+    rows = max(1, EXP_SUM_BLOCK // m)
+    return n > rows and n % rows == 1
+
+
+def within_by_fresh_blocks(x, bw):
+    """within_set_mean with each leaf and each row block a fresh product."""
+    a, b = _pair_rows(x, x, 1.0 / (2.0 * bw * bw))
+    total = 0.0
+    for rows, cols, leaf in _pair_blocks(0, len(x)):
+        if leaf:
+            k = np.exp(a[rows] @ b[rows].T)
+            total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
+        else:
+            total += sums_by_fresh_blocks(a[rows], b[cols])
+    return 2.0 * total / (len(x) * (len(x) - 1))
+
+
+def mmd2_by_fresh_blocks(x, y, bw):
+    """mmd2_unbiased with each leaf and each row block a fresh product."""
+    if len(x) > len(y) or (len(x) == len(y) and _bytes_greater(x, y)):
+        x, y = y, x
+    cross = sums_by_fresh_blocks(*_pair_rows(x, y, 1.0 / (2.0 * bw * bw))) / (len(x) * len(y))
+    return within_by_fresh_blocks(x, bw) + within_by_fresh_blocks(y, bw) - 2.0 * cross
 
 
 def middle_bin_size(pairs):
@@ -358,6 +404,17 @@ class TestExpSum:
         for seed in range(2):
             assert_exact_sum(*kernel_rows(n, m, d, seed))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n,m", [(3, 40000), (9, 70000), (129, 256)])
+    def test_every_block_is_a_matrix_product(self, n, m, d):
+        # a block has two rows or more, even when they do not fit the
+        # buffer, and a lone last row joins the block before: a one-row
+        # product is a matrix-vector product, which rounds otherwise
+        a, b = kernel_rows(n, m, d, 0)
+        blocks = [k.copy() for k in _products(a, b, np.empty(EXP_SUM_BLOCK))]
+        assert min(map(len, blocks)) >= 2
+        assert np.array_equal(np.vstack(blocks), a @ b.T)
+
     @pytest.mark.parametrize("n,m", [(183, 181), (999, 1001), (7, 33001), (33001, 7)])
     def test_one_column_matches_exact_sum(self, n, m):
         # exponents spread over [-1, 1], so the terms differ by up to e^2
@@ -365,16 +422,29 @@ class TestExpSum:
         assert_exact_sum(rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(-1.0, 1.0, (m, 1)))
 
     def test_holds_one_block_at_a_time(self):
-        # the whole 2048 x 2048 product would take 32 MB, one block 256 KB,
-        # two blocks alive at once 512 KB
+        # the whole 2048 x 2048 product would take 32 MB, the buffer of one
+        # block 256 KB, a second block alive at once 512 KB
         a, b = kernel_rows(2048, 2048, 2, 0)
         tracemalloc.start()
         try:
-            _exp_sum(a, b)
+            _exp_sum(a, b, np.empty(EXP_SUM_BLOCK))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * EXP_SUM_BLOCK
+
+    def test_forms_every_block_in_the_buffer(self):
+        # with the buffer allocated beforehand, none of the 128 blocks of
+        # 256 KB gets an array of its own
+        a, b = kernel_rows(2048, 2048, 2, 0)
+        buf = np.empty(EXP_SUM_BLOCK)
+        tracemalloc.start()
+        try:
+            _exp_sum(a, b, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 2),
                                        (256, 256, 256)])
@@ -400,6 +470,23 @@ class TestExpSum:
             y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
             z = np.vstack([x, y])
             assert median_heuristic_bandwidth(z) == bandwidth_by_full_blocks(z)
+
+    @pytest.mark.parametrize("d", [2, 256])
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in BLOCK_SHAPES
+                                     if not (lone_last_row(n, m) or lone_last_row(m, n))])
+    def test_mmd_matches_fresh_blocks_bitwise(self, n, m, d):
+        # the block shapes without a lone last row, the committed evaluation
+        # sizes among them: there the blocks formed in one buffer are the row
+        # partition of fresh products, so every bit is theirs
+        rng = np.random.default_rng([28, n, m, d])
+        x = np.tanh(rng.standard_normal((n, d)))
+        y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
+        bw = math.sqrt(d)
+        a, b = _pair_rows(x, y, 1.0 / (2.0 * bw * bw))
+        assert _exp_sum(a, b, np.empty(EXP_SUM_BLOCK)) == sums_by_fresh_blocks(a, b)
+        if min(n, m) >= 2:
+            assert within_set_mean(x, bw) == within_by_fresh_blocks(x, bw)
+            assert mmd2_unbiased(x, y, bw) == mmd2_by_fresh_blocks(x, y, bw)
 
     def test_calls_leave_no_reference_cycles(self):
         # a nested function or generator that calls itself is a reference
@@ -484,15 +571,24 @@ class TestBandwidth:
     def test_chunks_match_the_whole_blocks(self, n, d):
         # the pooled sets of ring2d and sweep-ring2d (cross blocks of 1024 x
         # 1024 and 512 x 512, d = 2) and of blobs16 (256 x 256, d = 256): the
-        # buffer's row chunks of each cross block, of at least two rows, and
-        # its leaves hold the whole blocks' values entry for entry, in order.
-        # At 513 points a full buffer would leave one row of a block over
+        # row blocks of each cross block and the leaves hold the whole
+        # blocks' values entry for entry, in order. At 513 points a 256 x 257
+        # cross block's row blocks would leave one row over
         z = np.tanh(np.random.default_rng([25, n, d]).standard_normal((n, d)))
         a, b = _pair_rows(z, z, 1.0)
-        chunks = [v.copy() for v in _pair_chunks(a, b, np.empty(MEDIAN_CHUNK))]
+        chunks = [v.copy() for v in _pair_values(a, b, np.empty(MEDIAN_CHUNK))]
         assert len(chunks) > 1
         whole = pairs_by_full_blocks(z)
         assert np.array_equal(np.concatenate(chunks).view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("n,d", [(513, 2), (513, 256), (700, 3), (1000, 64), (1500, 256)])
+    def test_selection_is_exact_over_the_walkers_values(self, n, d):
+        # row blocks can round otherwise than the whole blocks, in a few
+        # values at some shapes; whatever values the passes compute, the
+        # selection is exactly their median
+        z = np.tanh(np.random.default_rng([25, n, d]).standard_normal((n, d)))
+        want = bandwidth_of(walker_pairs(z))
+        assert np.float64(median_heuristic_bandwidth(z)).tobytes() == np.float64(want).tobytes()
 
     def test_even_count_takes_the_largest_value_below_the_middle(self):
         # 500500 pairs; numpy's selection happens to leave a value other than

@@ -25,8 +25,10 @@ across two halves) never builds the whole product: :func:`_exp_sum` adds
 the sums of blocks of at most ``EXP_SUM_BLOCK`` entries, which stay in
 cache, in row order. The result is deterministic for a given numpy, BLAS
 and thread count, and within 1e-15 relative of the exact sum at the shapes
-of ``TestExpSum`` in ``tests/test_metrics.py``. Nor does the bandwidth hold
-all of a set's pairs: each pass computes them again (see
+of ``TestExpSum`` in ``tests/test_metrics.py``. The bandwidth alone holds
+all of a set's n(n-1)/2 pairs, in one buffer of at most 1 MB: it takes them
+from at most ``MEDIAN_EXACT_LIMIT`` points, exactly up to 512 and from a
+seeded 512-point subsample above that (see
 :func:`median_heuristic_bandwidth`).
 """
 
@@ -46,14 +48,9 @@ __all__ = [
 ]
 
 BANDWIDTH_FLOOR = 1e-6
-MEDIAN_EXACT_LIMIT = 2048
+MEDIAN_EXACT_LIMIT = 512
 PAIR_LEAF = 64
 EXP_SUM_BLOCK = 1 << 15
-# the bandwidth's pass buffer, in float64 values (512 KB), and the most
-# values it keeps for its selection; it holds a leaf's square block and 64
-# rows of the widest cross block (MEDIAN_EXACT_LIMIT / 2 columns)
-MEDIAN_CHUNK = 1 << 16
-_LOW63 = (1 << 63) - 1
 
 
 def _as_points(x, name):
@@ -223,64 +220,22 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     return within_x + within_y - 2.0 * cross
 
 
-def _pair_values(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
-    # -|z_i - z_j|^2 for every distinct pair of the points whose _pair_rows
-    # are a, b (gamma = 1), in _pair_blocks order: a leaf's upper triangle,
-    # or a cross block's row blocks, each formed in buf, which holds a leaf
-    upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
-    for rows, cols, leaf in _pair_blocks(0, len(a)):
-        if leaf:
-            (k,) = _products(a[rows], b[rows], buf)
-            yield k[upper[:len(k), :len(k)]]
-        else:
-            yield from (k.ravel() for k in _products(a[rows], b[cols], buf))
-
-
-def _key(bits):
-    # the int64 bits of a float64 -> a key in the order of the floats, -0
-    # just below +0; its own inverse. An int or an int64 array
-    return bits ^ ((bits >> 63) & _LOW63)
-
-
-def _bin_chunks(a: np.ndarray, b: np.ndarray, buf: np.ndarray, lo: int, shift: int):
-    # each chunk of _pair_values, with its values whose keys lie in
-    # [lo, lo + 2^shift) for lo a multiple of 2^shift <= 2^48. Those keys
-    # share their sign, and within one sign the int64 bits of the floats are
-    # their keys, or the keys reversed for a negative sign, so the values are
-    # one closed range of bits. Values of the other sign have bits of the
-    # other sign and fall outside it
-    first, last = sorted([_key(lo), _key(lo + (1 << shift) - 1)])
-    for v in _pair_values(a, b, buf):
-        x = v.view(np.int64)
-        yield v, np.compress((x >= first) & (x <= last), v)
-
-
 def median_heuristic_bandwidth(z, *, seed=0) -> float:
     """Median pairwise Euclidean distance of the pooled sample set.
 
-    Exact up to ``MEDIAN_EXACT_LIMIT`` samples; larger sets are subsampled
-    with the provided seed. All-identical samples hit the 1e-6 floor. The
-    squared distances come from the same pair blocks as
-    :func:`within_set_mean` (with gamma = 1) as values ``-|z_i - z_j|^2``,
-    and x -> sqrt(-min(x, 0)) is non-increasing, so the middle distances
-    are those of the middle values: rank h = n(n-1)/4, rounded down, and
-    for an even count also rank h - 1. Only those are clipped at 0 and
-    square-rooted, which gives exactly the median of the distances the
-    passes compute. At the committed configs' pooled sizes those are the
-    whole pair blocks' values, which ``tests/test_metrics.py`` checks;
-    elsewhere a few can round otherwise (see :func:`_products`).
-
-    The n(n-1)/2 values are never held at once: each pass recomputes them
-    into one buffer of at most ``MEDIAN_CHUNK`` values, a leaf's upper
-    triangle or a cross block's row block at a time (:func:`_pair_values`).
-    Pass 1 counts them by the top 16 bits of their order-preserving 64-bit
-    key (:func:`_key`), which finds the bin that holds rank h. Pass 2 keeps
-    that bin's values, and one selection there gives rank h and the largest
-    value below it. When rank h - 1 lies in a lower bin, pass 2 takes the
-    largest value below the bin instead. A bin of more than ``MEDIAN_CHUNK``
-    values is first split by the next 16 bits of the key, in one more
-    counting pass each time, at most three times. Any nan distance makes
-    the result nan.
+    Exact up to ``MEDIAN_EXACT_LIMIT`` (512) samples; a larger set is
+    replaced by the subsample ``np.random.default_rng(seed).choice(n,
+    MEDIAN_EXACT_LIMIT, replace=False)``. All-identical samples hit the 1e-6
+    floor. The squared distances come from the same pair blocks as
+    :func:`within_set_mean` (with gamma = 1), each block one product
+    (:func:`_products`): a cross block is written straight into its slot of
+    one n(n-1)/2 buffer of ``-|z_i - z_j|^2``, a leaf's upper triangle is
+    copied in. x -> sqrt(-min(x, 0)) is non-increasing, so the middle
+    distances are those of the middle values: one in-place selection finds
+    rank h = n(n-1)/4, rounded down, and for an even count rank h - 1 is the
+    largest value below it. Only those are clipped at 0 and square-rooted,
+    which gives exactly the median of the whole pair blocks' distances. Any
+    nan distance makes the result nan.
     """
     z = _as_points(z, "z")
     if len(z) < 2:
@@ -289,66 +244,30 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
         idx = np.random.default_rng(seed).choice(len(z), size=MEDIAN_EXACT_LIMIT, replace=False)
         z = z[idx]
     n = len(z)
-    size = n * (n - 1) // 2
-    h = size // 2
     a, b = _pair_rows(z, z, 1.0)
-    buf = np.empty(min(n * n, MEDIAN_CHUNK))
-    counts = np.zeros(1 << 16, np.int64)
-    for v in _pair_values(a, b, buf):
-        bits = v.view(np.uint64)
-        # the top 16 bits, in place: this pass reads no value again
-        np.add.at(counts, np.right_shift(bits, 48, out=bits).view(np.int64), 1)
-    raw = np.flatnonzero(counts)
-    # a nan that arithmetic makes is quiet: its top 16 bits are above an
-    # infinity's, 0x7ff0 or 0xfff0
-    if ((raw & 0x7FFF) > 0x7FF0).any():
+    dist = np.empty(n * (n - 1) // 2)
+    leaf_buf = np.empty(PAIR_LEAF * PAIR_LEAF)
+    upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
+    pos = 0
+    # each block is one product: a buffer of exactly a cross block's size
+    # gets it whole, and a leaf fits PAIR_LEAF^2 values
+    for rows, cols, leaf in _pair_blocks(0, n):
+        if leaf:
+            (k,) = _products(a[rows], b[rows], leaf_buf)
+            k = k[upper[:len(k), :len(k)]]
+            dist[pos:pos + len(k)] = k
+        else:
+            size = (rows.stop - rows.start) * (cols.stop - cols.start)
+            (k,) = _products(a[rows], b[cols], dist[pos:pos + size])
+        pos += k.size
+    # max propagates nan
+    if math.isnan(dist.max()):
         return math.nan
-    # the bins as the top 16 bits of the keys, in order
-    bins = raw ^ np.where(raw & 0x8000, 0xFFFF, 0x8000)
-    order = np.argsort(bins)
-    bins, counts = bins[order], counts[raw[order]]
-    # rank h is among the `count` values whose keys lie in [lo, lo + 2^shift),
-    # and `below` values have smaller keys
-    lo, shift, below = -1 << 63, 64, 0
-    while True:
-        cum = np.cumsum(counts)
-        j = int(np.searchsorted(cum, h - below, side="right"))
-        below += int(cum[j - 1]) if j else 0
-        count = int(counts[j])
-        shift -= 16
-        lo += int(bins[j]) << shift
-        if count <= MEDIAN_CHUNK or shift == 0:
-            break
-        # split rank h's bin by the next 16 bits of the key
-        counts = np.zeros(1 << 16, np.int64)
-        for _, sel in _bin_chunks(a, b, buf, lo, shift):
-            np.add.at(counts, (_key(sel.view(np.int64)) - lo) >> (shift - 16), 1)
-        bins = np.flatnonzero(counts)
-        counts = counts[bins]
-    r = h - below
-    # for an even count with rank h first in its bin, rank h - 1 is the
-    # largest value with a key below lo
-    lower = size % 2 == 0 and r == 0
-    kept = np.empty(count if shift else 0)
-    pos, largest_below = 0, -math.inf
-    for v, sel in _bin_chunks(a, b, buf, lo, shift) if shift or lower else ():
-        if shift:
-            kept[pos:pos + len(sel)] = sel
-            pos += len(sel)
-        if lower:
-            largest_below = max(largest_below, float(np.max(
-                v, where=_key(v.view(np.int64)) < lo, initial=-math.inf)))
-    if shift:
-        kept.partition(r)
-        mid = float(kept[r])
-    else:
-        # the bin is the one key lo
-        mid = float(np.int64(_key(lo)).view(np.float64))
-    med = _distance(mid)
-    if size % 2 == 0:
-        # rank h - 1, below the bin or in it
-        mid = largest_below if lower else float(kept[:r].max()) if shift else mid
-        med = (med + _distance(mid)) / 2.0
+    h = dist.size // 2
+    dist.partition(h)
+    med = _distance(dist[h])
+    if dist.size % 2 == 0:
+        med = (med + _distance(dist[:h].max())) / 2.0
     return max(med, BANDWIDTH_FLOOR)
 
 

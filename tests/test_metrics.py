@@ -11,15 +11,12 @@ from scipy.spatial.distance import pdist
 from abcas.metrics import (
     CSV_HEADER,
     EXP_SUM_BLOCK,
-    MEDIAN_CHUNK,
-    MEDIAN_EXACT_LIMIT,
     PAIR_LEAF,
     MetricsRecord,
     _bytes_greater,
     _exp_sum,
     _pair_blocks,
     _pair_rows,
-    _pair_values,
     _products,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -288,8 +285,11 @@ class TestScipyOracle:
     @ORACLE_OFFSETS
     @pytest.mark.parametrize("n,d", [(2048, 2), (1024, 2), (512, 256)] + LEAF_SIZES)
     def test_bandwidth_matches_pdist_median(self, n, d, offset):
+        # above 512 points the median is over the points the bandwidth
+        # uses: the subsample drawn with its default seed 0
         z = _oracle_points(n, d, offset, 1)
-        want = float(np.median(pdist(z)))
+        used = z[np.random.default_rng(0).choice(n, 512, replace=False)] if n > 512 else z
+        want = float(np.median(pdist(used)))
         assert abs(median_heuristic_bandwidth(z) - want) <= 1e-13 * want
 
 
@@ -317,20 +317,11 @@ def pairs_by_full_blocks(z):
     return np.concatenate(pairs)
 
 
-def bandwidth_of(pairs):
-    """The floored median of the distances whose -|z_i - z_j|^2 are pairs, all held at once."""
-    return max(float(np.median(np.sqrt(-np.minimum(pairs, 0.0)))), 1e-6)
-
-
 def bandwidth_by_full_blocks(z):
-    """median_heuristic_bandwidth with every block built whole, then copied."""
-    return bandwidth_of(pairs_by_full_blocks(z))
-
-
-def walker_pairs(z):
-    """The -|z_i - z_j|^2 that median_heuristic_bandwidth's passes compute, concatenated."""
-    a, b = _pair_rows(z, z, 1.0)
-    return np.concatenate([v.copy() for v in _pair_values(a, b, np.empty(MEDIAN_CHUNK))])
+    """median_heuristic_bandwidth with every block built whole, the floored
+    median taken over all the distances at once."""
+    pairs = pairs_by_full_blocks(z)
+    return max(float(np.median(np.sqrt(-np.minimum(pairs, 0.0)))), 1e-6)
 
 
 def sums_by_fresh_blocks(a, b):
@@ -365,19 +356,6 @@ def mmd2_by_fresh_blocks(x, y, bw):
         x, y = y, x
     cross = sums_by_fresh_blocks(*_pair_rows(x, y, 1.0 / (2.0 * bw * bw))) / (len(x) * len(y))
     return within_by_fresh_blocks(x, bw) + within_by_fresh_blocks(y, bw) - 2.0 * cross
-
-
-def middle_bin_size(pairs):
-    """How many values share the top 16 bits of the value of rank len // 2."""
-    h = len(pairs) // 2
-    middle = np.partition(pairs, h)[h:h + 1]
-    return np.count_nonzero(pairs.view(np.uint64) >> 48 == middle.view(np.uint64)[0] >> 48)
-
-
-def sphere_points(n, d, seed):
-    """Points on the unit sphere: in many dimensions their distances crowd near sqrt(2)."""
-    x = np.random.default_rng([26, n, d, seed]).standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 BLOCK_SHAPES = [
@@ -459,18 +437,6 @@ class TestExpSum:
         for r in range(0, n, rows):
             assert np.array_equal(a[r:r + rows] @ b.T, whole[r:r + rows])
 
-    @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 256),
-                                       (700, 300, 3)])
-    def test_mmd_matches_full_blocks_bitwise(self, n, m, d):
-        # the bandwidth's distances are copied, not summed, so the blocks
-        # give the same bits as the whole products
-        for seed in range(2):
-            rng = np.random.default_rng([20, n, m, d, seed])
-            x = np.tanh(rng.standard_normal((n, d)))
-            y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
-            z = np.vstack([x, y])
-            assert median_heuristic_bandwidth(z) == bandwidth_by_full_blocks(z)
-
     @pytest.mark.parametrize("d", [2, 256])
     @pytest.mark.parametrize("n,m", [(n, m) for n, m in BLOCK_SHAPES
                                      if not (lone_last_row(n, m) or lone_last_row(m, n))])
@@ -540,60 +506,29 @@ class TestBandwidth:
                 np.float64(want).tobytes()
         assert median_heuristic_bandwidth(mostly_identical) == 1e-6
 
-    @pytest.mark.parametrize("case", ["sphere-d8", "sphere-d16", "half-identical",
-                                      "mostly-identical"])
-    def test_crowded_middle_bin_matches_full_blocks(self, case):
-        # the top-16-bit bin of the middle value holds more than MEDIAN_CHUNK
-        # values, so it is split by the next 16 bits of the key before its
-        # values are kept: distances that crowd near one value, and ties.
-        # Of 697 points on a line, 493 identical ones give exactly half of
-        # the 242556 pairs a distance of 0, so rank h is the first 0 and rank
-        # h - 1 the largest value below it. Either way the working set stays
-        # the pass buffers, far below the 16.8 MB of all the distances
-        z = {"sphere-d8": lambda: sphere_points(2048, 8, 0),
-             "sphere-d16": lambda: sphere_points(2048, 16, 0),
-             "half-identical": lambda: np.concatenate(
-                 [np.full(493, 0.25), 1.0 + 0.37 * np.arange(204)])[:, None],
-             "mostly-identical": lambda: np.vstack(
-                 [np.full((1600, 2), 0.3), np.random.default_rng(27).standard_normal((448, 2))]),
-             }[case]()
-        assert middle_bin_size(pairs_by_full_blocks(z)) > MEDIAN_CHUNK
-        tracemalloc.start()
-        try:
-            got = median_heuristic_bandwidth(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.float64(got).tobytes() == np.float64(bandwidth_by_full_blocks(z)).tobytes()
-        assert peak < 4e6
-
-    @pytest.mark.parametrize("n,d", [(2048, 2), (1024, 2), (512, 256), (513, 2)])
-    def test_chunks_match_the_whole_blocks(self, n, d):
-        # the pooled sets of ring2d and sweep-ring2d (cross blocks of 1024 x
-        # 1024 and 512 x 512, d = 2) and of blobs16 (256 x 256, d = 256): the
-        # row blocks of each cross block and the leaves hold the whole
-        # blocks' values entry for entry, in order. At 513 points a 256 x 257
-        # cross block's row blocks would leave one row over
-        z = np.tanh(np.random.default_rng([25, n, d]).standard_normal((n, d)))
-        a, b = _pair_rows(z, z, 1.0)
-        chunks = [v.copy() for v in _pair_values(a, b, np.empty(MEDIAN_CHUNK))]
-        assert len(chunks) > 1
-        whole = pairs_by_full_blocks(z)
-        assert np.array_equal(np.concatenate(chunks).view(np.int64), whole.view(np.int64))
-
-    @pytest.mark.parametrize("n,d", [(513, 2), (513, 256), (700, 3), (1000, 64), (1500, 256)])
-    def test_selection_is_exact_over_the_walkers_values(self, n, d):
-        # row blocks can round otherwise than the whole blocks, in a few
-        # values at some shapes; whatever values the passes compute, the
-        # selection is exactly their median
-        z = np.tanh(np.random.default_rng([25, n, d]).standard_normal((n, d)))
-        want = bandwidth_of(walker_pairs(z))
-        assert np.float64(median_heuristic_bandwidth(z)).tobytes() == np.float64(want).tobytes()
+    @pytest.mark.parametrize("n,m,d", [(256, 256, 256), (256, 256, 2), (256, 255, 3),
+                                       (200, 100, 3)])
+    def test_pooled_sets_match_full_blocks_bitwise(self, n, m, d):
+        # pooled sets of two training-like halves: blobs16's 512 x 256, and
+        # at most 512 points in 2 and 3 dimensions. Every block is one
+        # product, so the selection sees the whole blocks' bits
+        for seed in range(2):
+            rng = np.random.default_rng([20, n, m, d, seed])
+            x = np.tanh(rng.standard_normal((n, d)))
+            y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
+            z = np.vstack([x, y])
+            assert np.float64(median_heuristic_bandwidth(z)).tobytes() == \
+                np.float64(bandwidth_by_full_blocks(z)).tobytes()
 
     def test_even_count_takes_the_largest_value_below_the_middle(self):
-        # 500500 pairs; numpy's selection happens to leave a value other than
-        # the largest below the middle at position h - 1 for this draw
-        z = np.random.default_rng([23, 1001, 44]).standard_normal((1001, 2))
+        # 19900 pairs, an even count; for this draw numpy's selection leaves a
+        # value other than the largest below the middle at position h - 1,
+        # which the first assertion checks, so the branch is reached
+        z = np.random.default_rng([23, 200, 1]).standard_normal((200, 2))
+        pairs = pairs_by_full_blocks(z)
+        h = len(pairs) // 2
+        pairs.partition(h)
+        assert len(pairs) % 2 == 0 and pairs[h - 1] < pairs[:h].max()
         assert median_heuristic_bandwidth(z) == bandwidth_by_full_blocks(z)
 
     def test_overflowing_distances_match_full_blocks(self):
@@ -606,22 +541,25 @@ class TestBandwidth:
             assert math.isnan(bandwidth_by_full_blocks(z))
             assert math.isnan(median_heuristic_bandwidth(z))
 
-    def test_peak_memory_stays_below_4_mb(self):
-        # all n(n-1)/2 float64 distances would take 16.8 MB; the passes hold a
-        # 512 KB buffer, their bin counts and the middle bin's values
-        z = np.random.default_rng(24).standard_normal((MEDIAN_EXACT_LIMIT, 2))
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_peak_memory_stays_below_1_5_mb(self, n):
+        # at most 512 points are used, so the buffer of all their n(n-1)/2
+        # float64 distances takes at most 1.05 MB; the pair rows, the leaf
+        # block and its mask add about 0.1 MB. All 2048 points' distances
+        # would take 16.8 MB
+        z = np.random.default_rng(24).standard_normal((n, 2))
         tracemalloc.start()
         try:
             median_heuristic_bandwidth(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 1.5e6
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((3000, 2))
-        # more than MEDIAN_EXACT_LIMIT points, so a seeded subsample is used
+        # more than 512 points, so a seeded subsample is used
         a = median_heuristic_bandwidth(z, seed=1)
         b = median_heuristic_bandwidth(z, seed=1)
         c = median_heuristic_bandwidth(z, seed=2)

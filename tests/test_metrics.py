@@ -493,8 +493,7 @@ class TestBandwidth:
         # points tie many distances, identical and tiny ones hit the floor.
         # With 4 in 5 points identical most distances are 0, so the median is
         # too and the floor applies. Points on a line have integer squared
-        # distances, each in a top-16-bit bin of its own, so ranks h - 1 and
-        # h often lie in two bins, and rank h at a bin's edge
+        # distances with many ties, so ranks h - 1 and h are often equal
         rng = np.random.default_rng([23, n])
         mostly_identical = np.zeros((n, 2))
         mostly_identical[:n // 5] = rng.standard_normal((n // 5, 2))

@@ -14,21 +14,19 @@ centred on the first set's mean, rows ``[x, |x|^2, 1]`` times rows
 pair, and ``exp`` is taken in place. Centring keeps a common offset (all
 points near +1e3, say) from burying the exponent in the rounding error of
 the large norms. The pairs of one set (the within-set means and the
-median-heuristic bandwidth) come from splitting the set into halves
-recursively: the pairs across two halves are one product, and a leaf of at
-most ``PAIR_LEAF`` points is one square product that holds each of its
-pairs twice and its diagonal.
+median-heuristic bandwidth) are walked in bands of at most ``PAIR_LEAF``
+rows: a band's square block holds each of its pairs twice and its diagonal,
+and its rows against every later row hold the rest of its pairs.
 
-Every product is formed by :func:`_products`, in row blocks written into
-one buffer. A kernel sum over two sets (the cross kernel, and a set's pairs
-across two halves) never builds the whole product: :func:`_exp_sum` adds
-the sums of blocks of at most ``EXP_SUM_BLOCK`` entries, which stay in
-cache, in row order. The result is deterministic for a given numpy, BLAS
-and thread count, and within 1e-15 relative of the exact sum at the shapes
-of ``TestExpSum`` in ``tests/test_metrics.py``. The bandwidth alone holds
-all of a set's n(n-1)/2 pairs, in one buffer of at most 1 MB: it takes them
-from at most ``MEDIAN_EXACT_LIMIT`` points, exactly up to 512 and from a
-seeded 512-point subsample above that (see
+A kernel sum over two sets (the cross kernel, and a band against the later
+rows) never builds the whole product: :func:`_exp_sum` adds the sums of row
+blocks of at most ``EXP_SUM_BLOCK`` entries, formed in one buffer that
+stays in cache, in row order. The result is deterministic for a given
+numpy, BLAS and thread count, and within 1e-15 relative of the exact sum at
+the shapes of ``TestExpSum`` in ``tests/test_metrics.py``. The bandwidth
+alone holds all of a set's n(n-1)/2 pairs, in one buffer of at most 1 MB:
+it takes them from at most ``MEDIAN_EXACT_LIMIT`` points, exactly up to 512
+and from a seeded 512-point subsample above that (see
 :func:`median_heuristic_bandwidth`).
 """
 
@@ -88,45 +86,29 @@ def _pair_rows(x: np.ndarray, y: np.ndarray, gamma: float) -> tuple[np.ndarray, 
     return a, b
 
 
-def _products(a: np.ndarray, b: np.ndarray, buf: np.ndarray):
-    # a @ b.T in row order, in row blocks of at most len(buf) entries, each
-    # written into buf; a block too big for buf gets its own array. A block
-    # has at least two rows, and a lone last row joins the block before, so
-    # each is a matrix product (one row rounds as a matrix-vector product).
-    # Other splits can round a few values otherwise too; none do at the
-    # committed configs' shapes, which tests/test_metrics.py checks
-    n, m = len(a), len(b)
-    rows = max(2, len(buf) // m)
-    r = 0
-    while r < n:
-        k = n - r if n - r <= rows + 1 else rows
-        out = buf[:k * m].reshape(k, m) if k * m <= len(buf) else None
-        yield np.matmul(a[r:r + k], b.T, out=out)
-        r += k
-
-
 def _exp_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    # the sum of exp(a @ b.T), its row blocks' sums added in row order
+    # the sum of exp(a @ b.T), its row blocks' sums added in row order; a
+    # block has len(buf) // len(b) rows and is formed in buf, except a row
+    # longer than buf, which gets its own array
+    m = len(b)
+    rows = max(1, len(buf) // m)
     total = 0.0
-    for k in _products(a, b, buf):
+    for r in range(0, len(a), rows):
+        block = a[r:r + rows]
+        out = buf[:len(block) * m].reshape(len(block), m) if len(block) * m <= len(buf) else None
+        k = np.matmul(block, b.T, out=out)
         total += float(np.sum(np.exp(k, out=k)))
     return total
 
 
-def _pair_blocks(lo: int, hi: int):
-    # every distinct pair of points lo..hi-1 exactly once, as row slices
-    # (rows, cols, leaf) of the _pair_rows of one set: the pairs across two
-    # halves, and a leaf's square block, which holds each of its pairs twice
-    # and its diagonal. Module level: a generator that calls itself from a
-    # nested scope is a reference cycle, which keeps the pair rows alive
-    # until the cyclic GC runs
-    if hi - lo <= PAIR_LEAF:
-        yield slice(lo, hi), slice(lo, hi), True
-        return
-    mid = (lo + hi) // 2
-    yield slice(lo, mid), slice(mid, hi), False
-    yield from _pair_blocks(lo, mid)
-    yield from _pair_blocks(mid, hi)
+def _bands(a: np.ndarray, b: np.ndarray):
+    # every pair i < j of one set's _pair_rows once, in bands of at most
+    # PAIR_LEAF rows: each band's square block, which holds each of its
+    # pairs twice and its diagonal, then its rows and the later rows they
+    # pair with
+    for lo in range(0, len(a), PAIR_LEAF):
+        hi = lo + PAIR_LEAF
+        yield a[lo:hi] @ b[lo:hi].T, a[lo:hi], b[hi:]
 
 
 def _distance(neg_sq: float) -> float:
@@ -153,10 +135,10 @@ def within_set_mean(x, bandwidth: float) -> float:
     This is the within-set term that :func:`mmd2_unbiased` computes for
     each side, bit for bit. Training computes it once per run for the
     frozen real evaluation set and passes it as ``x_within``. The kernel
-    values come from the recursive blocks of centred matrix products (see
-    the module docstring); a leaf's square block counts ``(sum - trace) / 2``,
-    so each of the n(n-1)/2 distinct pairs is counted once, and the pairs
-    across two halves are summed by :func:`_exp_sum`.
+    values come from the bands of centred matrix products (see the module
+    docstring): a band's square block counts ``(sum - trace) / 2``, so each
+    of the n(n-1)/2 distinct pairs is counted once, and the band's rows
+    against the later rows are summed by :func:`_exp_sum`.
     """
     gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
@@ -166,18 +148,14 @@ def within_set_mean(x, bandwidth: float) -> float:
 
 
 def _within(x: np.ndarray, gamma: float, buf: np.ndarray) -> float:
-    # within_set_mean of checked points, its products formed in buf
+    # within_set_mean of checked points, its row blocks formed in buf
     n = len(x)
-    a, b = _pair_rows(x, x, gamma)
     total = 0.0
-    for rows, cols, leaf in _pair_blocks(0, n):
-        if leaf:
-            # a leaf of at most PAIR_LEAF points is one block
-            (k,) = _products(a[rows], b[rows], buf)
-            np.exp(k, out=k)
-            total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
-        else:
-            total += _exp_sum(a[rows], b[cols], buf)
+    for square, rows, later in _bands(*_pair_rows(x, x, gamma)):
+        np.exp(square, out=square)
+        total += (float(np.sum(square)) - float(np.trace(square))) / 2.0
+        if len(later):
+            total += _exp_sum(rows, later, buf)
     # the distinct pairs once, doubled: the mean over i != j
     return 2.0 * total / (n * (n - 1))
 
@@ -226,16 +204,15 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
     Exact up to ``MEDIAN_EXACT_LIMIT`` (512) samples; a larger set is
     replaced by the subsample ``np.random.default_rng(seed).choice(n,
     MEDIAN_EXACT_LIMIT, replace=False)``. All-identical samples hit the 1e-6
-    floor. The squared distances come from the same pair blocks as
-    :func:`within_set_mean` (with gamma = 1), each block one product
-    (:func:`_products`): a cross block is written straight into its slot of
-    one n(n-1)/2 buffer of ``-|z_i - z_j|^2``, a leaf's upper triangle is
-    copied in. x -> sqrt(-min(x, 0)) is non-increasing, so the middle
-    distances are those of the middle values: one in-place selection finds
-    rank h = n(n-1)/4, rounded down, and for an even count rank h - 1 is the
-    largest value below it. Only those are clipped at 0 and square-rooted,
-    which gives exactly the median of the whole pair blocks' distances. Any
-    nan distance makes the result nan.
+    floor. The squared distances come from the same bands as
+    :func:`within_set_mean` (with gamma = 1): each band's upper triangle and
+    its rows against the later rows are written into one n(n-1)/2 buffer of
+    ``-|z_i - z_j|^2``. x -> sqrt(-min(x, 0)) is non-increasing, so the
+    middle distances are those of the middle values: one in-place selection
+    finds rank h = n(n-1)/4, rounded down, and for an even count rank h - 1
+    is the largest value below it. Only those are clipped at 0 and
+    square-rooted, which gives exactly the median of the bands' distances.
+    Any nan distance makes the result nan.
     """
     z = _as_points(z, "z")
     if len(z) < 2:
@@ -244,22 +221,16 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
         idx = np.random.default_rng(seed).choice(len(z), size=MEDIAN_EXACT_LIMIT, replace=False)
         z = z[idx]
     n = len(z)
-    a, b = _pair_rows(z, z, 1.0)
     dist = np.empty(n * (n - 1) // 2)
-    leaf_buf = np.empty(PAIR_LEAF * PAIR_LEAF)
     upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
     pos = 0
-    # each block is one product: a buffer of exactly a cross block's size
-    # gets it whole, and a leaf fits PAIR_LEAF^2 values
-    for rows, cols, leaf in _pair_blocks(0, n):
-        if leaf:
-            (k,) = _products(a[rows], b[rows], leaf_buf)
-            k = k[upper[:len(k), :len(k)]]
-            dist[pos:pos + len(k)] = k
-        else:
-            size = (rows.stop - rows.start) * (cols.stop - cols.start)
-            (k,) = _products(a[rows], b[cols], dist[pos:pos + size])
-        pos += k.size
+    for square, rows, later in _bands(*_pair_rows(z, z, 1.0)):
+        k = square[upper[:len(square), :len(square)]]
+        dist[pos:pos + len(k)] = k
+        pos += len(k)
+        size = len(rows) * len(later)
+        np.matmul(rows, later.T, out=dist[pos:pos + size].reshape(len(rows), len(later)))
+        pos += size
     # max propagates nan
     if math.isnan(dist.max()):
         return math.nan

@@ -14,10 +14,9 @@ from abcas.metrics import (
     PAIR_LEAF,
     MetricsRecord,
     _bytes_greater,
+    _bands,
     _exp_sum,
-    _pair_blocks,
     _pair_rows,
-    _products,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     within_set_mean,
@@ -171,7 +170,7 @@ class TestMMD:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_one_point_half_matches_bruteforce(self, n, m):
-        # at n = 2 and 3 the within-set pairs are one leaf of two or three points
+        # at n = 2 and 3 the within-set pairs are one band of two or three points
         rng = np.random.default_rng([14, n, m])
         for offset in (0.0, 1e3):
             x = rng.standard_normal((n, 3)) + offset
@@ -308,12 +307,14 @@ def assert_exact_sum(a, b):
 
 
 def pairs_by_full_blocks(z):
-    """The bandwidth's -|z_i - z_j|^2 in _pair_blocks order, every block built whole."""
+    """The bandwidth's -|z_i - z_j|^2 in band order, every block built whole:
+    each band's upper triangle, then its rows against every later row."""
     a, b = _pair_rows(z, z, 1.0)
     pairs = []
-    for rows, cols, leaf in _pair_blocks(0, len(z)):
-        k = a[rows] @ b[cols].T
-        pairs.append(k[np.triu_indices(len(k), 1)] if leaf else k.ravel())
+    for lo in range(0, len(z), PAIR_LEAF):
+        hi = lo + PAIR_LEAF
+        k = a[lo:hi] @ b[lo:hi].T
+        pairs += [k[np.triu_indices(len(k), 1)], (a[lo:hi] @ b[hi:].T).ravel()]
     return np.concatenate(pairs)
 
 
@@ -331,27 +332,21 @@ def sums_by_fresh_blocks(a, b):
     return sum(float(np.sum(np.exp(a[r:r + rows] @ b.T))) for r in range(0, len(a), rows))
 
 
-def lone_last_row(n, m):
-    """Whether an n x m product's row blocks of EXP_SUM_BLOCK entries leave one row over."""
-    rows = max(1, EXP_SUM_BLOCK // m)
-    return n > rows and n % rows == 1
-
-
 def within_by_fresh_blocks(x, bw):
-    """within_set_mean with each leaf and each row block a fresh product."""
+    """within_set_mean with each band's square block and each row block a fresh product."""
     a, b = _pair_rows(x, x, 1.0 / (2.0 * bw * bw))
     total = 0.0
-    for rows, cols, leaf in _pair_blocks(0, len(x)):
-        if leaf:
-            k = np.exp(a[rows] @ b[rows].T)
-            total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
-        else:
-            total += sums_by_fresh_blocks(a[rows], b[cols])
+    for lo in range(0, len(x), PAIR_LEAF):
+        hi = lo + PAIR_LEAF
+        k = np.exp(a[lo:hi] @ b[lo:hi].T)
+        total += (float(np.sum(k)) - float(np.trace(k))) / 2.0
+        if hi < len(x):
+            total += sums_by_fresh_blocks(a[lo:hi], b[hi:])
     return 2.0 * total / (len(x) * (len(x) - 1))
 
 
 def mmd2_by_fresh_blocks(x, y, bw):
-    """mmd2_unbiased with each leaf and each row block a fresh product."""
+    """mmd2_unbiased with each band's square block and each row block a fresh product."""
     if len(x) > len(y) or (len(x) == len(y) and _bytes_greater(x, y)):
         x, y = y, x
     cross = sums_by_fresh_blocks(*_pair_rows(x, y, 1.0 / (2.0 * bw * bw))) / (len(x) * len(y))
@@ -381,17 +376,6 @@ class TestExpSum:
         # a row longer than a block is a block of its own
         for seed in range(2):
             assert_exact_sum(*kernel_rows(n, m, d, seed))
-
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n,m", [(3, 40000), (9, 70000), (129, 256)])
-    def test_every_block_is_a_matrix_product(self, n, m, d):
-        # a block has two rows or more, even when they do not fit the
-        # buffer, and a lone last row joins the block before: a one-row
-        # product is a matrix-vector product, which rounds otherwise
-        a, b = kernel_rows(n, m, d, 0)
-        blocks = [k.copy() for k in _products(a, b, np.empty(EXP_SUM_BLOCK))]
-        assert min(map(len, blocks)) >= 2
-        assert np.array_equal(np.vstack(blocks), a @ b.T)
 
     @pytest.mark.parametrize("n,m", [(183, 181), (999, 1001), (7, 33001), (33001, 7)])
     def test_one_column_matches_exact_sum(self, n, m):
@@ -427,9 +411,9 @@ class TestExpSum:
     @pytest.mark.parametrize("n,m,d", [(1024, 1024, 2), (512, 512, 2), (256, 256, 2),
                                        (256, 256, 256)])
     def test_row_blocks_match_the_whole_product(self, n, m, d):
-        # the cross kernels of ring2d, sweep-ring2d and blobs16, and the ring
-        # sets' pairs across two halves: each of _exp_sum's row blocks is a
-        # matrix product whose rows are the whole product's, entry for entry
+        # the cross kernels of ring2d, sweep-ring2d and blobs16: each of
+        # _exp_sum's row blocks is a matrix product whose rows are the whole
+        # product's, entry for entry
         a, b = kernel_rows(n, m, d, 0)
         whole = a @ b.T
         rows = max(1, EXP_SUM_BLOCK // m)
@@ -438,12 +422,10 @@ class TestExpSum:
             assert np.array_equal(a[r:r + rows] @ b.T, whole[r:r + rows])
 
     @pytest.mark.parametrize("d", [2, 256])
-    @pytest.mark.parametrize("n,m", [(n, m) for n, m in BLOCK_SHAPES
-                                     if not (lone_last_row(n, m) or lone_last_row(m, n))])
+    @pytest.mark.parametrize("n,m", BLOCK_SHAPES)
     def test_mmd_matches_fresh_blocks_bitwise(self, n, m, d):
-        # the block shapes without a lone last row, the committed evaluation
-        # sizes among them: there the blocks formed in one buffer are the row
-        # partition of fresh products, so every bit is theirs
+        # the committed evaluation sizes among them: the blocks formed in one
+        # buffer are the row partition of fresh products, so every bit is theirs
         rng = np.random.default_rng([28, n, m, d])
         x = np.tanh(rng.standard_normal((n, d)))
         y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
@@ -454,9 +436,29 @@ class TestExpSum:
             assert within_set_mean(x, bw) == within_by_fresh_blocks(x, bw)
             assert mmd2_unbiased(x, y, bw) == mmd2_by_fresh_blocks(x, y, bw)
 
+    def test_band_walk_visits_every_pair_once(self):
+        # rows [i, 1] and [1, N j] make a[i] @ b[j] = i + N j, exact in float64,
+        # so every entry of a product names its pair (i, j)
+        for n in range(2, 3 * PAIR_LEAF + 2):
+            idx = np.arange(n, dtype=np.float64)
+            a = np.column_stack([idx, np.ones(n)])
+            b = np.column_stack([np.ones(n), n * idx])
+            seen = np.zeros((n, n), int)
+            for square, rows, later in _bands(a, b):
+                band = rows[:, 0].astype(int)
+                # the band's pairs both ways and its diagonal, which
+                # (sum - trace) / 2 and the upper triangle count once
+                assert np.array_equal(square, band[:, None] + n * band[None, :])
+                i, j = np.triu_indices(len(band), 1)
+                np.add.at(seen, (band[i], band[j]), 1)
+                k = (rows @ later.T).astype(int).ravel()
+                np.add.at(seen, (k % n, k // n), 1)
+            assert np.array_equal(seen, np.triu(np.ones((n, n), int), 1))
+
     def test_calls_leave_no_reference_cycles(self):
-        # a nested function or generator that calls itself is a reference
-        # cycle, which holds the pair rows until the cyclic GC runs
+        # a nested function or generator that refers to itself is a reference
+        # cycle, which would hold the pair rows until the cyclic GC runs; the
+        # band walk and the row blocks are plain loops, so none is left
         rng = np.random.default_rng(21)
         x = rng.standard_normal((300, 2))
         y = rng.standard_normal((300, 2))
@@ -520,10 +522,10 @@ class TestBandwidth:
                 np.float64(bandwidth_by_full_blocks(z)).tobytes()
 
     def test_even_count_takes_the_largest_value_below_the_middle(self):
-        # 19900 pairs, an even count; for this draw numpy's selection leaves a
+        # 34716 pairs, an even count; for this draw numpy's selection leaves a
         # value other than the largest below the middle at position h - 1,
         # which the first assertion checks, so the branch is reached
-        z = np.random.default_rng([23, 200, 1]).standard_normal((200, 2))
+        z = np.random.default_rng([23, 264, 1]).standard_normal((264, 2))
         pairs = pairs_by_full_blocks(z)
         h = len(pairs) // 2
         pairs.partition(h)
@@ -543,9 +545,9 @@ class TestBandwidth:
     @pytest.mark.parametrize("n", [512, 2048])
     def test_peak_memory_stays_below_1_5_mb(self, n):
         # at most 512 points are used, so the buffer of all their n(n-1)/2
-        # float64 distances takes at most 1.05 MB; the pair rows, the leaf
-        # block and its mask add about 0.1 MB. All 2048 points' distances
-        # would take 16.8 MB
+        # float64 distances takes at most 1.05 MB; the pair rows, a band's
+        # square block and its upper triangle add about 0.1 MB. All 2048
+        # points' distances would take 16.8 MB
         z = np.random.default_rng(24).standard_normal((n, 2))
         tracemalloc.start()
         try:

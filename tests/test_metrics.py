@@ -13,8 +13,8 @@ from abcas.metrics import (
     EXP_SUM_BLOCK,
     PAIR_LEAF,
     MetricsRecord,
-    _bytes_greater,
     _bands,
+    _bytes_greater,
     _exp_sum,
     _pair_rows,
     median_heuristic_bandwidth,
@@ -424,8 +424,9 @@ class TestExpSum:
     @pytest.mark.parametrize("d", [2, 256])
     @pytest.mark.parametrize("n,m", BLOCK_SHAPES)
     def test_mmd_matches_fresh_blocks_bitwise(self, n, m, d):
-        # the committed evaluation sizes among them: the blocks formed in one
-        # buffer are the row partition of fresh products, so every bit is theirs
+        # every block shape, the committed evaluation sizes among them: the
+        # blocks formed in one buffer are the row partition of fresh products,
+        # so every bit is theirs
         rng = np.random.default_rng([28, n, m, d])
         x = np.tanh(rng.standard_normal((n, d)))
         y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
@@ -437,7 +438,7 @@ class TestExpSum:
             assert mmd2_unbiased(x, y, bw) == mmd2_by_fresh_blocks(x, y, bw)
 
     def test_band_walk_visits_every_pair_once(self):
-        # rows [i, 1] and [1, N j] make a[i] @ b[j] = i + N j, exact in float64,
+        # rows [i, 1] and [1, n j] make a[i] @ b[j] = i + n j, exact in float64,
         # so every entry of a product names its pair (i, j)
         for n in range(2, 3 * PAIR_LEAF + 2):
             idx = np.arange(n, dtype=np.float64)

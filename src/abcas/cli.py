@@ -22,7 +22,8 @@ from time import monotonic
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Settings, build_networks, load_settings, manifest_text
+from .config import (ConfigError, Settings, build_networks, load_settings, manifest_text,
+                     parse_config_text, resolve_settings)
 from .data import TensorFileError, write_tensor_file
 from .metrics import CSV_HEADER
 from .nn import forward
@@ -39,12 +40,12 @@ ROW_WRITE_SECONDS = 1.0
 def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | NumericAbort]:
     """The dataset and step-0 evaluation baseline of a run.
 
-    A sweep builds them once from its base settings: its settings differ
-    only in mode, m and beta, none of which the baseline depends on. In
-    place of the baseline comes the step-0 ``NumericAbort`` when the
-    initial generator's evaluation sample is not finite; every run that
-    is given it reports it as its own abort. A dataset that cannot be
-    read is a config error.
+    A sweep builds them once, from its one read of its config: each
+    setting is that read with its own mode, m or beta, none of which the
+    baseline depends on. In place of the baseline comes the step-0
+    ``NumericAbort`` when the initial generator's evaluation sample is
+    not finite; every run that is given it reports it as its own abort.
+    A dataset that cannot be read is a config error.
     """
     try:
         data = settings.dataset_spec().load()
@@ -172,24 +173,24 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     # one run directory per setting, named with :g; refuse values that share one
-    points: list[tuple[str, dict[str, str]]] = []
-    first_value: dict[str, float] = {}
+    points: dict[str, dict[str, str]] = {}
     for key, prefix, mode, param, values in (
             ("sweep_fixed_m", "fixed_m", "fixed", "m", base.sweep_fixed_m),
             ("sweep_abcas_beta", "abcas_beta", "adaptive", "beta", base.sweep_abcas_beta)):
         for value in values:
             label = f"{prefix}{value:g}"
-            if label in first_value:
-                print(f"abcas: config error: {key} values {first_value[label]!r} and {value!r} "
-                      f"would share the run directory {label}", file=sys.stderr)
+            if label in points:
+                print(f"abcas: config error: {key} values {float(points[label][param])!r} and "
+                      f"{value!r} would share the run directory {label}", file=sys.stderr)
                 return CONFIG_ERROR
-            first_value[label] = value
-            points.append((label, {"mode": mode, param: f"{value:.17g}"}))
+            points[label] = {"mode": mode, param: f"{value:.17g}"}
     if not points:
         print("abcas: config error: sweep_fixed_m and sweep_abcas_beta are both empty; "
               "a sweep needs at least one setting", file=sys.stderr)
         return CONFIG_ERROR
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
+    # each setting is this one read with its own overrides; later edits change none
+    raw = parse_config_text(manifest_text(base, f"abcas-{__version__}", out_dir.name))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -201,7 +202,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         shared = exc
 
     summary = ["setting,mode,m,beta,status,best_mmd2,best_step\n"]
-    for label, overrides in points:
+    for label, overrides in points.items():
         sub_dir = out_dir / label
         status_path = sub_dir / "status.txt"
         status = None
@@ -214,7 +215,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
             print(f"abcas sweep: {label}: skipped (already {status})")
         else:
             try:
-                settings = load_settings(config_path, overrides)
+                settings = resolve_settings(raw, overrides)
                 if isinstance(shared, Exception):
                     raise shared
                 status = _run_one(settings, sub_dir, *shared)

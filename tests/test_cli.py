@@ -443,6 +443,11 @@ class TestTrainCommand:
 
 
 class TestSweepCommand:
+    # the settings of _sweep_config and the train flags that give each one
+    TRAIN_FLAGS = (("fixed_m0.7", ["--mode", "fixed", "--m", "0.7"]),
+                   ("fixed_m1", ["--mode", "fixed", "--m", "1"]),
+                   ("abcas_beta4", ["--mode", "adaptive", "--beta", "4"]))
+
     def _sweep_config(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7,1.0\nsweep_abcas_beta = 4\n")
@@ -489,9 +494,7 @@ class TestSweepCommand:
         cfg = self._sweep_config(tmp_path)
         out = tmp_path / "sw"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        for label, flags in (("fixed_m0.7", ["--mode", "fixed", "--m", "0.7"]),
-                             ("fixed_m1", ["--mode", "fixed", "--m", "1"]),
-                             ("abcas_beta4", ["--mode", "adaptive", "--beta", "4"])):
+        for label, flags in self.TRAIN_FLAGS:
             single = tmp_path / "train" / label
             assert cli.main(["train", "--config", str(cfg), "--out", str(single)] + flags) == 0
             swept = out / label
@@ -506,6 +509,53 @@ class TestSweepCommand:
                     == {f"step_{step:06d}" for step in range(0, 41, 10)})
             for f in files:
                 assert (swept / f).read_bytes() == (single / f).read_bytes(), f
+
+    @pytest.mark.parametrize("edit", ["ring_sigma = 0.2", "g_hidden = 16,16"])
+    def test_config_edited_during_the_sweep_changes_no_setting(self, tmp_path, monkeypatch, edit):
+        # the sweep reads its config once. A setting that re-read it trained a
+        # ring_sigma edit on the first read's data under a manifest of the
+        # edit, and a g_hidden edit did not fit the shared baseline
+        cfg = self._sweep_config(tmp_path)
+        text = cfg.read_text()
+        out = tmp_path / "sw"
+        with monkeypatch.context() as patch:
+            run_one = cli._run_one
+
+            def run_then_edit(*args):
+                status = run_one(*args)
+                cfg.write_text(text + edit + "\n")
+                return status
+            patch.setattr(cli, "_run_one", run_then_edit)
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert edit in cfg.read_text()
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["ok"] * 3
+        cfg.write_text(text)
+        for label, flags in self.TRAIN_FLAGS:
+            single = tmp_path / "train" / label
+            assert cli.main(["train", "--config", str(cfg), "--out", str(single)] + flags) == 0
+            assert ((out / label / "manifest.cfg").read_bytes()
+                    == (single / "manifest.cfg").read_bytes()), label
+            assert (_csv_lines_without_wall(out / label / "metrics.csv")
+                    == _csv_lines_without_wall(single / "metrics.csv")), label
+
+    def test_bad_values_fail_only_their_own_settings(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 2,0.5,nan\nsweep_abcas_beta = -1,inf\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == \
+            ["config_error", "ok", "config_error", "config_error", "config_error"]
+        assert lines[1].split(",")[0] == "fixed_m0.5"
+        assert capsys.readouterr().err == (
+            "abcas sweep: fixed_m2: config error: m must be in (0, 1], got 2.0\n"
+            "abcas sweep: fixed_mnan: config error: m must be in (0, 1], got nan\n"
+            "abcas sweep: abcas_beta-1: config error: beta must be positive and finite, got -1.0\n"
+            "abcas sweep: abcas_betainf: config error: beta must be positive and finite, got inf\n")
+        for sub in ("fixed_m2", "fixed_mnan", "abcas_beta-1", "abcas_betainf"):
+            assert (out / sub / "status.txt").read_text() == "config error\n"
+        assert (out / "fixed_m0.5" / "status.txt").read_text() == "ok\n"
 
     def test_non_finite_step_zero_eval_sample_aborts_each_setting(self, tmp_path,
                                                                  monkeypatch, capsys):

@@ -144,25 +144,23 @@ def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> i
 
 
 def _best_mmd(metrics_path: Path) -> tuple[float, int] | None:
-    """Row-wise minimum of the mmd2 column and the first step attaining it."""
-    try:
-        fh = open(metrics_path, newline="", encoding="utf-8")
-    except OSError:  # none was written, or it is not a file
-        return None
+    """Row-wise minimum of the mmd2 column and the first step attaining it;
+    None if the file is missing or does not decode and parse as metrics."""
     best = None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return None
-        i_step, i_mmd = header.index("step"), header.index("mmd2")
-        for row in reader:
-            # a write cut short mid-row (an I/O error) leaves a partial last row
-            if len(row) != len(header):
-                continue
-            value = float(row[i_mmd])
-            if best is None or value < best[0]:
-                best = (value, int(row[i_step]))
+    try:
+        with open(metrics_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            i_step, i_mmd = header.index("step"), header.index("mmd2")
+            for row in reader:
+                # a write cut short mid-row (an I/O error) leaves a partial last row
+                if len(row) != len(header):
+                    continue
+                value, step = float(row[i_mmd]), int(row[i_step])
+                if best is None or value < best[0]:
+                    best = (value, step)
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
     return best
 
 

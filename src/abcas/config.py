@@ -120,7 +120,7 @@ def load_settings(path, overrides: dict[str, str] | None = None) -> Settings:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_settings(parse_config_text(text, where=str(path)), overrides)
 

@@ -1,9 +1,13 @@
 """Minimal differentiable layer set with hand-derived backward passes.
 
 Layer kinds: dense, conv2d, convtranspose2d, lrelu, relu, tanh,
-layernorm, pixelnorm. Forward records an activation tape; backward
-consumes the tape once and accumulates gradients into the
-:class:`ParamStore`. Everything works on whatever float dtype the
+layernorm, pixelnorm. Forward runs each layer in its own function, which
+frees every array it makes but does not return before the next layer runs,
+and records an activation tape: the input of dense and convtranspose2d,
+conv2d's im2col columns, the output of lrelu and tanh, relu's mask,
+layernorm's normalized values and per-sample 1/std, pixelnorm's input and
+per-pixel scale. Backward consumes the tape once and accumulates gradients
+into the :class:`ParamStore`. Everything works on whatever float dtype the
 parameters carry (training uses float32, gradient checks float64).
 
 The conv map and its adjoint are written once, as ``_conv`` (im2col and
@@ -352,6 +356,63 @@ def _weight(store: ParamStore, weights, i: int) -> np.ndarray:
     return store.params[i]["W"]
 
 
+def _layer_forward(layer: Layer, i: int, store: ParamStore, weights,
+                   h: np.ndarray) -> tuple[np.ndarray, tuple]:
+    # layer i's output and tape entry; what else it makes is freed on return.
+    # It writes only into arrays it made, never into h (a tape entry or input)
+    kind = layer.kind
+    if kind == "dense":
+        W = _weight(store, weights, i)
+        if h.ndim != 2 or h.shape[1] != W.shape[1]:
+            raise ShapeError(f"layer {i} (dense): got input shape {h.shape[1:]}")
+        y = h @ W.T
+        y += store.params[i]["b"]
+        return y, (h,)
+    if kind in ("conv2d", "convtranspose2d"):
+        W = _weight(store, weights, i)
+        out_shape = (h.shape[0],) + _conv_out_shape(layer, h.shape[1:], f"layer {i} ({kind})")
+        k, s, p = layer.kernel, layer.stride, layer.padding
+        if kind == "conv2d":
+            y, cols = _conv(W, h, k, s, p)
+            entry = (cols, h.shape)
+        else:
+            # the adjoint of the conv2d with the same kernel, mapping big -> small
+            y = _conv_adjoint(W, h, out_shape, k, s, p)
+            entry = (h,)
+        y = y.reshape(out_shape)
+        y += store.params[i]["b"].reshape(1, -1, 1, 1)
+        return y, entry
+    if kind == "lrelu":
+        # slope < 1, so the larger of h and slope * h is the leaky value,
+        # with the bits of np.where(h > 0, h, slope * h); the output is
+        # positive exactly where h is, so it is the tape's mask
+        y = layer.slope * h
+        np.maximum(h, y, out=y)
+        return y, (y,)
+    if kind == "relu":
+        mask = h > 0
+        return h * mask, (mask,)
+    if kind == "tanh":
+        y = np.tanh(h)
+        return y, (y,)
+    if kind == "layernorm":
+        # mean and variance as np.mean and np.var compute them, the
+        # centred values once
+        flat = h.reshape(h.shape[0], -1)
+        f = flat.shape[1]
+        xhat = flat - flat.sum(axis=1, keepdims=True) / f
+        inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=1, keepdims=True) / f + LAYERNORM_EPS)
+        xhat *= inv
+        y = xhat * store.params[i]["g"].reshape(1, -1)
+        y += store.params[i]["b"].reshape(1, -1)
+        return y.reshape(h.shape), (xhat, inv, h.shape)
+    if kind == "pixelnorm":
+        c = h.shape[1]
+        scale = np.sqrt(np.square(h).sum(axis=1, keepdims=True) / c + PIXELNORM_EPS)
+        return h / scale, (h, scale)
+    raise ShapeError(f"layer {i}: unknown layer kind {kind!r}")
+
+
 def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
             weights: dict[int, np.ndarray] | None = None) -> tuple[np.ndarray, Tape]:
     """Run the network on a batch ``x`` of shape ``(N, *input_shape)``.
@@ -368,58 +429,8 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
     tape = Tape(spec=spec, store=store, weights=weights)
     h = x
     for i, layer in enumerate(spec.layers):
-        kind = layer.kind
-        if kind == "dense":
-            W = _weight(store, weights, i)
-            if h.ndim != 2 or h.shape[1] != W.shape[1]:
-                raise ShapeError(f"layer {i} (dense): got input shape {h.shape[1:]}")
-            tape.entries.append((h,))
-            h = h @ W.T + store.params[i]["b"]
-        elif kind in ("conv2d", "convtranspose2d"):
-            W = _weight(store, weights, i)
-            out_shape = (h.shape[0],) + _conv_out_shape(layer, h.shape[1:], f"layer {i} ({kind})")
-            k, s, p = layer.kernel, layer.stride, layer.padding
-            if kind == "conv2d":
-                y, cols = _conv(W, h, k, s, p)
-                tape.entries.append((cols, h.shape))
-            else:
-                # the adjoint of the conv2d with the same kernel, mapping big -> small
-                y = _conv_adjoint(W, h, out_shape, k, s, p)
-                tape.entries.append((h,))
-            h = y.reshape(out_shape) + store.params[i]["b"].reshape(1, -1, 1, 1)
-        elif kind == "lrelu":
-            # slope < 1, so the larger of h and slope * h is the leaky value,
-            # with the bits of np.where(h > 0, h, slope * h); the output is
-            # positive exactly where h is, so it is the tape's mask
-            h = np.maximum(h, layer.slope * h)
-            tape.entries.append((h,))
-        elif kind == "relu":
-            mask = h > 0
-            tape.entries.append((mask,))
-            h = h * mask
-        elif kind == "tanh":
-            h = np.tanh(h)
-            tape.entries.append((h,))
-        elif kind == "layernorm":
-            # mean and variance as np.mean and np.var compute them, the
-            # centred values once
-            n = h.shape[0]
-            flat = h.reshape(n, -1)
-            f = flat.shape[1]
-            d = flat - flat.sum(axis=1, keepdims=True) / f
-            inv = 1.0 / np.sqrt(np.square(d).sum(axis=1, keepdims=True) / f + LAYERNORM_EPS)
-            xhat = d * inv
-            tape.entries.append((xhat, inv, h.shape))
-            g = store.params[i]["g"].reshape(1, -1)
-            b = store.params[i]["b"].reshape(1, -1)
-            h = (xhat * g + b).reshape(h.shape)
-        elif kind == "pixelnorm":
-            c = h.shape[1]
-            scale = np.sqrt(np.square(h).sum(axis=1, keepdims=True) / c + PIXELNORM_EPS)
-            tape.entries.append((h, scale))
-            h = h / scale
-        else:
-            raise ShapeError(f"layer {i}: unknown layer kind {kind!r}")
+        h, entry = _layer_forward(layer, i, store, weights, h)
+        tape.entries.append(entry)
     tape.out_shape = h.shape
     return h, tape
 

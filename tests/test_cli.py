@@ -125,6 +125,16 @@ class TestTrainCommand:
         missing = tmp_path / "missing.cfg"
         assert cli.main(["train", "--config", str(missing)]) == 1
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(TINY_CFG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"abcas: config error: cannot read config {cfg}: 'utf-8' codec")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_broken_dataset_file_exit_code(self, tmp_path):
         blob = tmp_path / "data.abt"
         blob.write_bytes(b"NOPE" + bytes(32))
@@ -643,6 +653,43 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
         assert line.split(",")[4:] == ["io_error", "", ""]
+
+    @pytest.mark.parametrize("damage", ["undecodable", "step", "mmd2"])
+    def test_resume_over_an_unparseable_metrics_file_leaves_its_best_empty(self, tmp_path,
+                                                                           capsys, damage):
+        # a finished setting's metrics.csv that does not decode, or holds a
+        # full row with a non-numeric step or mmd2, used to kill the resumed
+        # sweep before it wrote summary.csv
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.5,0.7\nsweep_abcas_beta =\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        first = (out / "summary.csv").read_text().strip().splitlines()
+        metrics = out / "fixed_m0.5" / "metrics.csv"
+        if damage == "undecodable":
+            metrics.write_bytes(metrics.read_bytes() + b"\xff\xfe garbage\n")
+        else:
+            header, *rows = metrics.read_text().splitlines()
+            fields = rows[3].split(",")
+            fields[header.split(",").index(damage)] = "x"
+            metrics.write_text("\n".join([header] + rows + [",".join(fields)]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert lines[1].split(",")[4:] == ["ok", "", ""]
+        assert lines[0] == first[0] and lines[2] == first[2]
+        assert lines[2].split(",")[5] != ""
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(TINY_CFG.encode() + b"\nsweep_fixed_m = 0.7\n# caf\xe9\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"abcas: config error: cannot read config {cfg}: 'utf-8' codec")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_empty_sweep_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -179,6 +179,13 @@ class TestManifest:
         with pytest.raises(ConfigError):
             load_settings(tmp_path / "nope.cfg")
 
+    def test_not_utf8(self, tmp_path):
+        # a Latin-1 byte used to escape as a UnicodeDecodeError
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"dataset = ring2d\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"^cannot read config .*latin1\.cfg: 'utf-8'"):
+            load_settings(path)
+
 
 def test_repo_configs_load():
     paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))

@@ -654,12 +654,12 @@ class TestSweepCommand:
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
         assert line.split(",")[4:] == ["io_error", "", ""]
 
-    @pytest.mark.parametrize("damage", ["undecodable", "step", "mmd2"])
+    @pytest.mark.parametrize("damage", ["undecodable", "overlong", "step", "mmd2"])
     def test_resume_over_an_unparseable_metrics_file_leaves_its_best_empty(self, tmp_path,
                                                                            capsys, damage):
-        # a finished setting's metrics.csv that does not decode, or holds a
-        # full row with a non-numeric step or mmd2, used to kill the resumed
-        # sweep before it wrote summary.csv
+        # a finished setting's metrics.csv that does not decode, has a field
+        # over the csv module's limit, or holds a full row with a non-numeric
+        # step or mmd2, used to kill the resumed sweep before it wrote summary.csv
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.5,0.7\nsweep_abcas_beta =\n")
         out = tmp_path / "sw"
@@ -668,6 +668,8 @@ class TestSweepCommand:
         metrics = out / "fixed_m0.5" / "metrics.csv"
         if damage == "undecodable":
             metrics.write_bytes(metrics.read_bytes() + b"\xff\xfe garbage\n")
+        elif damage == "overlong":
+            metrics.write_bytes(metrics.read_bytes() + b"x" * 200_000 + b"\n")
         else:
             header, *rows = metrics.read_text().splitlines()
             fields = rows[3].split(",")

@@ -81,6 +81,9 @@ class DatasetSpec:
             if arr.ndim == 0 or len(arr) < 2:
                 raise TensorFileError(f"{self.data_path}: need at least 2 samples, "
                                       f"shape is {arr.shape}")
+            if arr.size == 0:
+                raise TensorFileError(f"{self.data_path}: need at least one value per sample, "
+                                      f"sample shape is {arr.shape[1:]}")
             if not np.all(np.isfinite(arr)):
                 raise TensorFileError(f"{self.data_path}: non-finite values in the dataset")
             return arr

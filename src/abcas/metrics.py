@@ -27,7 +27,10 @@ the shapes of ``TestExpSum`` in ``tests/test_metrics.py``. The bandwidth
 alone holds all of a set's n(n-1)/2 pairs, in one buffer of at most 1 MB:
 it takes them from at most ``MEDIAN_EXACT_LIMIT`` points, exactly up to 512
 and from a seeded 512-point subsample above that (see
-:func:`median_heuristic_bandwidth`).
+:func:`median_heuristic_bandwidth`). Its pooled set is the given sets in
+order (training passes the real and generated evaluation sets), written
+straight into its pair rows, so no pooled copy is made; a test checks the
+split call against the pooled one bit for bit.
 """
 
 from __future__ import annotations
@@ -198,13 +201,17 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     return within_x + within_y - 2.0 * cross
 
 
-def median_heuristic_bandwidth(z, *, seed=0) -> float:
+def median_heuristic_bandwidth(*sets, seed=0) -> float:
     """Median pairwise Euclidean distance of the pooled sample set.
 
-    Exact up to ``MEDIAN_EXACT_LIMIT`` (512) samples; a larger set is
-    replaced by the subsample ``np.random.default_rng(seed).choice(n,
-    MEDIAN_EXACT_LIMIT, replace=False)``. All-identical samples hit the 1e-6
-    floor. The squared distances come from the same bands as
+    The pooled set ``z`` is the given sets in order, as ``np.vstack(sets)``
+    would stack them, but no pooled copy is made: each set is written
+    straight into the pair rows and centred there, and a test checks the
+    split call against the pooled one bit for bit. Exact up to
+    ``MEDIAN_EXACT_LIMIT`` (512) samples; a larger pool is replaced by the
+    subsample ``np.vstack(sets)[np.random.default_rng(seed).choice(n,
+    MEDIAN_EXACT_LIMIT, replace=False)]``. All-identical samples hit the
+    1e-6 floor. The squared distances come from the same bands as
     :func:`within_set_mean` (with gamma = 1): each band's upper triangle and
     its rows against the later rows are written into one n(n-1)/2 buffer of
     ``-|z_i - z_j|^2``. x -> sqrt(-min(x, 0)) is non-increasing, so the
@@ -214,17 +221,33 @@ def median_heuristic_bandwidth(z, *, seed=0) -> float:
     square-rooted, which gives exactly the median of the bands' distances.
     Any nan distance makes the result nan.
     """
-    z = _as_points(z, "z")
-    if len(z) < 2:
+    sets = [_as_points(z, "z") for z in sets]
+    n = sum(len(z) for z in sets)
+    if n < 2:
         raise ValueError("need at least 2 pooled samples")
-    if len(z) > MEDIAN_EXACT_LIMIT:
-        idx = np.random.default_rng(seed).choice(len(z), size=MEDIAN_EXACT_LIMIT, replace=False)
-        z = z[idx]
-    n = len(z)
+    d = sets[0].shape[1]
+    if any(z.shape[1] != d for z in sets):
+        raise ValueError("the sets must have the same number of features, got "
+                         + " and ".join(str(z.shape[1]) for z in sets))
+    if n > MEDIAN_EXACT_LIMIT:
+        idx = np.random.default_rng(seed).choice(n, size=MEDIAN_EXACT_LIMIT, replace=False)
+        sets, n = [np.vstack(sets)[idx]], MEDIAN_EXACT_LIMIT
+    # _pair_rows(z, z, 1.0) of the pooled z, built in place: z is a's first
+    # d columns, centred where it lies (its column mean has the bits of a
+    # contiguous copy's), and b's columns are exact in a's
+    a = np.empty((n, d + 2))
+    z = np.concatenate(sets, out=a[:, :d])
+    z -= z.mean(axis=0)
+    a[:, d] = np.einsum("ij,ij->i", z, z)
+    a[:, d + 1] = 1.0
+    b = np.empty((n, d + 2))
+    np.multiply(z, 2.0, out=b[:, :d])
+    b[:, d] = -1.0
+    np.negative(a[:, d], out=b[:, d + 1])
     dist = np.empty(n * (n - 1) // 2)
     upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
     pos = 0
-    for square, rows, later in _bands(*_pair_rows(z, z, 1.0)):
+    for square, rows, later in _bands(a, b):
         k = square[upper[:len(square), :len(square)]]
         dist[pos:pos + len(k)] = k
         pos += len(k)

@@ -246,7 +246,7 @@ def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) ->
     fake0 = _eval_sample(cfg, g_spec, ParamStore(g_spec, seed=(seed, 0)), 0)
     if not np.isfinite(fake0).all():
         raise NumericAbort(0, None, "generated evaluation sample")
-    bandwidth = median_heuristic_bandwidth(np.vstack([real_eval, fake0]), seed=[seed, 6])
+    bandwidth = median_heuristic_bandwidth(real_eval, fake0, seed=[seed, 6])
     real_within = within_set_mean(real_eval, bandwidth)
     return EvalBaseline(seed, cfg.eval_samples, g_spec, data, real_eval, bandwidth, real_within,
                         mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within))

@@ -167,6 +167,7 @@ UNUSABLE_DATASETS = {
     "empty": np.zeros((0, 2), np.float32),
     "one_row": np.zeros((1, 2), np.float32),
     "nan": np.array([[0.1, 0.2], [np.nan, 0.3], [0.4, 0.5]], np.float32),
+    "no_values": np.zeros((64, 0), np.float32),
 }
 
 

@@ -121,6 +121,15 @@ class TestDatasetSpec:
         with pytest.raises(TensorFileError, match=re.escape(str(path))):
             DatasetSpec(dataset="file", data_path=str(path)).load()
 
+    @pytest.mark.parametrize("shape", [(64, 0), (64, 3, 0)])
+    def test_samples_without_values_are_refused(self, tmp_path, shape):
+        # such a dataset trained to status ok, with mmd2 0 on every row
+        path = tmp_path / "ds.abt"
+        path.write_bytes(raw_abt1(np.zeros(shape, np.float32)))
+        with pytest.raises(TensorFileError, match=re.escape(
+                f"{path}: need at least one value per sample, sample shape is {shape[1:]}")):
+            DatasetSpec(dataset="file", data_path=str(path)).load()
+
     @pytest.mark.parametrize("radius,sigma", [(0.7, 1e300), (1e39, 0.05)])
     def test_overflowing_ring_is_an_error_naming_its_keys(self, radius, sigma):
         # finite settings whose samples overflow float32

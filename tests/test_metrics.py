@@ -522,6 +522,27 @@ class TestBandwidth:
             assert np.float64(median_heuristic_bandwidth(z)).tobytes() == \
                 np.float64(bandwidth_by_full_blocks(z)).tobytes()
 
+    @pytest.mark.parametrize("sizes,d", [((256, 256), 256), ((1024, 1024), 2), ((512, 512), 2),
+                                         ((100, 412), 3), ((100, 200, 212), 3)],
+                             ids=["blobs16", "ring2d", "ring2d_sweep", "uneven", "three_sets"])
+    def test_split_sets_match_the_pooled_set_bitwise(self, sizes, d):
+        # training passes the real and generated evaluation sets, which are
+        # pooled in place, in order. ring2d's and the sweep's pools hold more
+        # than 512 points, so both sides take the same seeded subsample
+        rng = np.random.default_rng([25, *sizes, d])
+        sets = [np.tanh(k * rng.standard_normal((n, d)) + 0.1 * k) for k, n in enumerate(sizes, 1)]
+        z = np.vstack(sets)
+        used = z[np.random.default_rng([7, 6]).choice(len(z), 512, replace=False)] \
+            if len(z) > 512 else z
+        want = np.float64(bandwidth_by_full_blocks(used)).tobytes()
+        assert np.float64(median_heuristic_bandwidth(z, seed=[7, 6])).tobytes() == want
+        assert np.float64(median_heuristic_bandwidth(*sets, seed=[7, 6])).tobytes() == want
+
+    def test_sets_must_have_the_same_number_of_features(self):
+        with pytest.raises(ValueError, match="^the sets must have the same number of features, "
+                                             "got 2 and 3$"):
+            median_heuristic_bandwidth(np.zeros((4, 2)), np.zeros((4, 3)))
+
     def test_even_count_takes_the_largest_value_below_the_middle(self):
         # every n in 100..512 with an even pair count, at two seeds (414 draws).
         # Whether numpy's selection leaves a value other than the largest below
@@ -578,8 +599,9 @@ class TestBandwidth:
         assert a != c  # different subsample, almost surely different median
 
     def test_seed_is_keyword_only(self):
-        # an old positional subsample limit must not become a seed
-        with pytest.raises(TypeError):
+        # a positional argument is a set, so an old positional subsample limit
+        # is refused as points and never becomes a seed
+        with pytest.raises(ValueError, match=r"must be a \(samples, features\) array"):
             median_heuristic_bandwidth(np.zeros((4, 2)), 512)
 
     def test_too_few_points(self):

@@ -265,6 +265,25 @@ class TestGenerate:
         assert peak < 3 * 2**20
 
 
+class TestEvalBaseline:
+    def test_peak_memory_at_blobs16(self):
+        # the bandwidth pools the real and generated evaluation sets in its
+        # pair rows; a pooled np.vstack copy of them (1 MB of float64 at
+        # 512 x 256) peaked at about 5.40e6 bytes, in place about 4.30e6
+        settings = load_settings(CONFIGS / "blobs16.cfg")
+        data = settings.dataset_spec().load()
+        g, _ = build_networks(settings, tuple(data.shape[1:]))
+        eval_baseline(settings.train, data, g)  # builds the cached gather tables
+        tracemalloc.start()
+        try:
+            baseline = eval_baseline(settings.train, data, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert baseline.real_eval.shape == (256, 256)
+        assert peak < 4.8e6
+
+
 class TestTrainingLoop:
     def test_parity_discipline(self):
         # over N steps D gets ceil(N/2) updates, G gets floor(N/2)

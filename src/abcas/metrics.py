@@ -11,7 +11,9 @@ record that training logs to CSV.
 Every pairwise quantity comes from BLAS matrix products: with both sets
 centred on the first set's mean, rows ``[x, |x|^2, 1]`` times rows
 ``[2 gamma y, -gamma, -gamma |y|^2]`` give ``-gamma |x - y|^2`` for every
-pair, and ``exp`` is taken in place. Centring keeps a common offset (all
+pair, and ``exp`` is taken in place. One builder, :func:`_pair_rows`, makes
+both; for the pairs of one set it derives the second rows from the first,
+so the set is centred and squared once. Centring keeps a common offset (all
 points near +1e3, say) from burying the exponent in the rounding error of
 the large norms. The pairs of one set (the within-set means and the
 median-heuristic bandwidth) are walked in bands of at most ``PAIR_LEAF``
@@ -72,20 +74,24 @@ def _gamma(bandwidth) -> float:
     return gamma
 
 
-def _pair_rows(x: np.ndarray, y: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    # rows [x, |x|^2, 1] and [2 gamma y, -gamma, -gamma |y|^2], both sets
-    # centred on x's mean: a[i] @ b[j] is -gamma |x_i - y_j|^2
-    mu = x.mean(axis=0)
-    d = x.shape[1]
-    a = np.empty((len(x), d + 2))
-    xc = np.subtract(x, mu, out=a[:, :d])
+def _pair_rows(sets, gamma: float, y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # rows [x, |x|^2, 1] of x, the sets in order, written into a and centred
+    # there (a's strided view has a contiguous copy's column mean), and rows
+    # [2 gamma y, -gamma, -gamma |y|^2] on x's mean, so a[i] @ b[j] is
+    # -gamma |x_i - y_j|^2; without y, y is x and b is exact in a's columns
+    d = sets[0].shape[1]
+    a = np.empty((sum(len(z) for z in sets), d + 2))
+    xc = np.concatenate(sets, out=a[:, :d])
+    mu = xc.mean(axis=0)
+    xc -= mu
     a[:, d] = np.einsum("ij,ij->i", xc, xc)
     a[:, d + 1] = 1.0
-    b = np.empty((len(y), d + 2))
-    yc = np.subtract(y, mu, out=b[:, :d])
+    b = np.empty((len(a if y is None else y), d + 2))
+    yc = xc if y is None else np.subtract(y, mu, out=b[:, :d])
+    sq = a[:, d] if y is None else np.einsum("ij,ij->i", yc, yc)
+    np.multiply(yc, 2.0 * gamma, out=b[:, :d])
     b[:, d] = -gamma
-    b[:, d + 1] = -gamma * np.einsum("ij,ij->i", yc, yc)
-    yc *= 2.0 * gamma
+    b[:, d + 1] = -gamma * sq
     return a, b
 
 
@@ -154,7 +160,7 @@ def _within(x: np.ndarray, gamma: float, buf: np.ndarray) -> float:
     # within_set_mean of checked points, its row blocks formed in buf
     n = len(x)
     total = 0.0
-    for square, rows, later in _bands(*_pair_rows(x, x, gamma)):
+    for square, rows, later in _bands(*_pair_rows([x], gamma)):
         np.exp(square, out=square)
         total += (float(np.sum(square)) - float(np.trace(square))) / 2.0
         if len(later):
@@ -197,7 +203,7 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
         within_x, within_y = _within(x, gamma, buf), within_x
     else:
         within_y = _within(y, gamma, buf)
-    cross = _exp_sum(*_pair_rows(x, y, gamma), buf) / (n * m)
+    cross = _exp_sum(*_pair_rows([x], gamma, y), buf) / (n * m)
     return within_x + within_y - 2.0 * cross
 
 
@@ -232,18 +238,9 @@ def median_heuristic_bandwidth(*sets, seed=0) -> float:
     if n > MEDIAN_EXACT_LIMIT:
         idx = np.random.default_rng(seed).choice(n, size=MEDIAN_EXACT_LIMIT, replace=False)
         sets, n = [np.vstack(sets)[idx]], MEDIAN_EXACT_LIMIT
-    # _pair_rows(z, z, 1.0) of the pooled z, built in place: z is a's first
-    # d columns, centred where it lies (its column mean has the bits of a
-    # contiguous copy's), and b's columns are exact in a's
-    a = np.empty((n, d + 2))
-    z = np.concatenate(sets, out=a[:, :d])
-    z -= z.mean(axis=0)
-    a[:, d] = np.einsum("ij,ij->i", z, z)
-    a[:, d + 1] = 1.0
-    b = np.empty((n, d + 2))
-    np.multiply(z, 2.0, out=b[:, :d])
-    b[:, d] = -1.0
-    np.negative(a[:, d], out=b[:, d + 1])
+    # the rows before the distances, so that numpy's buffers for the rows'
+    # strided element-wise ops do not add to the distances' megabyte
+    a, b = _pair_rows(sets, 1.0)
     dist = np.empty(n * (n - 1) // 2)
     upper = np.triu(np.ones((PAIR_LEAF, PAIR_LEAF), bool), 1)
     pos = 0

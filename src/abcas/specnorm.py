@@ -80,14 +80,16 @@ def refresh(states: dict[int, PowerIterState], store: ParamStore, m: float) -> d
 
 def backward_through_norm(state: PowerIterState, W: np.ndarray, m: float,
                           grad_wrt_eff: np.ndarray) -> np.ndarray:
-    """Map dL/dW' to dL/dW with u, v held constant; ``W`` is the stored weight.
+    """Overwrite dL/dW' with dL/dW, u, v held constant; ``W`` is the stored weight.
 
     With sigma = u^T W v treated as a function of W only through the
     explicit W (u, v frozen):
 
         dL/dW = (m / sigma) * G - (m / sigma^2) * <G, W> * u v^T
 
-    For a degenerate layer W' = W and the gradient passes through.
+    The float64 result is rounded straight into ``grad_wrt_eff``, which
+    must be contiguous and is returned. For a degenerate layer W' = W and
+    the gradient passes through unchanged.
     """
     sigma = state.sigma_hat
     if sigma < EPS_DIV:
@@ -98,15 +100,14 @@ def backward_through_norm(state: PowerIterState, W: np.ndarray, m: float,
     G = grad_wrt_eff.reshape(Wm.shape)
     # float32 products are exact in float64, so this is <G, W> of the float64 values
     inner = float(np.multiply(G, Wm, dtype=np.float64).sum())
-    # u v^T by broadcasting, then scaled and subtracted from in place
+    # u v^T by broadcasting, scaled in place
     dW = np.multiply(state.u[:, None], state.v)
     dW *= m * inner / sigma**2
-    np.subtract((m / sigma) * G, dW, out=dW)
-    return dW.reshape(grad_wrt_eff.shape).astype(grad_wrt_eff.dtype, copy=False)
+    np.subtract((m / sigma) * G, dW, out=G)
+    return grad_wrt_eff
 
 
 def apply_norm_backward(states: dict[int, PowerIterState], store: ParamStore, m: float) -> None:
     """Convert accumulated dL/dW' gradients into dL/dW in place, with the step's ``m``."""
     for i, state in states.items():
-        g = store.grads[i]["W"]
-        g[...] = backward_through_norm(state, store.params[i]["W"], m, g)
+        backward_through_norm(state, store.params[i]["W"], m, store.grads[i]["W"])

@@ -199,6 +199,8 @@ def mmd2_bruteforce(x, y, bw):
 # in both the tiny CLI config and _tiny_setup(steps=12))
 ABORT_SITES = {
     "real_critic": ("critic output", 3),
+    "fake_critic_d_step": ("critic output", 3),
+    "fake_critic_g_step": ("critic output", 4),
     "d_loss": ("discriminator loss", 3),
     "g_loss": ("generator loss", 4),
     "eval_sample": ("generated evaluation sample", 10),
@@ -235,9 +237,10 @@ def break_training_at(monkeypatch, site):
         monkeypatch.setattr(train, name, patched)
 
     monkeypatch.setattr(train, "refresh", refresh)
-    if site == "real_critic":
-        # a D step scores the fake batch first, then the real one
-        poison("_critic_vector", lambda c: np.full_like(c, np.nan), call=2)
+    if "critic" in site:
+        # every step scores the fake batch first, then a D step the real one
+        poison("_critic_vector", lambda c: np.full_like(c, np.nan),
+               call=2 if site == "real_critic" else 1)
     elif site == "d_loss":
         poison("d_loss", lambda _: math.nan)
     elif site == "g_loss":

@@ -297,7 +297,7 @@ def kernel_rows(n, m, d, seed):
     rng = np.random.default_rng([18, n, m, d, seed])
     x = np.tanh(rng.standard_normal((n, d)))
     y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
-    return _pair_rows(x, y, 1.0 / d)
+    return _pair_rows([x], 1.0 / d, y)
 
 
 def assert_exact_sum(a, b):
@@ -309,7 +309,7 @@ def assert_exact_sum(a, b):
 def pairs_by_full_blocks(z):
     """The bandwidth's -|z_i - z_j|^2 in band order, every block built whole:
     each band's upper triangle, then its rows against every later row."""
-    a, b = _pair_rows(z, z, 1.0)
+    a, b = _pair_rows([z], 1.0, z)
     pairs = []
     for lo in range(0, len(z), PAIR_LEAF):
         hi = lo + PAIR_LEAF
@@ -334,7 +334,7 @@ def sums_by_fresh_blocks(a, b):
 
 def within_by_fresh_blocks(x, bw):
     """within_set_mean with each band's square block and each row block a fresh product."""
-    a, b = _pair_rows(x, x, 1.0 / (2.0 * bw * bw))
+    a, b = _pair_rows([x], 1.0 / (2.0 * bw * bw), x)
     total = 0.0
     for lo in range(0, len(x), PAIR_LEAF):
         hi = lo + PAIR_LEAF
@@ -349,7 +349,7 @@ def mmd2_by_fresh_blocks(x, y, bw):
     """mmd2_unbiased with each band's square block and each row block a fresh product."""
     if len(x) > len(y) or (len(x) == len(y) and _bytes_greater(x, y)):
         x, y = y, x
-    cross = sums_by_fresh_blocks(*_pair_rows(x, y, 1.0 / (2.0 * bw * bw))) / (len(x) * len(y))
+    cross = sums_by_fresh_blocks(*_pair_rows([x], 1.0 / (2.0 * bw * bw), y)) / (len(x) * len(y))
     return within_by_fresh_blocks(x, bw) + within_by_fresh_blocks(y, bw) - 2.0 * cross
 
 
@@ -431,11 +431,23 @@ class TestExpSum:
         x = np.tanh(rng.standard_normal((n, d)))
         y = np.tanh(1.5 * rng.standard_normal((m, d)) + 0.1)
         bw = math.sqrt(d)
-        a, b = _pair_rows(x, y, 1.0 / (2.0 * bw * bw))
+        a, b = _pair_rows([x], 1.0 / (2.0 * bw * bw), y)
         assert _exp_sum(a, b, np.empty(EXP_SUM_BLOCK)) == sums_by_fresh_blocks(a, b)
         if min(n, m) >= 2:
             assert within_set_mean(x, bw) == within_by_fresh_blocks(x, bw)
             assert mmd2_unbiased(x, y, bw) == mmd2_by_fresh_blocks(x, y, bw)
+
+    @pytest.mark.parametrize("sizes,d", [((1024,), 2), ((512,), 2), ((256,), 256),
+                                         ((100, 200, 212), 3)],
+                             ids=["ring2d", "ring2d_sweep", "blobs16", "uneven_three_sets"])
+    def test_pair_rows_of_one_pool_match_the_cross_rows_bitwise(self, sizes, d):
+        # without y, b is derived from a's columns; it must have the bits the
+        # cross path builds from y = the pooled sets, centred on the same mean
+        rng = np.random.default_rng([29, *sizes, d])
+        sets = [np.tanh(k * rng.standard_normal((n, d)) + 0.1 * k) for k, n in enumerate(sizes, 1)]
+        for gamma in (1.0, 1.0 / d, 1.0 / (2.0 * 0.37 ** 2)):
+            b = _pair_rows(sets, gamma)[1]
+            assert b.tobytes() == _pair_rows(sets, gamma, np.vstack(sets))[1].tobytes()
 
     def test_band_walk_visits_every_pair_once(self):
         # rows [i, 1] and [1, n j] make a[i] @ b[j] = i + n j, exact in float64,

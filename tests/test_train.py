@@ -412,6 +412,41 @@ class TestTrainingLoop:
         # controller.m, logged after each step, did move off the step's m
         assert any(rec.m != refresh_m for rec, (refresh_m, _) in zip(recs[1:], steps))
 
+    def test_one_layer_critic_gap_has_its_closed_form(self, monkeypatch):
+        # a critic of one normalized dense layer: one power step on a one-row
+        # W gives sigma = |w|, so C(x) = m w_hat . x + b and every D step's
+        # dist is m (max w_hat . x_real - min w_hat . x_fake), the bias
+        # cancelling, with m the previous row's. alpha = 0.5 and beta = 1
+        # move m by about 1% a step, so the post-update m misses the bound
+        cfg, data, g, _ = _tiny_setup(steps=60, beta=1.0)
+        cfg.alpha, cfg.eval_every = 0.5, 1
+        d = NetworkSpec((2,), [dense(2, 1, normalized=True)])
+        rows, weights, batches = [], [], {}
+        real_forward = train.forward
+
+        def forward(spec, store, x, **kw):
+            # during step k, rows 0..k-1 have been emitted
+            if spec is d:
+                batches.setdefault(len(rows), []).append(x.astype(np.float64))
+            return real_forward(spec, store, x, **kw)
+
+        def on_eval(step, g_store, d_store):
+            weights.append((d_store.params[0]["W"][0].astype(np.float64),
+                            float(d_store.params[0]["b"][0])))
+
+        monkeypatch.setattr(train, "forward", forward)
+        _train(cfg, data, g, d, rows, on_eval=on_eval)
+        assert len(weights) == len(rows) == cfg.steps + 1
+        for k in range(1, cfg.steps + 1, 2):
+            w, b = weights[k - 1]
+            fake, real = batches[k]
+            c_real, c_fake = real @ (w / np.linalg.norm(w)), fake @ (w / np.linalg.norm(w))
+            m = rows[k - 1].m
+            want = m * (c_real.max() - c_fake.min())
+            # the float32 forward rounds C to within a few ulps of its magnitude
+            scale = m * max(np.abs(c_real).max(), np.abs(c_fake).max()) + abs(b)
+            assert abs(rows[k].dist - want) <= 4 * np.finfo(np.float32).eps * scale, k
+
     def test_full_run_determinism(self):
         cfg, data, g, d = _tiny_setup(steps=20, seed=3)
         recs1 = _train(cfg, data, g, d)

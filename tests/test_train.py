@@ -440,7 +440,8 @@ class TestTrainingLoop:
         for k in range(1, cfg.steps + 1, 2):
             w, b = weights[k - 1]
             fake, real = batches[k]
-            c_real, c_fake = real @ (w / np.linalg.norm(w)), fake @ (w / np.linalg.norm(w))
+            w_hat = w / np.linalg.norm(w)
+            c_real, c_fake = real @ w_hat, fake @ w_hat
             m = rows[k - 1].m
             want = m * (c_real.max() - c_fake.min())
             # the float32 forward rounds C to within a few ulps of its magnitude

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -207,8 +208,10 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         if resume:
             try:
                 status = status_path.read_text().strip()
-            except OSError:  # none was written, or it cannot be read: run it again
+            except (OSError, ValueError):  # none was written, or it cannot be read
                 pass
+            if status != "ok" and not re.fullmatch(r"aborted step \d+", status or ""):
+                status = None  # only a finished run is skipped; any other reruns
         if status is not None:
             print(f"abcas sweep: {label}: skipped (already {status})")
         else:
@@ -311,15 +314,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "train":
-        overrides: dict[str, str] = {}
-        if args.seed is not None:
-            overrides["seed"] = str(args.seed)
-        if args.mode is not None:
-            overrides["mode"] = args.mode
-        if args.m is not None:
-            overrides["m"] = f"{args.m:.17g}"
-        if args.beta is not None:
-            overrides["beta"] = f"{args.beta:.17g}"
+        overrides = {key: f"{value:.17g}" if isinstance(value, float) else str(value)
+                     for key in ("seed", "mode", "m", "beta")
+                     if (value := getattr(args, key)) is not None}
         return cmd_train(args.config, args.out, overrides)
     if args.command == "sweep":
         return cmd_sweep(args.config, args.out, args.resume)

@@ -16,20 +16,24 @@ kernel matrix, then col2im). conv2d runs ``_conv`` forward and
 ``_conv_adjoint`` backward; transposed convolution is the exact adjoint
 of the conv2d with the same kernel and runs them the other way round, so
 the stored kernel layout is ``(c_in, c_out, kh, kw)`` for convtranspose2d
-and ``(c_out, c_in, kh, kw)`` for conv2d. Forward passes and input
-gradients are batched ``matmul`` calls; each weight gradient is one GEMM
-(``tensordot`` over batch and positions). Both data movements are gathers
-over index tables built once per per-sample shape ``(c, h, w, k, s, p)``
-and cached, so the training and eval batches share them. im2col is one
-``np.take`` from the flattened input with one zero appended, which every
-padded position reads, so the padding costs no separate copy. col2im reads
-columns that the producing ``matmul`` wrote into a buffer whose last entry
-is zero, and sums them as T ordered gathers (T = 4 for k4 s2 p1): gather t
-brings each pixel its t-th kernel tap in ``(i, j)`` order, or the zero if
-it has fewer, and adds it to an accumulator that starts at zero, the same
-float result as one strided add per tap. Where one unpadded window covers
-the whole image (the 1x1 side of a k4 s1 p0 layer) each pixel has one tap,
-and col2im is a reshape.
+and ``(c_out, c_in, kh, kw)`` for conv2d: axis 0 always counts the
+channels of the small side. One backward branch serves both kinds. The
+kernel gradient is one GEMM (``tensordot`` over batch and positions) of
+the small side (conv2d's output gradient, or the input a convtranspose2d
+taped) with the big side's im2col columns (conv2d's tape, or the im2col
+of a convtranspose2d's output gradient, which its input gradient reuses).
+Both data movements are gathers over index tables built once per
+per-sample shape ``(c, h, w, k, s, p)`` and cached, so the training and
+eval batches share them. im2col is one ``np.take`` from the flattened
+input with one zero appended, which every padded position reads, so the
+padding costs no separate copy. col2im reads columns that the producing
+``matmul`` wrote into a buffer whose last entry is zero, and sums them as
+T ordered gathers (T = 4 for k4 s2 p1): gather t brings each pixel its
+t-th kernel tap in ``(i, j)`` order, or the zero if it has fewer, and
+adds it to an accumulator that starts at zero, the same float result as
+one strided add per tap. Where one unpadded window covers the whole image
+(the 1x1 side of a k4 s1 p0 layer) each pixel has one tap, and col2im is
+a reshape.
 """
 
 from __future__ import annotations
@@ -133,30 +137,25 @@ class NetworkSpec:
     layers: list[Layer]
 
 
-def _conv_out_extent(n: int, k: int, s: int, p: int, where: str) -> int:
-    t = n + 2 * p - k
-    if t < 0 or t % s != 0:
-        raise ShapeError(
-            f"{where}: extent {n} with kernel={k} stride={s} padding={p} "
-            "does not produce an integer output extent"
-        )
-    return t // s + 1
-
-
-def _convt_out_extent(n: int, k: int, s: int, p: int, where: str) -> int:
-    out = (n - 1) * s - 2 * p + k
-    if out < 1:
-        raise ShapeError(f"{where}: output extent {out} is not positive")
-    return out
-
-
 def _conv_out_shape(layer: Layer, cur: tuple[int, ...], where: str) -> tuple[int, ...]:
     # per-sample output shape of a conv2d or convtranspose2d layer on input cur
     if len(cur) != 3 or cur[0] != layer.in_ch:
         raise ShapeError(f"{where}: expected input shape ({layer.in_ch}, H, W), got {cur}")
-    extent = _conv_out_extent if layer.kind == "conv2d" else _convt_out_extent
-    return (layer.out_ch,) + tuple(extent(n, layer.kernel, layer.stride, layer.padding, where)
-                                   for n in cur[1:])
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    out = []
+    for n in cur[1:]:
+        if layer.kind == "convtranspose2d":
+            t = (n - 1) * s - 2 * p + k
+            if t < 1:
+                raise ShapeError(f"{where}: output extent {t} is not positive")
+        else:
+            t, rem = divmod(n + 2 * p - k, s)
+            if t < 0 or rem:
+                raise ShapeError(f"{where}: extent {n} with kernel={k} stride={s} padding={p} "
+                                 "does not produce an integer output extent")
+            t += 1
+        out.append(t)
+    return (layer.out_ch,) + tuple(out)
 
 
 def shape_plan(spec: NetworkSpec) -> list[tuple[int, ...]]:
@@ -466,36 +465,24 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             if i == stop:
                 break
             g = g @ _weight(store, weights, i)
-        elif kind == "conv2d":
-            cols, xshape = cache
-            W = _weight(store, weights, i)
-            if tape.param_grads:
-                gr = g.reshape(xshape[0], W.shape[0], -1)
-                dW = np.tensordot(gr, cols, axes=([0, 2], [0, 2]))
-                store.grads[i]["W"] += dW.reshape(W.shape)
-                store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
-            if i == stop:
-                break
-            g = _conv_adjoint(W, g, xshape, layer.kernel, layer.stride, layer.padding)
-        elif kind == "convtranspose2d":
-            (x,) = cache
+        elif kind in ("conv2d", "convtranspose2d"):
             W = _weight(store, weights, i)
             k, s, p = layer.kernel, layer.stride, layer.padding
-            # dx and dW reuse one im2col of the output gradient: the layer is
-            # the adjoint of conv2d(g) with the same kernel. At the stop layer
-            # dW needs only the columns.
-            if i == stop:
-                cols = _im2col(g, k, s, p)
-            else:
-                gx, cols = _conv(W, g, k, s, p)
+            if kind == "conv2d":
+                cols, xshape = cache
+            elif i == stop:  # the stop layer needs only the columns
+                xshape, cols = cache[0].shape, _im2col(g, k, s, p)
+            else:  # dx and dW share one im2col of the output gradient
+                xshape, (gx, cols) = cache[0].shape, _conv(W, g, k, s, p)
             if tape.param_grads:
                 store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
-                xr = x.reshape(x.shape[0], x.shape[1], -1)
-                dW = np.tensordot(xr, cols, axes=([0, 2], [0, 2]))
+                small = g if kind == "conv2d" else cache[0]
+                dW = np.tensordot(small.reshape(xshape[0], W.shape[0], -1), cols,
+                                  axes=([0, 2], [0, 2]))
                 store.grads[i]["W"] += dW.reshape(W.shape)
             if i == stop:
                 break
-            g = gx.reshape(x.shape)
+            g = _conv_adjoint(W, g, xshape, k, s, p) if kind == "conv2d" else gx.reshape(xshape)
         elif kind == "lrelu":
             (y,) = cache
             g = np.where(y > 0, g, layer.slope * g)

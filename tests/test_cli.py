@@ -498,6 +498,48 @@ class TestSweepCommand:
             assert (out / p / "metrics.csv").stat().st_mtime_ns == t
         assert (out / "summary.csv").exists()
 
+    def test_resume_reruns_settings_that_failed_on_a_replaced_dataset(self, tmp_path, capsys):
+        # every setting of a sweep over a file that is not ABT1 fails with a
+        # config error; once the file is a valid tensor, --resume runs them
+        blob = tmp_path / "data.abt"
+        blob.write_bytes(b"not a tensor file")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG.replace("dataset = ring2d", f"dataset = file\ndata_path = {blob}")
+                       + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta = 4\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["config_error"] * 2
+        write_tensor_file(blob, np.random.default_rng(0).standard_normal((128, 2)).astype(np.float32))
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        assert "skipped" not in capsys.readouterr().out
+        lines = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["ok"] * 2
+        assert all(line.split(",")[5] for line in lines)
+
+    @pytest.mark.parametrize("status, reruns", [
+        (b"ok\n", False), (b"aborted step 3\n", False), (b"config error\n", True),
+        (b"io error\n", True), (b"", True), (b"aborted step\n", True), (b"\xff\xfe\n", True)],
+        ids=["ok", "aborted", "config_error", "io_error", "empty", "no_step", "undecodable"])
+    def test_resume_skips_only_a_finished_status(self, tmp_path, capsys, status, reruns):
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "fixed_m1" / "status.txt").write_bytes(status)
+        metrics = out / "fixed_m1" / "metrics.csv"
+        metrics.write_text(CSV_HEADER + "\n")
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        printed = capsys.readouterr().out
+        for label in ("fixed_m0.7", "abcas_beta4"):
+            assert f"abcas sweep: {label}: skipped (already ok)\n" in printed
+        assert ("abcas sweep: fixed_m1: ok\n" in printed) == reruns
+        assert ("abcas sweep: fixed_m1: skipped" in printed) != reruns
+        assert (metrics.read_text() != CSV_HEADER + "\n") == reruns
+        line = (out / "summary.csv").read_text().strip().splitlines()[2]
+        assert line.split(",")[4] == ("ok" if reruns else status.decode().strip().replace(" ", "_"))
+
     def test_settings_match_single_train_runs(self, tmp_path):
         # the settings share one dataset and step-0 baseline; each must still
         # write exactly what `abcas train` writes with the same overrides
@@ -632,15 +674,12 @@ class TestSweepCommand:
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
         assert line.split(",")[4:] == ["io_error", f"{best[0]:.17g}", str(best[1])]
 
-    def test_resume_over_a_partial_last_row_takes_the_complete_rows(self, tmp_path, capsys,
-                                                                    monkeypatch):
-        # a write cut short before the last row's mmd2 field
+    def test_resume_over_a_partial_last_row_takes_the_complete_rows(self, tmp_path, capsys):
+        # a finished setting's last row cut short before its mmd2 field
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TINY_CFG + "\nsweep_fixed_m = 0.7\nsweep_abcas_beta =\n")
         out = tmp_path / "sw"
-        with monkeypatch.context() as patch:
-            _disk_full_at_step_20(patch)
-            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         metrics = out / "fixed_m0.7" / "metrics.csv"
         *complete, last = metrics.read_text().strip().splitlines()
         metrics.write_text("\n".join(complete + [last.rsplit(",", 2)[0]]))
@@ -648,11 +687,11 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
         assert "Traceback" not in capsys.readouterr().err
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
-        assert line.split(",")[4:] == ["io_error", f"{best[0]:.17g}", str(best[1])]
+        assert line.split(",")[4:] == ["ok", f"{best[0]:.17g}", str(best[1])]
         metrics.write_text("")
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
         line = (out / "summary.csv").read_text().strip().splitlines()[1]
-        assert line.split(",")[4:] == ["io_error", "", ""]
+        assert line.split(",")[4:] == ["ok", "", ""]
 
     @pytest.mark.parametrize("damage", ["undecodable", "overlong", "step", "mmd2"])
     def test_resume_over_an_unparseable_metrics_file_leaves_its_best_empty(self, tmp_path,

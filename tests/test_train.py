@@ -448,6 +448,83 @@ class TestTrainingLoop:
             scale = m * max(np.abs(c_real).max(), np.abs(c_fake).max()) + abs(b)
             assert abs(rows[k].dist - want) <= 4 * np.finfo(np.float32).eps * scale, k
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mlp_steps_match_a_float64_straight_line_reference(self, seed):
+        # the first 20 steps replayed in float64 from the run's step-0
+        # parameters and random draws, with the update written out: an
+        # explicit power step, W' = m W / sigma, logaddexp losses, the SN
+        # gradient (m/sigma) G - (m/sigma^2) <G, W> u v^T with the step's m
+        # (not the one the controller moves it to), textbook Adam and the
+        # controller recurrence. alpha = 0.5 and beta = 0.05 move m every D step
+        cfg, data, g, d = _tiny_setup(steps=20, seed=seed, beta=0.05)
+        cfg.alpha, cfg.eval_every = 0.5, 1
+        params = []
+        rows = _train(cfg, data, g, d, on_eval=lambda step, g_store, d_store: params.append(
+            [g_store.flat.astype(np.float64), d_store.flat.astype(np.float64)]))
+        stores = [ParamStore(g, dtype=np.float64), ParamStore(d, dtype=np.float64)]
+        for store, flat in zip(stores, params[0]):
+            store.flat[:] = flat
+        g_store, d_store = stores
+        moments = [[np.zeros_like(store.flat), np.zeros_like(store.flat)] for store in stores]
+        normed = [i for i, layer in enumerate(d.layers) if layer.normalized]
+        us = {}
+        for i in normed:
+            u = np.random.default_rng([seed, 2, i]).standard_normal(d.layers[i].out_ch)
+            us[i] = u / np.linalg.norm(u)
+        real_data = data.astype(np.float32).astype(np.float64)
+        rng = np.random.default_rng([seed, 3])
+        n = cfg.batch_size
+        m, dm, dist, scale, losses = 1.0, 0.0, 0.0, 0.0, [0.0, 0.0]
+        for k in range(1, cfg.steps + 1):
+            effective, vs, sigmas = {}, {}, {}
+            for i in normed:
+                W = d_store.params[i]["W"]
+                v = W.T @ us[i]
+                vs[i] = v / np.linalg.norm(v)
+                wv = W @ vs[i]
+                sigmas[i] = np.linalg.norm(wv)
+                us[i] = wv / sigmas[i]
+                effective[i] = m * W / sigmas[i]
+            z = rng.standard_normal((n, cfg.latent_dim)).astype(np.float32).astype(np.float64)
+            real = real_data[rng.integers(0, len(data), n)]
+            x_fake, tape_g = nn.forward(g, g_store, z)
+            c_fake, tape_fake = nn.forward(d, d_store, x_fake, weights=effective)
+            # d/dc log(1 + e^c) = e^-log(1 + e^-c)
+            if k % 2 == 1:
+                c_real, tape_real = nn.forward(d, d_store, real, weights=effective)
+                dist = c_real.max() - c_fake.min()
+                scale = max(np.abs(c_real).max(), np.abs(c_fake).max())
+                losses[0] = np.logaddexp(0, -c_real).mean() + np.logaddexp(0, c_fake).mean()
+                d_store.zero_grad()
+                nn.backward(tape_real, -np.exp(-np.logaddexp(0, c_real)) / n)
+                nn.backward(tape_fake, np.exp(-np.logaddexp(0, -c_fake)) / n)
+                for i in normed:
+                    W, G = d_store.params[i]["W"], d_store.grads[i]["W"]
+                    G[:] = (m / sigmas[i]) * G - (m / sigmas[i] ** 2) * np.sum(G * W) * np.outer(
+                        us[i], vs[i])
+                dm = cfg.alpha * dm + (1 - cfg.alpha) * dist
+                clbr = min(max(dm / cfg.beta, 0.0), 0.98)
+                m = 0.9 ** (clbr / (1 - clbr))
+            else:
+                losses[1] = np.logaddexp(0, -c_fake).mean()
+                g_store.zero_grad()
+                tape_fake.param_grads = False
+                nn.backward(tape_g, nn.backward(tape_fake, -np.exp(-np.logaddexp(0, c_fake)) / n))
+            t = (k + 1) // 2
+            store, (mom, vel), lr = stores[k % 2], moments[k % 2], (cfg.lr_g, cfg.lr_d)[k % 2]
+            grad = store.grad_flat
+            mom[:] = cfg.beta1 * mom + (1 - cfg.beta1) * grad
+            vel[:] = cfg.beta2 * vel + (1 - cfg.beta2) * grad * grad
+            store.flat -= lr * (mom / (1 - cfg.beta1 ** t)) / (
+                np.sqrt(vel / (1 - cfg.beta2 ** t)) + 1e-8)
+            row = rows[k]
+            got = [row.d_loss, row.g_loss, row.dm, row.m, row.dist / scale]
+            want = losses + [dm, m, dist / scale]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-5, (k, got, want)
+            for store, flat in zip(stores, params[k]):
+                assert np.abs(flat - store.flat).max() <= 1e-5 * np.abs(store.flat).max(), k
+        assert len(rows) == len(params) == cfg.steps + 1
+
     def test_full_run_determinism(self):
         cfg, data, g, d = _tiny_setup(steps=20, seed=3)
         recs1 = _train(cfg, data, g, d)

@@ -210,7 +210,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 status = status_path.read_text().strip()
             except (OSError, ValueError):  # none was written, or it cannot be read
                 pass
-            if status != "ok" and not re.fullmatch(r"aborted step \d+", status or ""):
+            if not re.fullmatch(r"ok|aborted step \d+", status or ""):
                 status = None  # only a finished run is skipped; any other reruns
         if status is not None:
             print(f"abcas sweep: {label}: skipped (already {status})")

@@ -6,9 +6,10 @@ frees every array it makes but does not return before the next layer runs,
 and records an activation tape: the input of dense and convtranspose2d,
 conv2d's im2col columns, the output of lrelu and tanh, relu's mask,
 layernorm's normalized values and per-sample 1/std, pixelnorm's input and
-per-pixel scale. Backward consumes the tape once and accumulates gradients
-into the :class:`ParamStore`. Everything works on whatever float dtype the
-parameters carry (training uses float32, gradient checks float64).
+per-pixel scale. Backward consumes the tape once, releases its entries and
+accumulates gradients into the :class:`ParamStore`. Everything works on
+whatever float dtype the parameters carry (training uses float32, gradient
+checks float64).
 
 The conv map and its adjoint are written once, as ``_conv`` (im2col and
 one ``matmul``) and ``_conv_adjoint`` (``matmul`` with the transposed
@@ -62,6 +63,7 @@ __all__ = [
     "lrelu",
     "mlp_discriminator",
     "mlp_generator",
+    "per_sample",
     "pixelnorm",
     "relu",
     "shape_plan",
@@ -156,6 +158,18 @@ def _conv_out_shape(layer: Layer, cur: tuple[int, ...], where: str) -> tuple[int
             t += 1
         out.append(t)
     return (layer.out_ch,) + tuple(out)
+
+
+def per_sample(spec: NetworkSpec) -> bool:
+    """True when every layer of ``spec`` maps each sample alone, with bits that
+    do not depend on the batch around it.
+
+    A dense layer's GEMM can round a row differently as the row count
+    changes, so a network with one is not per sample. Every other layer is:
+    conv layers run one GEMM per sample, the rest are elementwise or reduce
+    within one sample.
+    """
+    return all(layer.kind != "dense" for layer in spec.layers)
 
 
 def shape_plan(spec: NetworkSpec) -> list[tuple[int, ...]]:
@@ -337,6 +351,13 @@ class Tape:
     parameters and returns None. Set ``param_grads = False`` when only the
     input gradient is wanted: backward then leaves the store's gradients
     as they are. Whatever backward still computes has the same bits.
+
+    ``parts`` is a tuple of slices that split the batch, for a forward pass
+    over several batches stacked into one. Each conv and layernorm layer
+    then adds its parameter gradients one part after another, with the bits
+    of separate passes over the parts accumulated in that order. Dense
+    layers ignore it: a stacked batch rounds their GEMM differently anyway
+    (see :func:`per_sample`).
     """
 
     spec: NetworkSpec
@@ -347,6 +368,7 @@ class Tape:
     consumed: bool = False
     input_grad: bool = True
     param_grads: bool = True
+    parts: tuple = ()
 
 
 def _weight(store: ParamStore, weights, i: int) -> np.ndarray:
@@ -434,6 +456,13 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
     return h, tape
 
 
+def _parts(tape: Tape, *arrays: np.ndarray):
+    # the arrays, or with tape.parts set their slices part by part
+    if not tape.parts:
+        return (arrays,)
+    return [tuple(a[part] for a in arrays) for part in tape.parts]
+
+
 def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
@@ -475,11 +504,12 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             else:  # dx and dW share one im2col of the output gradient
                 xshape, (gx, cols) = cache[0].shape, _conv(W, g, k, s, p)
             if tape.param_grads:
-                store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
                 small = g if kind == "conv2d" else cache[0]
-                dW = np.tensordot(small.reshape(xshape[0], W.shape[0], -1), cols,
-                                  axes=([0, 2], [0, 2]))
-                store.grads[i]["W"] += dW.reshape(W.shape)
+                for gp, sp, cp in _parts(tape, g, small, cols):
+                    store.grads[i]["b"] += gp.sum(axis=(0, 2, 3))
+                    dW = np.tensordot(sp.reshape(len(sp), W.shape[0], -1), cp,
+                                      axes=([0, 2], [0, 2]))
+                    store.grads[i]["W"] += dW.reshape(W.shape)
             if i == stop:
                 break
             g = _conv_adjoint(W, g, xshape, k, s, p) if kind == "conv2d" else gx.reshape(xshape)
@@ -497,8 +527,9 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             n = xshape[0]
             gf = g.reshape(n, -1)
             if tape.param_grads:
-                store.grads[i]["g"] += (gf * xhat).sum(axis=0).reshape(store.grads[i]["g"].shape)
-                store.grads[i]["b"] += gf.sum(axis=0).reshape(store.grads[i]["b"].shape)
+                for gp, xp in _parts(tape, gf, xhat):
+                    store.grads[i]["g"] += (gp * xp).sum(axis=0).reshape(store.grads[i]["g"].shape)
+                    store.grads[i]["b"] += gp.sum(axis=0).reshape(store.grads[i]["b"].shape)
             if i == stop:
                 break
             dxhat = gf * store.params[i]["g"].reshape(1, -1)
@@ -514,7 +545,9 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             c = x.shape[1]
             dot = (g * x).sum(axis=1, keepdims=True)
             g = g / scale - x * dot / (c * scale ** 3)
+    # a tape outlives its backward in the caller's locals; its activations need not
     tape.consumed = True
+    tape.entries.clear()
     return g if tape.input_grad else None
 
 

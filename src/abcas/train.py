@@ -21,7 +21,7 @@ import numpy as np
 from .controller import AbcasState
 from .metrics import (MetricsRecord, median_heuristic_bandwidth, mmd2_unbiased,
                       within_set_mean)
-from .nn import NetworkSpec, ParamStore, backward, forward, shape_plan
+from .nn import NetworkSpec, ParamStore, backward, forward, per_sample, shape_plan
 from .optim import Adam
 from .specnorm import apply_norm_backward, init_spectral_states, refresh
 
@@ -200,18 +200,17 @@ def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
              fwd: Callable) -> np.ndarray:
     """The generator's output on the latent batch ``z``, run through ``fwd`` in chunks.
 
-    ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. Every op of a
-    conv generator is per sample, so its output has the bits of one pass
-    under any chunking; a chunk is as many samples as fit
+    ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. A generator
+    that is :func:`~abcas.nn.per_sample` (a conv generator) gives the bits
+    of one pass under any chunking; a chunk is as many samples as fit
     :data:`EVAL_CHUNK_BYTES` in the widest layer output, and at least one.
-    A dense layer's GEMM rows can depend on the row count, so a generator
-    with a dense layer runs ``z`` as one chunk.
+    Any other generator runs ``z`` as one chunk.
     """
-    if any(layer.kind == "dense" for layer in g_spec.layers):
-        chunk = len(z)
-    else:
+    if per_sample(g_spec):
         widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
         chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.dtype.itemsize))
+    else:
+        chunk = len(z)
     return np.concatenate([fwd(g_spec, g_store, z[i:i + chunk])[0]
                            for i in range(0, len(z), chunk)])
 
@@ -263,6 +262,11 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     ``baseline`` built from another seed, evaluation size or generator
     spec raises ``ValueError``. Raises :class:`NumericAbort` on the first
     non-finite loss, critic output or generated evaluation sample.
+
+    A D step scores the real and the fake batch in one critic pass when the
+    critic is :func:`~abcas.nn.per_sample` (a conv critic), which gives the
+    bits of two passes; the stacked tape's ``parts`` keep the parameter
+    gradients' bits too. A dense critic scores them in two passes.
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
@@ -288,6 +292,10 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     last_mmd = baseline.mmd2
     last_d = last_g = 0.0
     steps_per_epoch = max(1, n_data // cfg.batch_size)
+    # a per-sample critic scores each D step's real and fake batches stacked
+    n = cfg.batch_size
+    stack_d = per_sample(d_spec)
+    halves = (slice(0, n), slice(n, 2 * n))
 
     def emit(step: int, t0: float) -> MetricsRecord:
         rec = MetricsRecord(step=step, epoch=step // steps_per_epoch, d_loss=last_d,
@@ -300,6 +308,14 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     def abort(step: int, what: str):
         # row 0 is emitted before the first step, so there is always a last row
         raise NumericAbort(step, last, what)
+
+    def score(step: int, x: np.ndarray, effective):
+        # the critic's outputs on the batch x, checked finite, and the tape
+        y, tape = forward(d_spec, d_store, x, weights=effective)
+        c = _critic_vector(y)
+        if not np.isfinite(c).all():
+            abort(step, "critic output")
+        return c, tape
 
     last = emit(0, t0)
     hooks.on_eval(0, g_store, d_store)
@@ -315,36 +331,38 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
         # both parities generate a fake batch and score it; nothing needs G's input gradient
         x_fake, tape_g = forward(g_spec, g_store, z)
         tape_g.input_grad = False
-        y_fake, tape_fake = forward(d_spec, d_store, x_fake, weights=effective)
-        c_fake = _critic_vector(y_fake)
-        if not np.isfinite(c_fake).all():
-            abort(step, "critic output")
 
         if step % 2 == 1:
-            y_real, tape_real = forward(d_spec, d_store, data[real], weights=effective)
-            c_real = _critic_vector(y_real)
-            if not np.isfinite(c_real).all():
-                abort(step, "critic output")
-            # the D update needs no gradient with respect to the samples
-            tape_real.input_grad = tape_fake.input_grad = False
+            if stack_d:
+                c, tape = score(step, np.concatenate((data[real], x_fake)), effective)
+                tape.parts = halves
+                c_real, c_fake, tapes = c[:n], c[n:], (tape,)
+            else:
+                c_fake, tape_fake = score(step, x_fake, effective)
+                c_real, tape_real = score(step, data[real], effective)
+                tapes = (tape_real, tape_fake)
             controller.observe_and_update(c_real, c_fake)
             last_d = d_loss(c_real, c_fake)
             if not math.isfinite(last_d):
                 abort(step, "discriminator loss")
             gr, gf = d_loss_grads(c_real, c_fake)
             d_store.zero_grad()
-            backward(tape_real, gr.reshape(y_real.shape))
-            backward(tape_fake, gf.reshape(y_fake.shape))
+            # the D update needs no gradient with respect to the samples
+            grads = (np.concatenate((gr, gf)),) if stack_d else (gr, gf)
+            for tape, grad in zip(tapes, grads):
+                tape.input_grad = False
+                backward(tape, grad.reshape(tape.out_shape))
             apply_norm_backward(d_spectral, d_store, m)
             opt_d.step()
         else:
+            c_fake, tape_fake = score(step, x_fake, effective)
             # G's update needs no D parameter gradients
             tape_fake.param_grads = False
             last_g = g_loss(c_fake)
             if not math.isfinite(last_g):
                 abort(step, "generator loss")
             g_store.zero_grad()
-            dx = backward(tape_fake, g_loss_grad(c_fake).reshape(y_fake.shape))
+            dx = backward(tape_fake, g_loss_grad(c_fake).reshape(tape_fake.out_shape))
             backward(tape_g, dx)
             opt_g.step()
 

@@ -207,11 +207,13 @@ ABORT_SITES = {
 }
 
 
-def break_training_at(monkeypatch, site):
+def break_training_at(monkeypatch, site, stacked=False):
     """Make the training loop see one non-finite value at ``ABORT_SITES[site]``'s step.
 
     ``train.refresh`` runs once at the start of every training step, so
     counting its calls gives the step the other patched names are called in.
+    ``stacked`` says that the run's critic scores a D step's real and fake
+    batches in one pass (a conv critic).
     """
     from abcas import train
 
@@ -238,9 +240,19 @@ def break_training_at(monkeypatch, site):
 
     monkeypatch.setattr(train, "refresh", refresh)
     if "critic" in site:
-        # every step scores the fake batch first, then a D step the real one
-        poison("_critic_vector", lambda c: np.full_like(c, np.nan),
-               call=2 if site == "real_critic" else 1)
+        # every step scores the fake batch first, then a D step the real one,
+        # unless the D step is stacked: one call then scores the real rows,
+        # then the fake rows
+        stacked_d = stacked and site != "fake_critic_g_step"
+
+        def nan_rows(c):
+            bad = c.copy()
+            rows = bad.reshape(2, -1)[int(site != "real_critic")] if stacked_d else bad
+            rows[...] = np.nan
+            return bad
+
+        poison("_critic_vector", nan_rows,
+               call=2 if site == "real_critic" and not stacked_d else 1)
     elif site == "d_loss":
         poison("d_loss", lambda _: math.nan)
     elif site == "g_loss":

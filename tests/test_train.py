@@ -9,7 +9,7 @@ import pytest
 
 from abcas import nn, train
 from abcas.config import build_networks, load_settings
-from abcas.data import generate_ring2d
+from abcas.data import generate_blobs, generate_ring2d
 from abcas.nn import NetworkSpec, ParamStore, dense
 from abcas.optim import Adam
 from abcas.train import (
@@ -169,12 +169,17 @@ class TestAdam:
         assert opt.v.shape == store.flat.shape
 
 
-def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0):
+def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0, family="mlp"):
     cfg = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=5,
                       latent_dim=4, mode=mode, m=m, beta=beta, eval_samples=32)
-    data = generate_ring2d(64, 8, 0.7, 0.05, seed=seed)
-    g = nn.mlp_generator(cfg.latent_dim, [8, 8], 2)
-    d = nn.mlp_discriminator(2, [8, 8])
+    if family == "conv":
+        data = generate_blobs(32, img_size=8, seed=1)
+        g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
+        d = nn.conv_discriminator(1, [8], 8)
+    else:
+        data = generate_ring2d(64, 8, 0.7, 0.05, seed=seed)
+        g = nn.mlp_generator(cfg.latent_dim, [8, 8], 2)
+        d = nn.mlp_discriminator(2, [8, 8])
     return cfg, data, g, d
 
 
@@ -329,12 +334,7 @@ class TestTrainingLoop:
     def test_g_step_leaves_d_gradients_alone(self, family):
         # the G step's pass through D accumulates no D gradients: D's gradient
         # vector still holds the last D step's, bit for bit
-        cfg, data, g, d = _tiny_setup(steps=6)
-        if family == "conv":
-            from abcas.data import generate_blobs
-            data = generate_blobs(32, img_size=8, seed=1)
-            g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
-            d = nn.conv_discriminator(1, [8], 8)
+        cfg, data, g, d = _tiny_setup(steps=6, family=family)
         seen = {}
 
         def on_eval(step, g_store, d_store):
@@ -345,6 +345,39 @@ class TestTrainingLoop:
         for step in (2, 4, 6):
             assert seen[step - 1].any()
             assert seen[step].tobytes() == seen[step - 1].tobytes()
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_d_step_stacks_the_batches_of_a_per_sample_critic(self, monkeypatch, family):
+        # a conv critic scores a D step's real and fake batches in one pass
+        # and one backward, with the tape's parts splitting them; a dense
+        # critic takes two of each. A G step scores its fake batch alone
+        steps = []  # per step: (D forward batch sizes, parts of the D backward tapes)
+        real = {name: getattr(train, name) for name in ("refresh", "forward", "backward")}
+
+        def refresh(*args):
+            steps.append(([], []))
+            return real["refresh"](*args)
+
+        def forward(spec, store, x, weights=None):
+            if spec is d:
+                steps[-1][0].append(len(x))
+            return real["forward"](spec, store, x, weights)
+
+        def backward(tape, grad_out):
+            if tape.spec is d:
+                steps[-1][1].append(tape.parts)
+            return real["backward"](tape, grad_out)
+
+        for name, fn in (("refresh", refresh), ("forward", forward), ("backward", backward)):
+            monkeypatch.setattr(train, name, fn)
+        cfg, data, g, d = _tiny_setup(steps=6, family=family)
+        _train(cfg, data, g, d)
+        n = cfg.batch_size
+        if family == "conv":
+            d_step = ([2 * n], [(slice(0, n), slice(n, 2 * n))])
+        else:
+            d_step = ([n, n], [(), ()])
+        assert steps == [d_step, ([n], [()])] * 3
 
     def test_empty_dataset_rejected(self):
         cfg, data, g, d = _tiny_setup()
@@ -568,11 +601,14 @@ class TestTrainingLoop:
         assert exc.value.step == 0
         assert exc.value.last_record is None
 
-    @pytest.mark.parametrize("site", list(ABORT_SITES))
-    def test_each_abort_site_carries_step_and_last_record(self, monkeypatch, site):
+    # a conv critic's D step scores the real and fake batches in one pass
+    @pytest.mark.parametrize("site,family", [
+        *(pytest.param(site, "mlp", id=site) for site in ABORT_SITES),
+        *(pytest.param(site, "conv", id=f"conv-{site}") for site in ABORT_SITES)])
+    def test_each_abort_site_carries_step_and_last_record(self, monkeypatch, site, family):
         what, step = ABORT_SITES[site]
-        break_training_at(monkeypatch, site)
-        cfg, data, g, d = _tiny_setup(steps=12)
+        break_training_at(monkeypatch, site, stacked=family == "conv")
+        cfg, data, g, d = _tiny_setup(steps=12, family=family)
         rows = []
         with pytest.raises(NumericAbort) as exc:
             _train(cfg, data, g, d, rows)

@@ -497,7 +497,7 @@ class TestStackedParts:
             tape.input_grad = input_grad
             dxs.append(backward(tape, g))
         ys = np.concatenate([y for y, _, _ in runs])
-        return ys, None if not input_grad else np.concatenate(dxs), store.grad_flat
+        return ys, np.concatenate(dxs) if input_grad else None, store.grad_flat
 
     @pytest.mark.parametrize("input_grad", [False, True])
     @pytest.mark.parametrize("sizes", [(16, 16), (16, 5), (1, 7, 3)])
@@ -512,7 +512,7 @@ class TestStackedParts:
         if input_grad:
             assert _same_bits(dx, want_dx)
 
-    def test_dense_networks_are_not_per_sample(self):
+    def test_per_sample_means_no_dense_layer(self):
         assert not nn.per_sample(nn.mlp_discriminator(2, [8]))
         assert not nn.per_sample(nn.mlp_generator(4, [8], 2))
         assert nn.per_sample(nn.conv_generator(4, [8], 1, 8))

@@ -206,12 +206,16 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         status_path = sub_dir / "status.txt"
         status = None
         if resume:
+            # skip only a finished run of this config; the sweep's own values may differ
             try:
                 status = status_path.read_text().strip()
+                ran, want = (re.sub(r"(?m)^sweep_\w+ = .*\n", "", text) for text in (
+                    (sub_dir / "manifest.cfg").read_text(),
+                    manifest_text(resolve_settings(raw, overrides), f"abcas-{__version__}", label)))
             except (OSError, ValueError):  # none was written, or it cannot be read
-                pass
-            if not re.fullmatch(r"ok|aborted step \d+", status or ""):
-                status = None  # only a finished run is skipped; any other reruns
+                status = ran = want = None
+            if ran != want or not re.fullmatch(r"ok|aborted step \d+", status or ""):
+                status = None
         if status is not None:
             print(f"abcas sweep: {label}: skipped (already {status})")
         else:
@@ -307,7 +311,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--resume", action="store_true",
-                         help="skip settings whose output directory is already finished")
+                         help="skip settings already finished under this config")
 
     p_traj = sub.add_parser("traj", help="project (step, r, m) out of a run's metrics")
     p_traj.add_argument("run_dir")

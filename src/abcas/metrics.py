@@ -176,16 +176,16 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
     from the within-set means, so the estimate may be slightly negative.
     Each within-set mean sums the n(n-1)/2 distinct pairs once (see
     :func:`within_set_mean`). The cross kernel is summed by :func:`_exp_sum`
-    over both sets centred on the first set's mean. The two arguments are
-    put in a canonical order first (fewer samples first, ties broken by
-    their bytes, compared from the first 8-byte word that differs), so
-    ``mmd2_unbiased(x, y)`` and ``mmd2_unbiased(y, x)`` run the same
-    arithmetic and are exactly equal.
+    over both sets centred on one set's mean, the first in a canonical
+    order (fewer samples first, ties broken by their bytes, compared from
+    the first 8-byte word that differs). The within-set sum does not depend
+    on the order, so ``mmd2_unbiased(x, y)`` and ``mmd2_unbiased(y, x)`` are
+    exactly equal.
 
     ``x_within``, if given, must be ``within_set_mean(x, bandwidth)``; it is
-    used in place of recomputing that term and follows ``x`` through the
-    canonical order, so the result is the same float. Training passes the
-    real evaluation set's term, computed once per run.
+    used in place of recomputing that term, so the result is the same
+    float. Training passes the real evaluation set's term, computed once
+    per run.
     """
     gamma = _gamma(bandwidth)
     x = _as_points(x, "x")
@@ -197,14 +197,11 @@ def mmd2_unbiased(x, y, bandwidth: float, *, x_within: float | None = None) -> f
         raise ValueError(f"x and y must have the same number of features, got "
                          f"{x.shape[1]} and {y.shape[1]}")
     buf = np.empty(EXP_SUM_BLOCK)
-    within_x = _within(x, gamma, buf) if x_within is None else x_within
+    within = (_within(x, gamma, buf) if x_within is None else x_within) + _within(y, gamma, buf)
     if n > m or (n == m and _bytes_greater(x, y)):
         x, y, n, m = y, x, m, n
-        within_x, within_y = _within(x, gamma, buf), within_x
-    else:
-        within_y = _within(y, gamma, buf)
     cross = _exp_sum(*_pair_rows([x], gamma, y), buf) / (n * m)
-    return within_x + within_y - 2.0 * cross
+    return within - 2.0 * cross
 
 
 def median_heuristic_bandwidth(*sets, seed=0) -> float:

@@ -263,10 +263,11 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     spec raises ``ValueError``. Raises :class:`NumericAbort` on the first
     non-finite loss, critic output or generated evaluation sample.
 
-    A D step scores the real and the fake batch in one critic pass when the
-    critic is :func:`~abcas.nn.per_sample` (a conv critic), which gives the
-    bits of two passes; the stacked tape's ``parts`` keep the parameter
-    gradients' bits too. A dense critic scores them in two passes.
+    A D step keeps G's output, not its tape, stacked under the real batch.
+    A :func:`~abcas.nn.per_sample` (conv) critic scores all the rows in one
+    pass, with the bits of two: its tape's ``parts`` keep the parameter
+    gradients' bits too. A dense critic scores them in two passes, real
+    rows, then fake.
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
@@ -292,10 +293,10 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     last_mmd = baseline.mmd2
     last_d = last_g = 0.0
     steps_per_epoch = max(1, n_data // cfg.batch_size)
-    # a per-sample critic scores each D step's real and fake batches stacked
     n = cfg.batch_size
-    stack_d = per_sample(d_spec)
     halves = (slice(0, n), slice(n, 2 * n))
+    # each D-step critic pass: the rows of the stacked batch it scores, its tape's parts
+    d_passes = [(slice(0, 2 * n), halves)] if per_sample(d_spec) else [(s, ()) for s in halves]
 
     def emit(step: int, t0: float) -> MetricsRecord:
         rec = MetricsRecord(step=step, epoch=step // steps_per_epoch, d_loss=last_d,
@@ -328,35 +329,30 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
         z = sample_latent(rng_train, cfg.batch_size, g_spec)
         # the real batch's indices, drawn every step to keep the random stream; D's step gathers it
         real = rng_train.integers(0, n_data, cfg.batch_size)
-        # both parities generate a fake batch and score it; nothing needs G's input gradient
-        x_fake, tape_g = forward(g_spec, g_store, z)
-        tape_g.input_grad = False
 
         if step % 2 == 1:
-            if stack_d:
-                c, tape = score(step, np.concatenate((data[real], x_fake)), effective)
-                tape.parts = halves
-                c_real, c_fake, tapes = c[:n], c[n:], (tape,)
-            else:
-                c_fake, tape_fake = score(step, x_fake, effective)
-                c_real, tape_real = score(step, data[real], effective)
-                tapes = (tape_real, tape_fake)
+            # D needs only G's output: G's tape is freed before the critic runs
+            x = np.concatenate((data[real], forward(g_spec, g_store, z)[0]))
+            scored = [(rows, parts, *score(step, x[rows], effective)) for rows, parts in d_passes]
+            c = np.concatenate([out for _, _, out, _ in scored])
+            c_real, c_fake = c[:n], c[n:]
             controller.observe_and_update(c_real, c_fake)
             last_d = d_loss(c_real, c_fake)
             if not math.isfinite(last_d):
                 abort(step, "discriminator loss")
-            gr, gf = d_loss_grads(c_real, c_fake)
+            grad = np.concatenate(d_loss_grads(c_real, c_fake))
             d_store.zero_grad()
-            # the D update needs no gradient with respect to the samples
-            grads = (np.concatenate((gr, gf)),) if stack_d else (gr, gf)
-            for tape, grad in zip(tapes, grads):
-                tape.input_grad = False
-                backward(tape, grad.reshape(tape.out_shape))
+            for rows, parts, _, tape in scored:
+                # the D update needs no gradient with respect to the samples
+                tape.parts, tape.input_grad = parts, False
+                backward(tape, grad[rows].reshape(tape.out_shape))
             apply_norm_backward(d_spectral, d_store, m)
             opt_d.step()
         else:
+            # nothing needs G's input gradient, nor D's parameter gradients
+            x_fake, tape_g = forward(g_spec, g_store, z)
+            tape_g.input_grad = False
             c_fake, tape_fake = score(step, x_fake, effective)
-            # G's update needs no D parameter gradients
             tape_fake.param_grads = False
             last_g = g_loss(c_fake)
             if not math.isfinite(last_g):

@@ -207,52 +207,53 @@ ABORT_SITES = {
 }
 
 
-def break_training_at(monkeypatch, site, stacked=False):
+def break_training_at(monkeypatch, site):
     """Make the training loop see one non-finite value at ``ABORT_SITES[site]``'s step.
 
     ``train.refresh`` runs once at the start of every training step, so
     counting its calls gives the step the other patched names are called in.
-    ``stacked`` says that the run's critic scores a D step's real and fake
-    batches in one pass (a conv critic).
+    A critic site poisons one row by its place among the step's critic
+    outputs, in one pass or several: a D step scores its real batch, then
+    its fake one; a G step its fake batch alone. The step's latent draw
+    gives the batch size.
     """
     from abcas import train
 
     step = ABORT_SITES[site][1]
-    now = {"step": 0, "calls": 0}
-    real_refresh = train.refresh
+    now = {"step": 0, "rows": 0, "batch": 0}
+    real_refresh, real_latent = train.refresh, train.sample_latent
 
     def refresh(*args):
         now["step"] += 1
-        now["calls"] = 0
+        now["rows"] = 0
         return real_refresh(*args)
 
-    def poison(name, bad, call=None):
-        # the named function's result at the step (and its call within the step)
+    def sample_latent(rng, n, spec):
+        now["batch"] = n
+        return real_latent(rng, n, spec)
+
+    def poison(name, bad):
+        # the named function's result at the step
         real = getattr(train, name)
 
         def patched(*args):
-            now["calls"] += 1
             out = real(*args)
-            hit = now["step"] == step and call in (None, now["calls"])
-            return bad(out) if hit else out
+            return bad(out) if now["step"] == step else out
 
         monkeypatch.setattr(train, name, patched)
 
+    def nan_row(c):
+        at = (now["batch"] if site == "fake_critic_d_step" else 0) - now["rows"]
+        now["rows"] += len(c)
+        bad = c.copy()
+        if 0 <= at < len(c):
+            bad[at] = np.nan
+        return bad
+
     monkeypatch.setattr(train, "refresh", refresh)
     if "critic" in site:
-        # every step scores the fake batch first, then a D step the real one,
-        # unless the D step is stacked: one call then scores the real rows,
-        # then the fake rows
-        stacked_d = stacked and site != "fake_critic_g_step"
-
-        def nan_rows(c):
-            bad = c.copy()
-            rows = bad.reshape(2, -1)[int(site != "real_critic")] if stacked_d else bad
-            rows[...] = np.nan
-            return bad
-
-        poison("_critic_vector", nan_rows,
-               call=2 if site == "real_critic" and not stacked_d else 1)
+        monkeypatch.setattr(train, "sample_latent", sample_latent)
+        poison("_critic_vector", nan_row)
     elif site == "d_loss":
         poison("d_loss", lambda _: math.nan)
     elif site == "g_loss":

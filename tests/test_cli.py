@@ -540,6 +540,41 @@ class TestSweepCommand:
         line = (out / "summary.csv").read_text().strip().splitlines()[2]
         assert line.split(",")[4] == ("ok" if reruns else status.decode().strip().replace(" ", "_"))
 
+    @pytest.mark.parametrize("change, reruns", [
+        ("none", ()), ("steps", ("fixed_m0.7", "fixed_m1", "abcas_beta4")),
+        ("new_value", ("fixed_m0.5",)), ("no_manifest", ("fixed_m1",)),
+        ("undecodable_manifest", ("fixed_m1",))],
+        ids=["none", "steps", "new_value", "no_manifest", "undecodable_manifest"])
+    def test_resume_reruns_each_setting_whose_config_changed(self, tmp_path, capsys, change,
+                                                             reruns):
+        # a finished setting is skipped only when its manifest.cfg is the one
+        # this config gives it, apart from the lines of the sweep's own values
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "fixed_m1" / "manifest.cfg"
+        if change == "steps":
+            cfg.write_text(cfg.read_text() + "steps = 20\n")
+        elif change == "new_value":
+            cfg.write_text(cfg.read_text() + "sweep_fixed_m = 0.7,1.0,0.5\n")
+        elif change == "no_manifest":
+            manifest.unlink()
+        elif change == "undecodable_manifest":
+            manifest.write_bytes(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        printed = capsys.readouterr().out
+        labels = [line.split(",")[0]
+                  for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert set(reruns) <= set(labels)
+        steps = 20 if change == "steps" else 40
+        for label in labels:
+            status = "ok" if label in reruns else "skipped (already ok)"
+            assert f"abcas sweep: {label}: {status}\n" in printed
+            assert f"\nsteps = {steps}\n" in (out / label / "manifest.cfg").read_text()
+            rows = (out / label / "metrics.csv").read_text().splitlines()
+            assert rows[-1].split(",")[0] == str(steps)
+
     def test_settings_match_single_train_runs(self, tmp_path):
         # the settings share one dataset and step-0 baseline; each must still
         # write exactly what `abcas train` writes with the same overrides

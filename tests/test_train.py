@@ -379,6 +379,34 @@ class TestTrainingLoop:
             d_step = ([n, n], [(), ()])
         assert steps == [d_step, ([n], [()])] * 3
 
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_only_a_g_step_keeps_the_generator_tape(self, monkeypatch, family):
+        # a D step needs G's output alone, so G's tape is freed before the
+        # critic runs; a G step keeps it for its backward
+        seen = []  # per critic pass: (step, is the last G tape alive)
+        now = {"step": 0, "g_tape": None}
+        real = {name: getattr(train, name) for name in ("refresh", "forward")}
+
+        def refresh(*args):
+            now["step"] += 1
+            return real["refresh"](*args)
+
+        def forward(spec, store, x, weights=None):
+            y, tape = real["forward"](spec, store, x, weights)
+            if spec is g:
+                now["g_tape"] = weakref.ref(tape)
+            else:
+                seen.append((now["step"], now["g_tape"]() is not None))
+            return y, tape
+
+        for name, fn in (("refresh", refresh), ("forward", forward)):
+            monkeypatch.setattr(train, name, fn)
+        cfg, data, g, d = _tiny_setup(steps=6, family=family)
+        _train(cfg, data, g, d)
+        d_passes = 1 if family == "conv" else 2
+        assert seen == [(k, k % 2 == 0) for k in range(1, 7)
+                        for _ in range(d_passes if k % 2 else 1)]
+
     def test_empty_dataset_rejected(self):
         cfg, data, g, d = _tiny_setup()
         with pytest.raises(ValueError, match="^empty dataset$"):
@@ -472,7 +500,9 @@ class TestTrainingLoop:
         assert len(weights) == len(rows) == cfg.steps + 1
         for k in range(1, cfg.steps + 1, 2):
             w, b = weights[k - 1]
-            fake, real = batches[k]
+            # a D step scores its real batch, then its fake one
+            real, fake = batches[k]
+            assert (real[:, None] == data[None]).all(-1).any(-1).all(), k
             w_hat = w / np.linalg.norm(w)
             c_real, c_fake = real @ w_hat, fake @ w_hat
             m = rows[k - 1].m
@@ -482,14 +512,17 @@ class TestTrainingLoop:
             assert abs(rows[k].dist - want) <= 4 * np.finfo(np.float32).eps * scale, k
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_mlp_steps_match_a_float64_straight_line_reference(self, seed):
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_steps_match_a_float64_straight_line_reference(self, family, seed):
         # the first 20 steps replayed in float64 from the run's step-0
         # parameters and random draws, with the update written out: an
-        # explicit power step, W' = m W / sigma, logaddexp losses, the SN
-        # gradient (m/sigma) G - (m/sigma^2) <G, W> u v^T with the step's m
-        # (not the one the controller moves it to), textbook Adam and the
-        # controller recurrence. alpha = 0.5 and beta = 0.05 move m every D step
-        cfg, data, g, d = _tiny_setup(steps=20, seed=seed, beta=0.05)
+        # explicit power step on each W as a (c_out, -1) matrix, W' = m W /
+        # sigma, logaddexp losses, the SN gradient (m/sigma) G - (m/sigma^2)
+        # <G, W> u v^T with the step's m (not the one the controller moves it
+        # to), textbook Adam and the controller recurrence. alpha = 0.5 and
+        # beta = 0.05 move m every D step. The real and fake batches take one
+        # float64 pass each, where the loop stacks a conv critic's into one
+        cfg, data, g, d = _tiny_setup(steps=20, seed=seed, beta=0.05, family=family)
         cfg.alpha, cfg.eval_every = 0.5, 1
         params = []
         rows = _train(cfg, data, g, d, on_eval=lambda step, g_store, d_store: params.append(
@@ -511,14 +544,14 @@ class TestTrainingLoop:
         for k in range(1, cfg.steps + 1):
             effective, vs, sigmas = {}, {}, {}
             for i in normed:
-                W = d_store.params[i]["W"]
+                W = d_store.params[i]["W"].reshape(d.layers[i].out_ch, -1)
                 v = W.T @ us[i]
                 vs[i] = v / np.linalg.norm(v)
                 wv = W @ vs[i]
                 sigmas[i] = np.linalg.norm(wv)
                 us[i] = wv / sigmas[i]
-                effective[i] = m * W / sigmas[i]
-            z = rng.standard_normal((n, cfg.latent_dim)).astype(np.float32).astype(np.float64)
+                effective[i] = m * d_store.params[i]["W"] / sigmas[i]
+            z = rng.standard_normal((n, *g.input_shape)).astype(np.float32).astype(np.float64)
             real = real_data[rng.integers(0, len(data), n)]
             x_fake, tape_g = nn.forward(g, g_store, z)
             c_fake, tape_fake = nn.forward(d, d_store, x_fake, weights=effective)
@@ -534,7 +567,7 @@ class TestTrainingLoop:
                 for i in normed:
                     W, G = d_store.params[i]["W"], d_store.grads[i]["W"]
                     G[:] = (m / sigmas[i]) * G - (m / sigmas[i] ** 2) * np.sum(G * W) * np.outer(
-                        us[i], vs[i])
+                        us[i], vs[i]).reshape(W.shape)
                 dm = cfg.alpha * dm + (1 - cfg.alpha) * dist
                 clbr = min(max(dm / cfg.beta, 0.0), 0.98)
                 m = 0.9 ** (clbr / (1 - clbr))
@@ -607,7 +640,7 @@ class TestTrainingLoop:
         *(pytest.param(site, "conv", id=f"conv-{site}") for site in ABORT_SITES)])
     def test_each_abort_site_carries_step_and_last_record(self, monkeypatch, site, family):
         what, step = ABORT_SITES[site]
-        break_training_at(monkeypatch, site, stacked=family == "conv")
+        break_training_at(monkeypatch, site)
         cfg, data, g, d = _tiny_setup(steps=12, family=family)
         rows = []
         with pytest.raises(NumericAbort) as exc:

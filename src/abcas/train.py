@@ -39,8 +39,6 @@ __all__ = [
     "generate",
     "run_training",
     "sample_latent",
-    "sigmoid",
-    "softplus",
 ]
 
 
@@ -96,45 +94,44 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # non-saturating losses (raw pre-sigmoid critic outputs)
 
-def softplus(t: np.ndarray) -> np.ndarray:
-    """log(1 + e^t), overflow-safe."""
-    t = np.asarray(t)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-t) in float64 from one exp, overflow-safe."""
-    t = np.asarray(t, dtype=np.float64)
+def _softplus_sigmoid(t: np.ndarray):
+    """log(1 + e^t) and 1 / (1 + e^-t) of float64 ``t`` from one overflow-safe exp(-|t|)."""
     e = np.exp(-np.abs(t))
     d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
-
-
-def d_loss(c_real, c_fake) -> float:
-    """mean softplus(-C_real) + mean softplus(C_fake)."""
-    c_real = np.asarray(c_real, dtype=np.float64)
-    c_fake = np.asarray(c_fake, dtype=np.float64)
-    return float(softplus(-c_real).sum() / c_real.size + softplus(c_fake).sum() / c_fake.size)
+    return np.maximum(t, 0.0) + np.log1p(e), np.where(t >= 0, 1.0 / d, e / d)
 
 
 def d_loss_grads(c_real, c_fake):
-    c_real = np.asarray(c_real)
-    c_fake = np.asarray(c_fake)
-    gr = -sigmoid(-np.asarray(c_real, dtype=np.float64)) / c_real.size
-    gf = sigmoid(np.asarray(c_fake, dtype=np.float64)) / c_fake.size
-    return gr.astype(c_real.dtype, copy=False), gf.astype(c_fake.dtype, copy=False)
+    """The D loss, mean softplus(-C_real) + mean softplus(C_fake), and its gradient.
+
+    The gradient is one array in the critic outputs' dtype: the real rows,
+    then the fake rows, each half divided by its own side's size.
+    """
+    n, k = np.size(c_real), np.size(c_fake)
+    c = np.concatenate((-np.ravel(c_real), np.ravel(c_fake)))
+    sp, grad = _softplus_sigmoid(c.astype(np.float64))
+    # x / -n has the bits of -x / n: rounding is symmetric in sign
+    grad[:n] /= -n
+    grad[n:] /= k
+    return float(sp[:n].sum() / n + sp[n:].sum() / k), grad.astype(c.dtype, copy=False)
 
 
-def g_loss(c_fake) -> float:
-    """mean softplus(-C_fake)."""
-    c_fake = np.asarray(c_fake, dtype=np.float64)
-    return float(softplus(-c_fake).sum() / c_fake.size)
+def d_loss(c_real, c_fake) -> float:
+    """The loss of :func:`d_loss_grads` alone, for finite-difference checks."""
+    return d_loss_grads(c_real, c_fake)[0]
 
 
 def g_loss_grad(c_fake):
+    """The G loss, mean softplus(-C_fake), and its gradient in the critic outputs' dtype."""
     c_fake = np.asarray(c_fake)
-    g = -sigmoid(-np.asarray(c_fake, dtype=np.float64)) / c_fake.size
-    return g.astype(c_fake.dtype, copy=False)
+    n = c_fake.size
+    sp, grad = _softplus_sigmoid(-c_fake.astype(np.float64))
+    return float(sp.sum() / n), (grad / -n).astype(c_fake.dtype, copy=False)
+
+
+def g_loss(c_fake) -> float:
+    """The loss of :func:`g_loss_grad` alone, for finite-difference checks."""
+    return g_loss_grad(c_fake)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +334,9 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
             c = np.concatenate([out for _, _, out, _ in scored])
             c_real, c_fake = c[:n], c[n:]
             controller.observe_and_update(c_real, c_fake)
-            last_d = d_loss(c_real, c_fake)
+            last_d, grad = d_loss_grads(c_real, c_fake)
             if not math.isfinite(last_d):
                 abort(step, "discriminator loss")
-            grad = np.concatenate(d_loss_grads(c_real, c_fake))
             d_store.zero_grad()
             for rows, parts, _, tape in scored:
                 # the D update needs no gradient with respect to the samples
@@ -354,11 +350,11 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
             tape_g.input_grad = False
             c_fake, tape_fake = score(step, x_fake, effective)
             tape_fake.param_grads = False
-            last_g = g_loss(c_fake)
+            last_g, g_grad = g_loss_grad(c_fake)
             if not math.isfinite(last_g):
                 abort(step, "generator loss")
             g_store.zero_grad()
-            dx = backward(tape_fake, g_loss_grad(c_fake).reshape(tape_fake.out_shape))
+            dx = backward(tape_fake, g_grad.reshape(tape_fake.out_shape))
             backward(tape_g, dx)
             opt_g.step()
 

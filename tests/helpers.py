@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: finite
 differences for gradients, naive 6-loop convolutions for conv layers,
+each conv layer's dense operator matrix by explicit index arithmetic,
 a padded window-view im2col, a per-tap strided-add col2im, and a
 double-loop MMD estimator. Also a runner for code that needs a fresh
-interpreter.
+interpreter, and the settings of every hypothesis property test.
 """
 
 import math
@@ -15,9 +16,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 import abcas
+
+
+def property_settings(max_examples):
+    """Hypothesis settings for tier-1: deterministic, bounded, with no example database."""
+    return settings(max_examples=max_examples, deadline=None, database=None, derandomize=True)
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -85,6 +92,38 @@ def convtranspose2d_naive(x, W, b, stride, padding):
                                 acc[ni, o, i * stride + a, j * stride + bb] += v * W[ch, o, a, bb]
     y = acc[:, :, padding:padding + ho, padding:padding + wo]
     return y + b.reshape(1, -1, 1, 1)
+
+
+def conv_matrix_index(layer, in_shape):
+    """Where a conv layer's kernel entries sit in its dense operator matrix.
+
+    Returns ``(out_shape, rows, cols, taps)``: the matrix maps a flattened
+    ``in_shape`` sample to a flattened ``out_shape`` one, and its entry
+    ``(rows[e], cols[e])`` is the flat kernel entry ``taps[e]``; no pair
+    repeats. Both kinds index the kernel as ``(small_ch, big_ch, a, b)``:
+    small tap (i, j) of a window meets big pixel (i*s + a - p, j*s + b - p).
+    A conv2d maps big -> small, a transposed conv small -> big.
+    """
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    if layer.kind == "conv2d":
+        big = tuple(in_shape)
+        small = (layer.out_ch,) + tuple((n + 2 * p - k) // s + 1 for n in big[1:])
+    else:
+        small = tuple(in_shape)
+        big = (layer.out_ch,) + tuple((n - 1) * s - 2 * p + k for n in small[1:])
+    shape = (small[0], big[0], k, k, small[1], small[2])
+    sc, bc, a, b, i, j = np.ix_(*map(range, shape))
+    y, x = i * s + a - p, j * s + b - p
+    keep = np.broadcast_to((0 <= y) & (y < big[1]) & (0 <= x) & (x < big[2]), shape)
+
+    def at(index):
+        return np.broadcast_to(index, shape)[keep]
+
+    small_at, big_at = at((sc * small[1] + i) * small[2] + j), at((bc * big[1] + y) * big[2] + x)
+    taps = at(((sc * big[0] + bc) * k + a) * k + b)
+    if layer.kind == "conv2d":
+        return small, small_at, big_at, taps
+    return big, big_at, small_at, taps
 
 
 def im2col_window(x, k, s, p):
@@ -215,7 +254,8 @@ def break_training_at(monkeypatch, site):
     A critic site poisons one row by its place among the step's critic
     outputs, in one pass or several: a D step scores its real batch, then
     its fake one; a G step its fake batch alone. The step's latent draw
-    gives the batch size.
+    gives the batch size. A loss site poisons the loss that the step's one
+    loss call returns with its gradient.
     """
     from abcas import train
 
@@ -255,9 +295,9 @@ def break_training_at(monkeypatch, site):
         monkeypatch.setattr(train, "sample_latent", sample_latent)
         poison("_critic_vector", nan_row)
     elif site == "d_loss":
-        poison("d_loss", lambda _: math.nan)
+        poison("d_loss_grads", lambda out: (math.nan, out[1]))
     elif site == "g_loss":
-        poison("g_loss", lambda _: math.inf)
+        poison("g_loss_grad", lambda out: (math.inf, out[1]))
     else:
         poison("_eval_sample", lambda fake: np.full_like(fake, np.nan))
 

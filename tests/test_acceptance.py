@@ -134,10 +134,11 @@ def test_criterion_4_gradient_oracle():
     # both losses, w.r.t. the critic outputs
     cr = rng.standard_normal(8)
     cf = rng.standard_normal(8)
-    gr, gf = d_loss_grads(cr, cf)
+    _, grad = d_loss_grads(cr, cf)
+    gr, gf = grad[:len(cr)], grad[len(cr):]
     worst = max(worst, rel_err(gr, central_diff_grad(lambda v: d_loss(v, cf), cr)))
     worst = max(worst, rel_err(gf, central_diff_grad(lambda v: d_loss(cr, v), cf)))
-    worst = max(worst, rel_err(g_loss_grad(cf), central_diff_grad(g_loss, cf)))
+    worst = max(worst, rel_err(g_loss_grad(cf)[1], central_diff_grad(g_loss, cf)))
 
     # spectral-norm backward through a full network pass
     from abcas.nn import backward

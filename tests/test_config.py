@@ -2,6 +2,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abcas.config import (
     ConfigError,
@@ -13,6 +15,8 @@ from abcas.config import (
     resolve_settings,
 )
 from abcas.nn import shape_plan
+
+from helpers import property_settings
 
 
 class TestParsing:
@@ -185,6 +189,80 @@ class TestManifest:
         path.write_bytes(b"dataset = ring2d\n# caf\xe9\n")
         with pytest.raises(ConfigError, match=r"^cannot read config .*latin1\.cfg: 'utf-8'"):
             load_settings(path)
+
+
+KEYS = tuple(parse_config_text(manifest_text(Settings(), "v", "run")))
+# what a key or value can hold: no comment mark, nothing str.splitlines breaks at
+LINE_CHARS = st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0, exclude_min=True)  # (0, 1]
+WIDTHS = st.lists(st.integers(1, 4096), min_size=1, max_size=4)
+
+
+@st.composite
+def valid_settings(draw):
+    """Settings with a valid value drawn for every config key."""
+    dataset = draw(st.sampled_from(["ring2d", "blobs", "file"]))
+    arch = {"ring2d": "mlp", "blobs": "conv"}.get(dataset) or draw(st.sampled_from(["mlp", "conv"]))
+    path = st.text(LINE_CHARS, max_size=12).map(str.strip)
+    values = {
+        "steps": st.integers(0, 10 ** 9), "batch_size": st.integers(2, 4096),
+        "lr_d": POSITIVE, "lr_g": POSITIVE, "beta": POSITIVE,
+        "beta1": st.floats(0.0, 1.0, exclude_max=True),
+        "beta2": st.floats(0.0, 1.0, exclude_max=True),
+        "alpha": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "mode": st.sampled_from(["adaptive", "fixed"]), "m": UNIT,
+        "seed": st.integers(0, 2 ** 64), "eval_every": st.integers(1, 10 ** 9),
+        "latent_dim": st.integers(1, 4096), "eval_samples": st.integers(2, 10 ** 9),
+        "dataset": st.just(dataset), "dataset_size": st.integers(2, 10 ** 9),
+        "data_seed": st.integers(-1, 2 ** 64), "ring_modes": st.integers(1, 4096),
+        "ring_radius": st.floats(allow_nan=False, allow_infinity=False),
+        "ring_sigma": POSITIVE,
+        "img_size": st.sampled_from([8, 16, 32]) if dataset == "blobs" else st.integers(1, 4096),
+        "data_path": path.filter(bool) if dataset == "file" else path,
+        "arch": st.just(arch), "g_hidden": WIDTHS, "d_hidden": WIDTHS,
+        "g_channels": WIDTHS, "d_channels": WIDTHS,
+        "sweep_fixed_m": st.lists(UNIT, min_size=1, max_size=6),
+        "sweep_abcas_beta": st.lists(POSITIVE, min_size=1, max_size=6),
+    }
+    assert tuple(sorted(values)) == KEYS
+    settings = Settings()
+    for key, strategy in values.items():
+        owner = next(o for o in (settings.train, settings.data, settings) if hasattr(o, key))
+        setattr(owner, key, draw(strategy))
+    return settings
+
+
+class TestConfigProperties:
+    @property_settings(100)
+    @given(s=valid_settings())
+    def test_manifest_round_trips_every_key(self, s):
+        text = manifest_text(s, "v", "run")
+        back = resolve_settings(parse_config_text(text))
+        assert manifest_text(back, "v", "run") == text
+        for key in KEYS:
+            assert _key_value(back, key) == _key_value(s, key), key
+
+    @property_settings(100)
+    @given(key=st.text(LINE_CHARS.filter(lambda c: c != "="), min_size=1, max_size=16)
+           .map(str.strip).filter(lambda k: k and k not in KEYS))
+    def test_unknown_key_is_named(self, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(f"steps = 3\n{key} = 1\n")
+        assert str(info.value).startswith(f"config:2: unknown key {key!r}; valid keys: ")
+
+    @property_settings(100)
+    @given(before=st.lists(st.sampled_from(["", "# a = b", "steps = 5", " lr_d=0.5 # x"]),
+                           max_size=4),
+           body=st.text(LINE_CHARS.filter(lambda c: c != "="), min_size=1, max_size=16)
+           .filter(str.strip),
+           comment=st.sampled_from(["", "# k = v"]))
+    def test_line_without_equals_gives_its_number(self, before, body, comment):
+        text = "\n".join([*before, body + comment, "seed = 1"])
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(f"config:{len(before) + 1}: expected 'key = value'")
 
 
 def test_repo_configs_load():

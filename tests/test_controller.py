@@ -1,10 +1,15 @@
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abcas import cli
 from abcas.controller import AbcasState, target_multiplier
+
+from helpers import property_settings
 
 RING2D_CFG = Path(__file__).resolve().parents[1] / "configs" / "ring2d.cfg"
 
@@ -42,6 +47,40 @@ class TestMap:
         rs, ms = zip(*(target_multiplier(float(d), beta) for d in grid))
         assert all(a <= b for a, b in zip(rs, rs[1:]))
         assert all(a >= b for a, b in zip(ms, ms[1:]))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BETAS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestMapProperties:
+    @property_settings(300)
+    @given(beta=BETAS, a=FINITE, b=FINITE)
+    def test_monotone_and_bounded(self, beta, a, b):
+        # a larger dm gives an r no smaller and an m no larger, for any two
+        # gaps and for adjacent floats
+        for lo, hi in (sorted((a, b)), (a, math.nextafter(a, math.inf))):
+            (r_lo, m_lo), (r_hi, m_hi) = target_multiplier(lo, beta), target_multiplier(hi, beta)
+            assert r_lo <= r_hi and m_lo >= m_hi, (lo, hi)
+            for r, m in ((r_lo, m_lo), (r_hi, m_hi)):
+                assert 0.0 <= r <= 49.0
+                assert 0.9 ** 49 <= m <= 1.0
+
+    @property_settings(100)
+    @given(beta=BETAS, dm=st.floats(max_value=0.0, allow_nan=False))
+    def test_no_gap_means_no_restriction(self, beta, dm):
+        assert target_multiplier(dm, beta) == (0.0, 1.0)
+
+    @property_settings(50)
+    @given(m0=st.floats(0.0, 1.0, exclude_min=True), beta=BETAS,
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           dists=st.lists(FINITE, max_size=20))
+    def test_fixed_mode_keeps_m0(self, m0, beta, alpha, dists):
+        state = AbcasState(beta=beta, alpha=alpha, mode="fixed", m0=m0)
+        for dist in dists:
+            state.observe_and_update(_batch(dist), _batch(0.0))
+            assert state.last_dist == dist
+            assert (state.m, state.r, state.dm) == (m0, 0.0, 0.0)
 
 
 class TestObserveAndUpdate:

@@ -4,7 +4,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
@@ -22,7 +22,7 @@ from abcas.data import (
     write_tensor_file,
 )
 
-from helpers import UNUSABLE_DATASETS, raw_abt1, run_python
+from helpers import UNUSABLE_DATASETS, property_settings, raw_abt1, run_python
 
 
 class TestRing2d:
@@ -219,18 +219,13 @@ class TestTensorFile:
         assert not p.exists()
 
 
-def _property(max_examples):
-    # deterministic, and no example database left behind in the working directory
-    return settings(max_examples=max_examples, deadline=None, database=None, derandomize=True)
-
-
 FLOAT32_TENSORS = hnp.arrays(
     np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
     elements=st.floats(-1e6, 1e6, width=32))
 
 
 class TestTensorFileProperties:
-    @_property(25)
+    @property_settings(25)
     @given(arr=FLOAT32_TENSORS)
     def test_every_strict_prefix_is_a_tensor_file_error(self, tmp_path_factory, arr):
         # this reaches the truncated-magic, -header, -extents and -payload branches
@@ -242,7 +237,7 @@ class TestTensorFileProperties:
             with pytest.raises(TensorFileError):
                 read_tensor_file(d / "cut.abt")
 
-    @_property(300)
+    @property_settings(300)
     @given(arr=FLOAT32_TENSORS, data=st.data())
     def test_a_changed_byte_is_refused_or_read_as_float32(self, tmp_path_factory, arr, data):
         d = tmp_path_factory.mktemp("byte")

@@ -27,6 +27,7 @@ from helpers import (
     central_diff_grad,
     col2im_loop,
     conv2d_naive,
+    conv_matrix_index,
     convtranspose2d_naive,
     gradcheck_layer as _gradcheck_layer,
     im2col_window,
@@ -245,6 +246,27 @@ class TestConvOperatorMatrices:
         assert A.shape == (int(np.prod(shape_plan(conv)[0])), 2 * size * size)
         assert np.count_nonzero(A) > 0
         assert np.max(np.abs(B - A.T)) <= 1e-12 * np.max(np.abs(A))
+
+    # the tiny conv config's four conv layers (tests/test_train.py), then two odd kernels
+    @pytest.mark.parametrize("layer,in_shape", [
+        (conv2d(1, 8, 4, 2, 1), (1, 8, 8)), (conv2d(8, 1, 4, 1, 0), (8, 4, 4)),
+        (convtranspose2d(4, 8, 4, 1, 0), (4, 1, 1)), (convtranspose2d(8, 1, 4, 2, 1), (8, 4, 4)),
+        (conv2d(2, 3, 3, 2, 0), (2, 7, 7)), (convtranspose2d(2, 3, 3, 2, 1), (2, 5, 5))])
+    def test_index_map_matrix_matches_the_naive_loops(self, layer, in_shape):
+        # the index arithmetic that the straight-line training reference runs
+        # conv layers on, against the direct loops
+        out_shape, rows, cols, taps = conv_matrix_index(layer, in_shape)
+        rng = np.random.default_rng(11)
+        W = _store64(NetworkSpec(in_shape, [layer]), seed=12).params[0]["W"]
+        A = np.zeros((int(np.prod(out_shape)), int(np.prod(in_shape))))
+        A[rows, cols] = W.ravel()[taps]
+        assert np.unique(rows * A.shape[1] + cols).size == rows.size
+        x = rng.standard_normal((2, *in_shape))
+        naive = conv2d_naive if layer.kind == "conv2d" else convtranspose2d_naive
+        want = naive(x, W, np.zeros(layer.out_ch), layer.stride, layer.padding)
+        assert want.shape[1:] == out_shape
+        got = x.reshape(2, -1) @ A.T
+        assert np.max(np.abs(got - want.reshape(2, -1))) <= 1e-12 * np.abs(want).max()
 
 
 class TestConvLipschitz:

@@ -279,10 +279,10 @@ class TestFixedMultiplierIsTemperature:
         for (st, eff, states), mult, scale in zip(nets, (m, 1.0), scales):
             y_real, tape_real = forward(spec, st, x[:8], weights=eff)
             y_fake, tape_fake = forward(spec, st, x[8:], weights=eff)
-            gr, gf = d_loss_grads(scale * y_real.ravel(), scale * y_fake.ravel())
+            _, grad = d_loss_grads(scale * y_real.ravel(), scale * y_fake.ravel())
             st.zero_grad()
-            backward(tape_real, scale * gr.reshape(y_real.shape))
-            backward(tape_fake, scale * gf.reshape(y_fake.shape))
+            backward(tape_real, scale * grad[:len(y_real)].reshape(y_real.shape))
+            backward(tape_fake, scale * grad[len(y_real):].reshape(y_fake.shape))
             apply_norm_backward(states, st, mult)
         (store, _, _), (prime, _, _) = nets
         for k, i in enumerate(normalized, start=1):

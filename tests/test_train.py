@@ -22,11 +22,10 @@ from abcas.train import (
     g_loss,
     g_loss_grad,
     run_training,
-    sigmoid,
-    softplus,
 )
 
-from helpers import ABORT_SITES, break_training_at, central_diff_grad, rel_err
+from helpers import (ABORT_SITES, break_training_at, central_diff_grad, conv_matrix_index,
+                     rel_err)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -44,7 +43,8 @@ class TestLosses:
         rng = np.random.default_rng(0)
         cr = rng.standard_normal(8)
         cf = rng.standard_normal(8)
-        gr, gf = d_loss_grads(cr, cf)
+        _, grad = d_loss_grads(cr, cf)
+        gr, gf = grad[:len(cr)], grad[len(cr):]
         fd_r = central_diff_grad(lambda v: d_loss(v, cf), cr)
         fd_f = central_diff_grad(lambda v: d_loss(cr, v), cf)
         assert rel_err(gr, fd_r) < 1e-6
@@ -62,12 +62,13 @@ class TestLosses:
 
     def test_g_loss_gradient_fd(self):
         cf = np.random.default_rng(1).standard_normal(8)
-        assert rel_err(g_loss_grad(cf), central_diff_grad(g_loss, cf)) < 1e-6
+        assert rel_err(g_loss_grad(cf)[1], central_diff_grad(g_loss, cf)) < 1e-6
 
     def test_softplus_overflow_safe(self):
-        assert np.isfinite(softplus(np.array([1e4, -1e4]))).all()
-        assert softplus(np.array([-1e4]))[0] == 0.0
-        assert softplus(np.array([1e4]))[0] == 1e4
+        t = np.array([1e4, -1e4, 800.0, -800.0, np.inf, -np.inf])
+        softplus, sigmoid = train._softplus_sigmoid(t)
+        assert softplus.tolist() == [1e4, 0.0, 800.0, 0.0, np.inf, 0.0]
+        assert sigmoid.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def _sigmoid_reference(t):
@@ -98,22 +99,30 @@ class TestLossBitsAgainstReferenceFormulas:
         for t in self._critics(np.float64):
             with np.errstate(over="ignore"):
                 want = _sigmoid_reference(t)
-            assert sigmoid(t).tobytes() == want.tobytes()
-            assert softplus(t).tobytes() == _softplus_reference(t).tobytes()
+            softplus, sigmoid = train._softplus_sigmoid(t)
+            assert sigmoid.tobytes() == want.tobytes()
+            assert softplus.tobytes() == _softplus_reference(t).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_losses_and_gradients(self, dtype):
-        for t in self._critics(dtype, infinite=False):
-            cr, cf = t, t[::-1].copy()
+        critics = list(self._critics(dtype, infinite=False))
+        # equal sides, then 7 real against 61 fake outputs and 61 against 7:
+        # each gradient half divides by its own side's size
+        pairs = [(t, t[::-1].copy()) for t in critics]
+        few, many = critics[0][-7:], critics[-1][:61]
+        assert (len(few), len(many)) == (7, 61)
+        pairs += [(few, many), (many, few)]
+        for cr, cf in pairs:
             r64, f64 = cr.astype(np.float64), cf.astype(np.float64)
-            d = np.mean(_softplus_reference(-r64)) + np.mean(_softplus_reference(f64))
-            assert d_loss(cr, cf) == float(d)
-            assert g_loss(cf) == float(np.mean(_softplus_reference(-f64)))
-            gr, gf = d_loss_grads(cr, cf)
-            assert gr.tobytes() == (-_sigmoid_reference(-r64) / cr.size).astype(dtype).tobytes()
-            assert gf.tobytes() == (_sigmoid_reference(f64) / cf.size).astype(dtype).tobytes()
-            want = (-_sigmoid_reference(-f64) / cf.size).astype(dtype)
-            assert g_loss_grad(cf).tobytes() == want.tobytes()
+            d = float(np.mean(_softplus_reference(-r64)) + np.mean(_softplus_reference(f64)))
+            loss, grad = d_loss_grads(cr, cf)
+            assert loss == d_loss(cr, cf) == d
+            want = np.concatenate([(-_sigmoid_reference(-r64) / cr.size).astype(dtype),
+                                   (_sigmoid_reference(f64) / cf.size).astype(dtype)])
+            assert grad.tobytes() == want.tobytes()
+            loss, grad = g_loss_grad(cf)
+            assert loss == g_loss(cf) == float(np.mean(_softplus_reference(-f64)))
+            assert grad.tobytes() == (-_sigmoid_reference(-f64) / cf.size).astype(dtype).tobytes()
 
 
 class TestAdam:
@@ -193,6 +202,55 @@ def _train(cfg, data, g, d, rows=None, baseline=None, **hooks):
         baseline = eval_baseline(cfg, data, g)
     run_training(cfg, baseline, g, d, hooks=TrainHooks(on_record=rows.append, **hooks))
     return rows
+
+
+def _reference_layer(layer, params, grads, weight, h):
+    """One float64 layer on the batch ``h``: its output and its backward.
+
+    A conv layer is its dense operator matrix, built by the index arithmetic
+    of ``helpers.conv_matrix_index``: the forward is that matrix times the
+    input, the input gradient the transposed product, and the kernel gradient
+    the matrix gradient mapped back through the same index map. Any other
+    layer runs through ``nn`` on a one-layer spec. ``weight`` is the weight
+    the forward uses; the backward adds its gradient, and the bias's, to
+    ``grads`` and returns the input gradient.
+    """
+    n = len(h)
+    if layer.kind not in ("conv2d", "convtranspose2d"):
+        one = NetworkSpec(h.shape[1:], [layer])
+        store = ParamStore(one, dtype=np.float64)
+        store.params, store.grads = [params], [grads]
+        y, tape = nn.forward(one, store, h, weights=None if weight is None else {0: weight})
+        return y, lambda g: nn.backward(tape, g)
+    out_shape, rows, cols, taps = conv_matrix_index(layer, h.shape[1:])
+    A = np.zeros((math.prod(out_shape), math.prod(h.shape[1:])))
+    A[rows, cols] = weight.ravel()[taps]
+    x = h.reshape(n, -1)
+
+    def back(g):
+        g = g.reshape(n, -1)
+        grads["b"] += g.reshape(n, out_shape[0], -1).sum(axis=(0, 2))
+        dA = g.T @ x
+        grads["W"] += np.bincount(taps, dA[rows, cols], weight.size).reshape(weight.shape)
+        return (g @ A).reshape(h.shape)
+
+    return (x @ A.T).reshape(n, *out_shape) + params["b"].reshape(-1, 1, 1), back
+
+
+def _reference_pass(spec, store, x, weights=None):
+    """``spec`` on ``x`` in float64, layer by layer: its output and its backward."""
+    backs = []
+    for i, layer in enumerate(spec.layers):
+        weight = (weights or {}).get(i, store.params[i].get("W"))
+        x, back = _reference_layer(layer, store.params[i], store.grads[i], weight, x)
+        backs.append(back)
+
+    def backward(g):
+        for back in reversed(backs):
+            g = back(g)
+        return g
+
+    return x, backward
 
 
 def _blobs16_generator():
@@ -380,6 +438,32 @@ class TestTrainingLoop:
         assert steps == [d_step, ([n], [()])] * 3
 
     @pytest.mark.parametrize("family", ["mlp", "conv"])
+    def test_each_step_makes_one_loss_call(self, monkeypatch, family):
+        # a D step's one call to d_loss_grads and a G step's one call to
+        # g_loss_grad return the loss with its gradient; the loop never
+        # calls d_loss or g_loss
+        steps = []  # per step: the loss functions it called
+        names = ("d_loss", "d_loss_grads", "g_loss", "g_loss_grad")
+        real = {name: getattr(train, name) for name in ("refresh", *names)}
+
+        def refresh(*args):
+            steps.append([])
+            return real["refresh"](*args)
+
+        def counted(name):
+            def fn(*args):
+                steps[-1].append(name)
+                return real[name](*args)
+            return fn
+
+        monkeypatch.setattr(train, "refresh", refresh)
+        for name in names:
+            monkeypatch.setattr(train, name, counted(name))
+        cfg, data, g, d = _tiny_setup(steps=6, family=family)
+        _train(cfg, data, g, d)
+        assert steps == [["d_loss_grads"], ["g_loss_grad"]] * 3
+
+    @pytest.mark.parametrize("family", ["mlp", "conv"])
     def test_only_a_g_step_keeps_the_generator_tape(self, monkeypatch, family):
         # a D step needs G's output alone, so G's tape is freed before the
         # critic runs; a G step keeps it for its backward
@@ -521,7 +605,8 @@ class TestTrainingLoop:
         # <G, W> u v^T with the step's m (not the one the controller moves it
         # to), textbook Adam and the controller recurrence. alpha = 0.5 and
         # beta = 0.05 move m every D step. The real and fake batches take one
-        # float64 pass each, where the loop stacks a conv critic's into one
+        # float64 pass each, where the loop stacks a conv critic's into one;
+        # every conv layer runs as its dense operator matrix (_reference_pass)
         cfg, data, g, d = _tiny_setup(steps=20, seed=seed, beta=0.05, family=family)
         cfg.alpha, cfg.eval_every = 0.5, 1
         params = []
@@ -553,17 +638,17 @@ class TestTrainingLoop:
                 effective[i] = m * d_store.params[i]["W"] / sigmas[i]
             z = rng.standard_normal((n, *g.input_shape)).astype(np.float32).astype(np.float64)
             real = real_data[rng.integers(0, len(data), n)]
-            x_fake, tape_g = nn.forward(g, g_store, z)
-            c_fake, tape_fake = nn.forward(d, d_store, x_fake, weights=effective)
+            x_fake, back_g = _reference_pass(g, g_store, z)
+            c_fake, back_fake = _reference_pass(d, d_store, x_fake, weights=effective)
             # d/dc log(1 + e^c) = e^-log(1 + e^-c)
             if k % 2 == 1:
-                c_real, tape_real = nn.forward(d, d_store, real, weights=effective)
+                c_real, back_real = _reference_pass(d, d_store, real, weights=effective)
                 dist = c_real.max() - c_fake.min()
                 scale = max(np.abs(c_real).max(), np.abs(c_fake).max())
                 losses[0] = np.logaddexp(0, -c_real).mean() + np.logaddexp(0, c_fake).mean()
                 d_store.zero_grad()
-                nn.backward(tape_real, -np.exp(-np.logaddexp(0, c_real)) / n)
-                nn.backward(tape_fake, np.exp(-np.logaddexp(0, -c_fake)) / n)
+                back_real(-np.exp(-np.logaddexp(0, c_real)) / n)
+                back_fake(np.exp(-np.logaddexp(0, -c_fake)) / n)
                 for i in normed:
                     W, G = d_store.params[i]["W"], d_store.grads[i]["W"]
                     G[:] = (m / sigmas[i]) * G - (m / sigmas[i] ** 2) * np.sum(G * W) * np.outer(
@@ -573,9 +658,9 @@ class TestTrainingLoop:
                 m = 0.9 ** (clbr / (1 - clbr))
             else:
                 losses[1] = np.logaddexp(0, -c_fake).mean()
+                # D's gradients from this pass are zeroed before D's next step
                 g_store.zero_grad()
-                tape_fake.param_grads = False
-                nn.backward(tape_g, nn.backward(tape_fake, -np.exp(-np.logaddexp(0, c_fake)) / n))
+                back_g(back_fake(-np.exp(-np.logaddexp(0, c_fake)) / n))
             t = (k + 1) // 2
             store, (mom, vel), lr = stores[k % 2], moments[k % 2], (cfg.lr_g, cfg.lr_d)[k % 2]
             grad = store.grad_flat

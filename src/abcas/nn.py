@@ -351,13 +351,7 @@ class Tape:
     parameters and returns None. Set ``param_grads = False`` when only the
     input gradient is wanted: backward then leaves the store's gradients
     as they are. Whatever backward still computes has the same bits.
-
-    ``parts`` is a tuple of slices that split the batch, for a forward pass
-    over several batches stacked into one. Each conv and layernorm layer
-    then adds its parameter gradients one part after another, with the bits
-    of separate passes over the parts accumulated in that order. Dense
-    layers ignore it: a stacked batch rounds their GEMM differently anyway
-    (see :func:`per_sample`).
+    Each layer sums its parameter gradients once over the whole batch.
     """
 
     spec: NetworkSpec
@@ -368,7 +362,6 @@ class Tape:
     consumed: bool = False
     input_grad: bool = True
     param_grads: bool = True
-    parts: tuple = ()
 
 
 def _weight(store: ParamStore, weights, i: int) -> np.ndarray:
@@ -456,13 +449,6 @@ def forward(spec: NetworkSpec, store: ParamStore, x: np.ndarray,
     return h, tape
 
 
-def _parts(tape: Tape, *arrays: np.ndarray):
-    # the arrays, or with tape.parts set their slices part by part
-    if not tape.parts:
-        return (arrays,)
-    return [tuple(a[part] for a in arrays) for part in tape.parts]
-
-
 def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
@@ -504,12 +490,11 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             else:  # dx and dW share one im2col of the output gradient
                 xshape, (gx, cols) = cache[0].shape, _conv(W, g, k, s, p)
             if tape.param_grads:
+                store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
                 small = g if kind == "conv2d" else cache[0]
-                for gp, sp, cp in _parts(tape, g, small, cols):
-                    store.grads[i]["b"] += gp.sum(axis=(0, 2, 3))
-                    dW = np.tensordot(sp.reshape(len(sp), W.shape[0], -1), cp,
-                                      axes=([0, 2], [0, 2]))
-                    store.grads[i]["W"] += dW.reshape(W.shape)
+                dW = np.tensordot(small.reshape(xshape[0], W.shape[0], -1), cols,
+                                  axes=([0, 2], [0, 2]))
+                store.grads[i]["W"] += dW.reshape(W.shape)
             if i == stop:
                 break
             g = _conv_adjoint(W, g, xshape, k, s, p) if kind == "conv2d" else gx.reshape(xshape)
@@ -527,9 +512,8 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             n = xshape[0]
             gf = g.reshape(n, -1)
             if tape.param_grads:
-                for gp, xp in _parts(tape, gf, xhat):
-                    store.grads[i]["g"] += (gp * xp).sum(axis=0).reshape(store.grads[i]["g"].shape)
-                    store.grads[i]["b"] += gp.sum(axis=0).reshape(store.grads[i]["b"].shape)
+                store.grads[i]["g"] += (gf * xhat).sum(axis=0).reshape(store.grads[i]["g"].shape)
+                store.grads[i]["b"] += gf.sum(axis=0).reshape(store.grads[i]["b"].shape)
             if i == stop:
                 break
             dxhat = gf * store.params[i]["g"].reshape(1, -1)

@@ -262,9 +262,8 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
 
     A D step keeps G's output, not its tape, stacked under the real batch.
     A :func:`~abcas.nn.per_sample` (conv) critic scores all the rows in one
-    pass, with the bits of two: its tape's ``parts`` keep the parameter
-    gradients' bits too. A dense critic scores them in two passes, real
-    rows, then fake.
+    forward and one backward. A dense critic scores them in two passes,
+    real rows, then fake.
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
@@ -291,9 +290,8 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     last_d = last_g = 0.0
     steps_per_epoch = max(1, n_data // cfg.batch_size)
     n = cfg.batch_size
-    halves = (slice(0, n), slice(n, 2 * n))
-    # each D-step critic pass: the rows of the stacked batch it scores, its tape's parts
-    d_passes = [(slice(0, 2 * n), halves)] if per_sample(d_spec) else [(s, ()) for s in halves]
+    # the rows of the stacked batch that each D-step critic pass scores
+    d_passes = [slice(0, 2 * n)] if per_sample(d_spec) else [slice(0, n), slice(n, 2 * n)]
 
     def emit(step: int, t0: float) -> MetricsRecord:
         rec = MetricsRecord(step=step, epoch=step // steps_per_epoch, d_loss=last_d,
@@ -330,17 +328,17 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
         if step % 2 == 1:
             # D needs only G's output: G's tape is freed before the critic runs
             x = np.concatenate((data[real], forward(g_spec, g_store, z)[0]))
-            scored = [(rows, parts, *score(step, x[rows], effective)) for rows, parts in d_passes]
-            c = np.concatenate([out for _, _, out, _ in scored])
+            scored = [(rows, *score(step, x[rows], effective)) for rows in d_passes]
+            c = np.concatenate([out for _, out, _ in scored])
             c_real, c_fake = c[:n], c[n:]
             controller.observe_and_update(c_real, c_fake)
             last_d, grad = d_loss_grads(c_real, c_fake)
             if not math.isfinite(last_d):
                 abort(step, "discriminator loss")
             d_store.zero_grad()
-            for rows, parts, _, tape in scored:
+            for rows, _, tape in scored:
                 # the D update needs no gradient with respect to the samples
-                tape.parts, tape.input_grad = parts, False
+                tape.input_grad = False
                 backward(tape, grad[rows].reshape(tape.out_shape))
             apply_norm_backward(d_spectral, d_store, m)
             opt_d.step()

@@ -486,60 +486,6 @@ class TestPartialBackward:
         assert backward(tape, np.ones_like(y)) is None
 
 
-class TestStackedParts:
-    # one pass over stacked batches, with the tape's parts splitting them, has
-    # the bits of separate passes over the parts accumulated in order
-    NETS = {
-        "blobs16-d": lambda: nn.conv_discriminator(1, [16, 32], 16),
-        "conv-layernorm": lambda: NetworkSpec((2, 8, 8), [conv2d(2, 4), layernorm(), relu(),
-                                                          conv2d(4, 1, 4, 1, 0)]),
-    }
-
-    @staticmethod
-    def _run(name, sizes, stacked, input_grad):
-        spec = TestStackedParts.NETS[name]()
-        assert nn.per_sample(spec)
-        store = ParamStore(spec, seed=(0, 1))
-        rng = np.random.default_rng(61)
-        # every parameter at a scale where the ReLUs matter, and earlier
-        # gradients in the store, so the order of the += is checked too
-        store.flat[:] = rng.standard_normal(store.flat.size) * 0.2
-        store.grad_flat[:] = rng.standard_normal(store.flat.size)
-        xs = [rng.standard_normal((n, *spec.input_shape)).astype(np.float32) for n in sizes]
-        gs = [rng.standard_normal((n, 1, 1, 1)).astype(np.float32) for n in sizes]
-        if stacked:
-            y, tape = forward(spec, store, np.concatenate(xs))
-            ends = np.cumsum(sizes)
-            tape.parts = tuple(slice(e - n, e) for e, n in zip(ends, sizes))
-            runs = [(y, tape, np.concatenate(gs))]
-        else:
-            runs = [forward(spec, store, x) + (g,) for x, g in zip(xs, gs)]
-        dxs = []
-        for _, tape, g in runs:
-            tape.input_grad = input_grad
-            dxs.append(backward(tape, g))
-        ys = np.concatenate([y for y, _, _ in runs])
-        return ys, np.concatenate(dxs) if input_grad else None, store.grad_flat
-
-    @pytest.mark.parametrize("input_grad", [False, True])
-    @pytest.mark.parametrize("sizes", [(16, 16), (16, 5), (1, 7, 3)])
-    @pytest.mark.parametrize("name", list(NETS))
-    def test_stacked_pass_has_the_bits_of_separate_passes(self, name, sizes, input_grad):
-        y, dx, grads = self._run(name, sizes, stacked=True, input_grad=input_grad)
-        want_y, want_dx, want_grads = self._run(name, sizes, stacked=False,
-                                                input_grad=input_grad)
-        assert _same_bits(y, want_y)
-        assert _same_bits(grads, want_grads)
-        assert (dx is None) == (not input_grad)
-        if input_grad:
-            assert _same_bits(dx, want_dx)
-
-    def test_per_sample_means_no_dense_layer(self):
-        assert not nn.per_sample(nn.mlp_discriminator(2, [8]))
-        assert not nn.per_sample(nn.mlp_generator(4, [8], 2))
-        assert nn.per_sample(nn.conv_generator(4, [8], 1, 8))
-
-
 def _layernorm_reference(h, eps):
     # the formulas before the sums: np.mean and np.var, centring twice
     flat = h.reshape(h.shape[0], -1)
@@ -788,6 +734,11 @@ class TestFloat32ConvGradients:
 
 
 class TestArchitectures:
+    def test_per_sample_means_no_dense_layer(self):
+        assert not nn.per_sample(nn.mlp_discriminator(2, [8]))
+        assert not nn.per_sample(nn.mlp_generator(4, [8], 2))
+        assert nn.per_sample(nn.conv_generator(4, [8], 1, 8))
+
     def test_mlp_shapes(self):
         g = nn.mlp_generator(8, [32, 32], 2)
         assert nn.shape_plan(g)[-1] == (2,)

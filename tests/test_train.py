@@ -406,14 +406,14 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("family", ["mlp", "conv"])
     def test_d_step_stacks_the_batches_of_a_per_sample_critic(self, monkeypatch, family):
-        # a conv critic scores a D step's real and fake batches in one pass
-        # and one backward, with the tape's parts splitting them; a dense
-        # critic takes two of each. A G step scores its fake batch alone
-        steps = []  # per step: (D forward batch sizes, parts of the D backward tapes)
+        # a conv critic scores a D step's real and fake batches in one
+        # forward and one backward; a dense critic takes two of each. A G
+        # step scores its fake batch alone
+        steps = []  # per step: (D forward batch sizes, D backward calls)
         real = {name: getattr(train, name) for name in ("refresh", "forward", "backward")}
 
         def refresh(*args):
-            steps.append(([], []))
+            steps.append(([], 0))
             return real["refresh"](*args)
 
         def forward(spec, store, x, weights=None):
@@ -423,7 +423,7 @@ class TestTrainingLoop:
 
         def backward(tape, grad_out):
             if tape.spec is d:
-                steps[-1][1].append(tape.parts)
+                steps[-1] = (steps[-1][0], steps[-1][1] + 1)
             return real["backward"](tape, grad_out)
 
         for name, fn in (("refresh", refresh), ("forward", forward), ("backward", backward)):
@@ -431,11 +431,53 @@ class TestTrainingLoop:
         cfg, data, g, d = _tiny_setup(steps=6, family=family)
         _train(cfg, data, g, d)
         n = cfg.batch_size
-        if family == "conv":
-            d_step = ([2 * n], [(slice(0, n), slice(n, 2 * n))])
-        else:
-            d_step = ([n, n], [(), ()])
-        assert steps == [d_step, ([n], [()])] * 3
+        d_step = ([2 * n], 1) if family == "conv" else ([n, n], 2)
+        assert steps == [d_step, ([n], 1)] * 3
+
+    def test_conv_d_step_gradients_are_one_plain_pass(self, monkeypatch):
+        # just before the norm backward, a conv critic's D-step W and b
+        # gradients have the bits of one plain forward and backward over the
+        # stacked 2N rows. The same sum split into real rows, then fake,
+        # rounds differently on this seed, so the comparison can tell the two
+        seen = []  # per D step: [rows, weights, loss gradient, params, gradients]
+        real = {name: getattr(train, name)
+                for name in ("forward", "backward", "apply_norm_backward")}
+
+        def forward(spec, store, x, weights=None):
+            if spec is d and len(x) == 2 * cfg.batch_size:
+                seen.append([x.copy(), {i: w.copy() for i, w in weights.items()}])
+            return real["forward"](spec, store, x, weights)
+
+        def backward(tape, grad_out):
+            if tape.spec is d and tape.param_grads:
+                seen[-1].append(grad_out.copy())
+            return real["backward"](tape, grad_out)
+
+        def apply_norm_backward(states, store, m):
+            seen[-1] += [store.flat.copy(), store.grad_flat.copy()]
+            return real["apply_norm_backward"](states, store, m)
+
+        for name, fn in (("forward", forward), ("backward", backward),
+                         ("apply_norm_backward", apply_norm_backward)):
+            monkeypatch.setattr(train, name, fn)
+        cfg, data, g, d = _tiny_setup(steps=6, family="conv")
+        _train(cfg, data, g, d)
+        n = cfg.batch_size
+
+        def replay(x, weights, grad, params, passes):
+            store = ParamStore(d)
+            store.flat[:] = params
+            for rows in passes:
+                nn.backward(nn.forward(d, store, x[rows], weights)[1], grad[rows])
+            return store.grad_flat.tobytes()
+
+        assert len(seen) == 3
+        resplit = []
+        for x, weights, grad, params, grads in seen:
+            assert replay(x, weights, grad, params, [slice(None)]) == grads.tobytes()
+            resplit.append(replay(x, weights, grad, params, [slice(0, n), slice(n, 2 * n)])
+                           == grads.tobytes())
+        assert not all(resplit)
 
     @pytest.mark.parametrize("family", ["mlp", "conv"])
     def test_each_step_makes_one_loss_call(self, monkeypatch, family):

@@ -4,7 +4,7 @@ Layer kinds: dense, conv2d, convtranspose2d, lrelu, relu, tanh,
 layernorm, pixelnorm. Forward runs each layer in its own function, which
 frees every array it makes but does not return before the next layer runs,
 and records an activation tape: the input of dense and convtranspose2d,
-conv2d's im2col columns, the output of lrelu and tanh, relu's mask,
+conv2d's im2col patches, the output of lrelu and tanh, relu's mask,
 layernorm's normalized values and per-sample 1/std, pixelnorm's input and
 per-pixel scale. Backward consumes the tape once, releases its entries and
 accumulates gradients into the :class:`ParamStore`. Everything works on
@@ -21,8 +21,11 @@ and ``(c_out, c_in, kh, kw)`` for conv2d: axis 0 always counts the
 channels of the small side. One backward branch serves both kinds. The
 kernel gradient is one GEMM (``tensordot`` over batch and positions) of
 the small side (conv2d's output gradient, or the input a convtranspose2d
-taped) with the big side's im2col columns (conv2d's tape, or the im2col
+taped) with the big side's im2col patches (conv2d's tape, or the im2col
 of a convtranspose2d's output gradient, which its input gradient reuses).
+im2col writes each sample's patches as rows, one per output position, so
+they are that GEMM's right operand as they stand, with no transposing
+copy; the conv map multiplies the kernel matrix by their transposed view.
 Both data movements are gathers over index tables built once per
 per-sample shape ``(c, h, w, k, s, p)`` and cached, so the training and
 eval batches share them. im2col is one ``np.take`` from the flattened
@@ -249,13 +252,13 @@ class ParamStore:
 
 @functools.lru_cache(maxsize=None)
 def _gather_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
-    # flat source of every column entry of one sample in a (c*h*w + 1)-vector;
+    # flat source of every patch entry of one sample in a (c*h*w + 1)-vector;
     # padded positions read the last entry, which holds a zero
     pos = np.full((c, h + 2 * p, w + 2 * p), c * h * w, dtype=np.intp)
     pos[:, p:p + h, p:p + w] = np.arange(c * h * w).reshape(c, h, w)
     win = sliding_window_view(pos, (k, k), axis=(1, 2))[:, ::s, ::s]
-    # rows (c, i, j), columns the output positions
-    idx = win.transpose(0, 3, 4, 1, 2).ravel()
+    # rows the output positions, columns (c, i, j)
+    idx = win.transpose(1, 2, 0, 3, 4).ravel()
     idx.setflags(write=False)
     return idx
 
@@ -264,8 +267,8 @@ def _gather_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
 def _tap_table(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
     # (T, c*h*w): row t holds each pixel's t-th tap, a flat column index, in
     # increasing order, i.e. (i, j) order. Pixels with fewer taps point at
-    # the zero that ends every column buffer.
-    idx = _gather_index(c, h, w, k, s, p)
+    # the zero that ends every column buffer, whose rows are (c, i, j).
+    idx = _gather_index(c, h, w, k, s, p).reshape(-1, c * k * k).T.ravel()
     order = np.argsort(idx, kind="stable")
     pix = idx[order]
     counts = np.bincount(pix, minlength=c * h * w + 1)
@@ -278,16 +281,17 @@ def _tap_table(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
-    # (N, C, H, W) -> (N, C*k*k, Ho*Wo) with zero padding p, as one gather
+    # (N, C, H, W) -> patches (N, Ho*Wo, C*k*k) with zero padding p, as one
+    # gather: one row per output position
     n, c, h, w = x.shape
     if p == 0 and (h, w) == (k, k):
-        # one window covers the image: the columns are the image itself
-        return x.reshape(n, c * k * k, 1)
+        # one window covers the image: the one patch is the image itself
+        return x.reshape(n, 1, c * k * k)
     flat = np.empty((n, c * h * w + 1), dtype=x.dtype)
     flat[:, :-1] = x.reshape(n, -1)
     flat[:, -1] = 0
-    cols = np.take(flat, _gather_index(c, h, w, k, s, p), axis=1, mode="wrap")
-    return cols.reshape(n, c * k * k, -1)
+    patches = np.take(flat, _gather_index(c, h, w, k, s, p), axis=1, mode="wrap")
+    return patches.reshape(n, -1, c * k * k)
 
 
 def _matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,9 +330,9 @@ def _col2im(buf: np.ndarray, out_shape: tuple, k: int, s: int, p: int) -> np.nda
 
 def _conv(W: np.ndarray, x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     # the conv map of kernel W (a, b, k, k): (N, b, H, W) -> (N, a, Ho*Wo), and
-    # the columns of x, which the kernel gradient reuses
-    cols = _im2col(x, k, s, p)
-    return np.matmul(W.reshape(W.shape[0], -1), cols), cols
+    # the patches of x, which the kernel gradient reuses
+    patches = _im2col(x, k, s, p)
+    return np.matmul(W.reshape(W.shape[0], -1), patches.transpose(0, 2, 1)), patches
 
 
 def _conv_adjoint(W: np.ndarray, g: np.ndarray, x_shape: tuple, k: int, s: int,
@@ -387,8 +391,8 @@ def _layer_forward(layer: Layer, i: int, store: ParamStore, weights,
         out_shape = (h.shape[0],) + _conv_out_shape(layer, h.shape[1:], f"layer {i} ({kind})")
         k, s, p = layer.kernel, layer.stride, layer.padding
         if kind == "conv2d":
-            y, cols = _conv(W, h, k, s, p)
-            entry = (cols, h.shape)
+            y, patches = _conv(W, h, k, s, p)
+            entry = (patches, h.shape)
         else:
             # the adjoint of the conv2d with the same kernel, mapping big -> small
             y = _conv_adjoint(W, h, out_shape, k, s, p)
@@ -484,16 +488,16 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             W = _weight(store, weights, i)
             k, s, p = layer.kernel, layer.stride, layer.padding
             if kind == "conv2d":
-                cols, xshape = cache
-            elif i == stop:  # the stop layer needs only the columns
-                xshape, cols = cache[0].shape, _im2col(g, k, s, p)
+                patches, xshape = cache
+            elif i == stop:  # the stop layer needs only the patches
+                xshape, patches = cache[0].shape, _im2col(g, k, s, p)
             else:  # dx and dW share one im2col of the output gradient
-                xshape, (gx, cols) = cache[0].shape, _conv(W, g, k, s, p)
+                xshape, (gx, patches) = cache[0].shape, _conv(W, g, k, s, p)
             if tape.param_grads:
                 store.grads[i]["b"] += g.sum(axis=(0, 2, 3))
                 small = g if kind == "conv2d" else cache[0]
-                dW = np.tensordot(small.reshape(xshape[0], W.shape[0], -1), cols,
-                                  axes=([0, 2], [0, 2]))
+                dW = np.tensordot(small.reshape(xshape[0], W.shape[0], -1), patches,
+                                  axes=([0, 2], [0, 1]))
                 store.grads[i]["W"] += dW.reshape(W.shape)
             if i == stop:
                 break

@@ -344,7 +344,8 @@ class TestColumnPrimitives:
         rng = np.random.default_rng(32)
         x = rng.standard_normal(out_shape)
         c = self._cols(rng, out_shape, k, s, p, np.float64)
-        lhs = float(np.sum(nn._im2col(x, k, s, p) * c))
+        # the patches are rows, the column buffer's transpose
+        lhs = float(np.sum(nn._im2col(x, k, s, p).transpose(0, 2, 1) * c))
         rhs = float(np.sum(x * nn._col2im(self._buffer(c), out_shape, k, s, p)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
@@ -353,7 +354,8 @@ class TestColumnPrimitives:
         rng = np.random.default_rng(33)
         x = rng.standard_normal(out_shape).astype(np.float32)
         x[rng.random(out_shape) < 0.1] = -0.0
-        assert _same_bits(nn._im2col(x, k, s, p), im2col_window(x, k, s, p))
+        want = im2col_window(x, k, s, p).transpose(0, 2, 1)
+        assert _same_bits(nn._im2col(x, k, s, p), want)
 
     def test_col2im_does_not_copy_the_columns(self):
         # the zero-tailed buffer is read in place, never extended by a copy

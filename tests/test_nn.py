@@ -488,6 +488,59 @@ class TestPartialBackward:
         assert backward(tape, np.ones_like(y)) is None
 
 
+class TestStackedPass:
+    # one pass over stacked batches gives every row the output and input
+    # gradient of a separate pass over its own batch, bit for bit. Its
+    # parameter gradients are one sum over all rows: the separate passes'
+    # sums up to float32 rounding, added onto the gradients already stored
+    NETS = {
+        "blobs16-d": lambda: nn.conv_discriminator(1, [16, 32], 16),
+        "conv-layernorm": lambda: NetworkSpec((2, 8, 8), [conv2d(2, 4), layernorm(), relu(),
+                                                          conv2d(4, 1, 4, 1, 0)]),
+    }
+
+    @staticmethod
+    def _run(name, sizes, stacked, input_grad):
+        spec = TestStackedPass.NETS[name]()
+        assert nn.per_sample(spec)
+        store = ParamStore(spec, seed=(0, 1))
+        rng = np.random.default_rng(61)
+        # every parameter at a scale where the ReLUs matter, and earlier
+        # gradients in the store, which the passes must add to
+        store.flat[:] = rng.standard_normal(store.flat.size) * 0.2
+        store.grad_flat[:] = rng.standard_normal(store.flat.size)
+        before = store.grad_flat.copy()
+        xs = [rng.standard_normal((n, *spec.input_shape)).astype(np.float32) for n in sizes]
+        gs = [rng.standard_normal((n, 1, 1, 1)).astype(np.float32) for n in sizes]
+        if stacked:
+            runs = [forward(spec, store, np.concatenate(xs)) + (np.concatenate(gs),)]
+        else:
+            runs = [forward(spec, store, x) + (g,) for x, g in zip(xs, gs)]
+        dxs = []
+        for _, tape, g in runs:
+            tape.input_grad = input_grad
+            dxs.append(backward(tape, g))
+        ys = np.concatenate([y for y, _, _ in runs])
+        dx = np.concatenate(dxs) if input_grad else None
+        return ys, dx, store.grad_flat, before
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    @pytest.mark.parametrize("sizes", [(16, 16), (16, 5), (1, 7, 3)])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_stacked_pass_matches_separate_passes(self, name, sizes, input_grad):
+        y, dx, grads, before = self._run(name, sizes, stacked=True, input_grad=input_grad)
+        want_y, want_dx, want_grads, _ = self._run(name, sizes, stacked=False,
+                                                   input_grad=input_grad)
+        assert _same_bits(y, want_y)
+        assert (dx is None) == (not input_grad)
+        if input_grad:
+            assert _same_bits(dx, want_dx)
+        # about 5e-7 of the largest summed gradient apart on this seed
+        scale = np.abs(want_grads - before).max()
+        assert scale > 0
+        assert np.abs(grads - want_grads).max() <= 1e-5 * scale
+
+
 def _layernorm_reference(h, eps):
     # the formulas before the sums: np.mean and np.var, centring twice
     flat = h.reshape(h.shape[0], -1)

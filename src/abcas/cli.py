@@ -71,7 +71,7 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
     if ckpt_root.exists():
         shutil.rmtree(ckpt_root)
     (out_dir / "manifest.cfg").write_text(
-        manifest_text(settings, f"abcas-{__version__}", out_dir.name))
+        manifest_text(settings, out_dir.name))
 
     aborted = baseline if isinstance(baseline, NumericAbort) else None
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
@@ -189,7 +189,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
         return CONFIG_ERROR
     out_dir = Path(out) if out else Path("runs") / (Path(config_path).stem + "_sweep")
     # each setting is this one read with its own overrides; later edits change none
-    raw = parse_config_text(manifest_text(base, f"abcas-{__version__}", out_dir.name))
+    raw = parse_config_text(manifest_text(base, out_dir.name))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -211,7 +211,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 status = status_path.read_text().strip()
                 ran, want = (re.sub(r"(?m)^sweep_\w+ = .*\n", "", text) for text in (
                     (sub_dir / "manifest.cfg").read_text(),
-                    manifest_text(resolve_settings(raw, overrides), f"abcas-{__version__}", label)))
+                    manifest_text(resolve_settings(raw, overrides), label)))
             except (OSError, ValueError):  # none was written, or it cannot be read
                 status = ran = want = None
             if ran != want or not re.fullmatch(r"ok|aborted step \d+", status or ""):

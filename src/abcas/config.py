@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from . import __version__
 from .data import DatasetSpec
 from .nn import (
     NetworkSpec,
@@ -144,11 +145,11 @@ def build_networks(settings: Settings, sample_shape: tuple[int, ...]) -> tuple[N
         raise ConfigError(str(exc)) from exc
 
 
-def manifest_text(settings: Settings, version: str, out_dir: str) -> str:
+def manifest_text(settings: Settings, out_dir: str) -> str:
     """Config-file text with every key materialized, reproducing the run."""
     lines = [
         "# run manifest: fully resolved configuration, reusable as a config file",
-        f"# version: {version}",
+        f"# version: abcas-{__version__}",
         f"# layout: {out_dir}/{{manifest.cfg, metrics.csv, checkpoints/step_*/, samples.abt, status.txt}}",
     ]
     for key, owner in _owners(settings).items():

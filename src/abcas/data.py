@@ -16,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BadMagicError",
     "DatasetSpec",
-    "ExtentOverflowError",
     "TensorFileError",
-    "TruncatedPayloadError",
-    "UnknownDtypeError",
     "generate_blobs",
     "generate_ring2d",
     "read_tensor_file",
@@ -137,29 +133,13 @@ class TensorFileError(Exception):
     pass
 
 
-class BadMagicError(TensorFileError):
-    pass
-
-
-class TruncatedPayloadError(TensorFileError):
-    pass
-
-
-class UnknownDtypeError(TensorFileError):
-    pass
-
-
-class ExtentOverflowError(TensorFileError):
-    pass
-
-
 def write_tensor_file(path, arr: np.ndarray) -> None:
     """Write one tensor as float32. Non-finite payloads are rejected."""
     arr = np.ascontiguousarray(arr, dtype=np.float32)
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in tensor payload for {path}")
     if arr.size > MAX_ELEMENTS:
-        raise ExtentOverflowError(f"{arr.size} elements exceed the 2^31 cap")
+        raise TensorFileError(f"{arr.size} elements exceed the 2^31 cap")
     header = MAGIC + struct.pack("<BB", DTYPE_F32, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with open(path, "wb") as fh:
@@ -172,24 +152,24 @@ def read_tensor_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4:
-        raise TruncatedPayloadError(f"{path}: file shorter than the magic")
+        raise TensorFileError(f"{path}: file shorter than the magic")
     if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
+        raise TensorFileError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 6:
-        raise TruncatedPayloadError(f"{path}: header truncated")
+        raise TensorFileError(f"{path}: header truncated")
     dtype_code, ndim = struct.unpack_from("<BB", blob, 4)
     if dtype_code != DTYPE_F32:
-        raise UnknownDtypeError(f"{path}: unknown dtype code {dtype_code}")
+        raise TensorFileError(f"{path}: unknown dtype code {dtype_code}")
     offset = 6 + 4 * ndim
     if len(blob) < offset:
-        raise TruncatedPayloadError(f"{path}: extents truncated")
+        raise TensorFileError(f"{path}: extents truncated")
     shape = struct.unpack_from(f"<{ndim}I", blob, 6)
     count = math.prod(shape)
     if count > MAX_ELEMENTS:
-        raise ExtentOverflowError(f"{path}: {count} elements exceed the 2^31 cap")
+        raise TensorFileError(f"{path}: {count} elements exceed the 2^31 cap")
     size = len(blob) - offset
     if size < 4 * count:
-        raise TruncatedPayloadError(f"{path}: payload has {size} bytes, expected {4 * count}")
+        raise TensorFileError(f"{path}: payload has {size} bytes, expected {4 * count}")
     if size > 4 * count:
         raise TensorFileError(f"{path}: {size - 4 * count} trailing bytes")
     # a view of the blob, so the read holds the payload twice: the blob and the copy

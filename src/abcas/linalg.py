@@ -22,7 +22,6 @@ __all__ = [
     "init_power_iter_state",
     "power_iteration_step",
     "power_iterate",
-    "reshape_conv_weight",
     "spectral_norm_exact",
 ]
 
@@ -107,21 +106,6 @@ def power_iterate(
             if abs(state.sigma_hat - prev) <= rel_tol * ref:
                 break
     return state
-
-
-def reshape_conv_weight(K: np.ndarray) -> np.ndarray:
-    """Flatten a ``(c_out, c_in, kh, kw)`` kernel to a ``(c_out, c_in*kh*kw)`` matrix.
-
-    Row-major view change only; the element multiset and order per output
-    channel are preserved, so a round trip is bit-identical. A 2-d
-    (dense) weight is already a matrix and is returned unchanged.
-    """
-    K = np.asarray(K)
-    if K.ndim == 2:
-        return K
-    if K.ndim != 4:
-        raise ValueError(f"expected a matrix or a (c_out, c_in, kh, kw) kernel, got ndim={K.ndim}")
-    return K.reshape(K.shape[0], -1)
 
 
 # Gram matrices larger than 64x64 are refused: the Jacobi solve below is

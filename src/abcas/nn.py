@@ -76,6 +76,7 @@ __all__ = [
 LAYERNORM_EPS = 1e-5
 PIXELNORM_EPS = 1e-8
 WEIGHT_INIT_STD = 0.02
+LRELU_SLOPE = 0.2
 
 
 class ShapeError(ValueError):
@@ -92,7 +93,6 @@ class Layer:
     kernel: int = 4
     stride: int = 1
     padding: int = 0
-    slope: float = 0.2
     normalized: bool = False
 
 
@@ -112,10 +112,8 @@ def convtranspose2d(in_ch: int, out_ch: int, kernel: int = 4, stride: int = 2,
                  stride=stride, padding=padding)
 
 
-def lrelu(slope: float = 0.2) -> Layer:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"lrelu slope must be in (0, 1), got {slope}")
-    return Layer("lrelu", slope=slope)
+def lrelu() -> Layer:
+    return Layer("lrelu")
 
 
 def relu() -> Layer:
@@ -209,7 +207,6 @@ class ParamStore:
 
     def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32):
         self.spec = spec
-        self.dtype = np.dtype(dtype)
         prefix = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
         in_shapes = [tuple(spec.input_shape)] + shape_plan(spec)[:-1] if spec.layers else []
         init: list[dict[str, np.ndarray]] = []
@@ -229,7 +226,7 @@ class ParamStore:
             init.append(p)
         order = [(i, name) for i, p in enumerate(init) for name in sorted(p)]
         values = [init[i][name] for i, name in order]
-        self.flat = np.concatenate([v.ravel() for v in values] or [[]]).astype(self.dtype)
+        self.flat = np.concatenate([v.ravel() for v in values] or [[]]).astype(dtype)
         self.grad_flat = np.zeros_like(self.flat)
         self.params: list[dict[str, np.ndarray]] = [{} for _ in init]
         self.grads: list[dict[str, np.ndarray]] = [{} for _ in init]
@@ -404,7 +401,7 @@ def _layer_forward(layer: Layer, i: int, store: ParamStore, weights,
         # slope < 1, so the larger of h and slope * h is the leaky value,
         # with the bits of np.where(h > 0, h, slope * h); the output is
         # positive exactly where h is, so it is the tape's mask
-        y = layer.slope * h
+        y = LRELU_SLOPE * h
         np.maximum(h, y, out=y)
         return y, (y,)
     if kind == "relu":
@@ -504,7 +501,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray | None:
             g = _conv_adjoint(W, g, xshape, k, s, p) if kind == "conv2d" else gx.reshape(xshape)
         elif kind == "lrelu":
             (y,) = cache
-            g = np.where(y > 0, g, layer.slope * g)
+            g = np.where(y > 0, g, LRELU_SLOPE * g)
         elif kind == "relu":
             (mask,) = cache
             g = g * mask
@@ -554,7 +551,7 @@ def mlp_generator(latent_dim: int, hidden: list[int], out_dim: int) -> NetworkSp
         if j == len(hidden) - 1:
             layers += [layernorm(), relu()]
         else:
-            layers.append(lrelu(0.2))
+            layers.append(lrelu())
         prev = width
     layers += [dense(prev, out_dim), tanh()]
     return NetworkSpec(input_shape=(latent_dim,), layers=layers)
@@ -596,7 +593,7 @@ def conv_generator(latent_dim: int, channels: list[int], img_channels: int,
     layers: list[Layer] = [pixelnorm(),
                            convtranspose2d(latent_dim, channels[0], 4, 1, 0)]
     for j in range(1, levels):
-        layers.append(lrelu(0.2))
+        layers.append(lrelu())
         layers.append(convtranspose2d(channels[j - 1], channels[j], 4, 2, 1))
     layers += [layernorm(), relu(),
                convtranspose2d(channels[-1], img_channels, 4, 2, 1), tanh()]

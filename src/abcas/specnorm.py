@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PowerIterState, init_power_iter_state, power_iteration_step, reshape_conv_weight
+from .linalg import PowerIterState, init_power_iter_state, power_iteration_step
 from .nn import NetworkSpec, ParamStore
 
 __all__ = [
@@ -73,7 +73,7 @@ def refresh(states: dict[int, PowerIterState], store: ParamStore, m: float) -> d
     effective: dict[int, np.ndarray] = {}
     for i, state in states.items():
         W = store.params[i]["W"]
-        states[i] = state = power_iteration_step(reshape_conv_weight(W), state)
+        states[i] = state = power_iteration_step(W.reshape(len(W), -1), state)
         effective[i] = normalized_weight(W, state, m)
     return effective
 
@@ -96,7 +96,7 @@ def backward_through_norm(state: PowerIterState, W: np.ndarray, m: float,
         return grad_wrt_eff
     if state.v is None:
         raise RuntimeError("backward_through_norm requires the same-step refresh")
-    Wm = reshape_conv_weight(W)
+    Wm = W.reshape(len(W), -1)
     G = grad_wrt_eff.reshape(Wm.shape)
     # float32 products are exact in float64, so this is <G, W> of the float64 values
     inner = float(np.multiply(G, Wm, dtype=np.float64).sum())

@@ -205,7 +205,7 @@ def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
     """
     if per_sample(g_spec):
         widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
-        chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.dtype.itemsize))
+        chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.flat.itemsize))
     else:
         chunk = len(z)
     return np.concatenate([fwd(g_spec, g_store, z[i:i + chunk])[0]

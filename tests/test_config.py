@@ -168,14 +168,14 @@ class TestManifest:
             assert type(got) is type(want) and got != want, key
             if isinstance(want, list):
                 assert {type(v) for v in got} == {type(want[0])}, key
-        text = manifest_text(s, "abcas-0.1.0", "out")
+        text = manifest_text(s, "out")
         path = tmp_path / "manifest.cfg"
         path.write_text(text)
         s2 = load_settings(path)
         assert s2 == s
 
     def test_manifest_mentions_version_and_layout(self):
-        text = manifest_text(Settings(), "abcas-0.1.0", "out")
+        text = manifest_text(Settings(), "out")
         assert "# version: abcas-0.1.0" in text
         assert "metrics.csv" in text
 
@@ -191,7 +191,7 @@ class TestManifest:
             load_settings(path)
 
 
-KEYS = tuple(parse_config_text(manifest_text(Settings(), "v", "run")))
+KEYS = tuple(parse_config_text(manifest_text(Settings(), "run")))
 # what a key or value can hold: no comment mark, nothing str.splitlines breaks at
 LINE_CHARS = st.characters(blacklist_categories=("Cs",),
                            blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
@@ -238,9 +238,9 @@ class TestConfigProperties:
     @property_settings(100)
     @given(s=valid_settings())
     def test_manifest_round_trips_every_key(self, s):
-        text = manifest_text(s, "v", "run")
+        text = manifest_text(s, "run")
         back = resolve_settings(parse_config_text(text))
-        assert manifest_text(back, "v", "run") == text
+        assert manifest_text(back, "run") == text
         for key in KEYS:
             assert _key_value(back, key) == _key_value(s, key), key
 
@@ -278,8 +278,8 @@ def test_readme_defaults_block_matches_settings():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("The important keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
     raw = dict(re.findall(r"(\w+) = ?(\S*)", block))
-    expected = manifest_text(Settings(), "v", "run")
+    expected = manifest_text(Settings(), "run")
     keys = {line.split(" = ")[0] for line in expected.splitlines() if not line.startswith("#")}
     assert len(keys) == 29
     assert set(raw) == keys
-    assert manifest_text(resolve_settings(raw), "v", "run") == expected
+    assert manifest_text(resolve_settings(raw), "run") == expected

@@ -6,7 +6,6 @@ from abcas.linalg import (
     init_power_iter_state,
     power_iterate,
     power_iteration_step,
-    reshape_conv_weight,
     spectral_norm_exact,
 )
 
@@ -44,6 +43,13 @@ class TestPowerIteration:
             power_iteration_step(np.zeros((4, 2)), st)
         with pytest.raises(ValueError):
             power_iteration_step(np.zeros(4), st)
+
+    def test_refuses_a_4d_kernel(self):
+        # a conv kernel enters as its (c_out, c_in * k * k) matrix; the
+        # kernel itself is refused even when its row count matches u
+        st = init_power_iter_state(3, seed=0)
+        with pytest.raises(ValueError, match="^expected a matrix, got ndim=4$"):
+            power_iteration_step(np.ones((3, 2, 4, 4)), st)
 
     def test_u_stays_unit_norm(self):
         rng = np.random.default_rng(3)
@@ -110,34 +116,3 @@ class TestSpectralNormExact:
     def test_zero_matrix(self):
         assert spectral_norm_exact(np.zeros((3, 3))) == 0.0
 
-
-class TestReshapeConvWeight:
-    def test_shape_2111(self):
-        K = np.arange(2.0).reshape(2, 1, 1, 1)
-        M = reshape_conv_weight(K)
-        assert M.shape == (2, 1)
-        assert np.array_equal(M.ravel(), K.ravel())
-
-    def test_shape_4344(self):
-        K = np.arange(4 * 3 * 4 * 4, dtype=np.float32).reshape(4, 3, 4, 4)
-        assert reshape_conv_weight(K).shape == (4, 48)
-
-    def test_round_trip_bit_identical(self):
-        rng = np.random.default_rng(1)
-        K = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
-        back = reshape_conv_weight(K).reshape(K.shape)
-        assert np.array_equal(back, K)
-
-    def test_preserves_element_multiset(self):
-        rng = np.random.default_rng(2)
-        K = rng.standard_normal((5, 2, 3, 3))
-        M = reshape_conv_weight(K)
-        assert np.array_equal(np.sort(M.ravel()), np.sort(K.ravel()))
-
-    def test_matrix_passes_through(self):
-        W = np.arange(6.0).reshape(2, 3)
-        assert reshape_conv_weight(W) is W
-
-    def test_wrong_rank(self):
-        with pytest.raises(ValueError):
-            reshape_conv_weight(np.zeros((2, 3, 4)))

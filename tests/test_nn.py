@@ -55,16 +55,10 @@ class TestForwardBasics:
         assert np.allclose(y, x)
 
     def test_lrelu_definition(self):
-        spec = NetworkSpec((2,), [lrelu(0.2)])
+        spec = NetworkSpec((2,), [lrelu()])
         store = _store64(spec)
         y, _ = forward(spec, store, np.array([[-1.0, 2.0]]))
         assert np.allclose(y, [[-0.2, 2.0]])
-
-    def test_lrelu_slope_validation(self):
-        with pytest.raises(ValueError):
-            lrelu(0.0)
-        with pytest.raises(ValueError):
-            lrelu(1.5)
 
     def test_pixelnorm_constant_channels(self):
         # constant value c across channels maps to c / sqrt(c^2 + eps)
@@ -592,10 +586,13 @@ class TestBitsAgainstReferenceFormulas:
             assert _same_bits(y, h / scale)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.9])
-    def test_lrelu_forward_and_backward(self, slope, dtype):
+    @pytest.mark.parametrize("slope", [nn.LRELU_SLOPE, 0.01, 0.9])
+    def test_lrelu_forward_and_backward(self, slope, dtype, monkeypatch):
         # np.maximum(h, slope * h) against np.where(h > 0, h, slope * h), at
-        # signed zeros, infinities, NaNs of both signs, subnormals and extremes
+        # signed zeros, infinities, NaNs of both signs, subnormals and extremes;
+        # the other slopes check that the forward's reasoning holds at any
+        # slope in (0, 1), not only at the constant's value
+        monkeypatch.setattr(nn, "LRELU_SLOPE", slope)
         info = np.finfo(dtype)
         edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
                  info.tiny, -info.tiny]
@@ -603,7 +600,7 @@ class TestBitsAgainstReferenceFormulas:
         rng = np.random.default_rng(42)
         x = np.concatenate([np.array(edges, dtype=dtype),
                             rng.standard_normal(200).astype(dtype)])[None]
-        spec = NetworkSpec((x.shape[1],), [lrelu(slope)])
+        spec = NetworkSpec((x.shape[1],), [lrelu()])
         before = x.copy()
         with np.errstate(over="ignore"):
             y, tape = forward(spec, ParamStore(spec, dtype=dtype), x)
@@ -725,7 +722,7 @@ class TestGradients:
 
     def test_lrelu_fd(self):
         x = _away_from_kinks(np.random.default_rng(3).standard_normal((4, 6)))
-        _gradcheck_layer(NetworkSpec((6,), [lrelu(0.2)]), x)
+        _gradcheck_layer(NetworkSpec((6,), [lrelu()]), x)
 
     def test_relu_fd(self):
         x = _away_from_kinks(np.random.default_rng(4).standard_normal((4, 6)))

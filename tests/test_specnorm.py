@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abcas import nn, specnorm
-from abcas.linalg import PowerIterState, power_iterate, reshape_conv_weight, spectral_norm_exact
+from abcas.linalg import PowerIterState, power_iterate, spectral_norm_exact
 from abcas.nn import NetworkSpec, ParamStore, backward, dense, forward, relu
 from abcas.specnorm import (
     apply_norm_backward,
@@ -73,9 +73,9 @@ class TestNormalizedWeight:
     def test_conv_kernel_normalization(self):
         rng = np.random.default_rng(7)
         K = rng.standard_normal((4, 3, 3, 3))
-        st = _converged_state(reshape_conv_weight(K))
+        st = _converged_state(K.reshape(len(K), -1))
         Kp = normalized_weight(K, st, 0.7)
-        assert abs(spectral_norm_exact(reshape_conv_weight(Kp)) - 0.7) < 1e-3 * 0.7
+        assert abs(spectral_norm_exact(Kp.reshape(len(Kp), -1)) - 0.7) < 1e-3 * 0.7
 
 
 class TestBackwardThroughNorm:
@@ -153,7 +153,7 @@ class TestBackwardThroughNorm:
 
 def _norm_backward_reference(state, W, m, G):
     # the formula before the in-place form: a float64 copy of G, np.outer
-    Wm = reshape_conv_weight(W)
+    Wm = W.reshape(len(W), -1)
     Gm = G.reshape(Wm.shape)
     inner = float(np.sum(np.asarray(Gm, dtype=np.float64) * Wm))
     dW = (m / state.sigma_hat) * Gm - (m * inner / state.sigma_hat**2) * np.outer(state.u, state.v)
@@ -181,8 +181,8 @@ class TestBitsAgainstReferenceFormulas:
         W = (0.02 * rng.standard_normal(shape)).astype(dtype)
         state = PowerIterState(u=_unit(shape[0], 45))
         for m in (1.0, 0.9, 0.3):
-            u, sigma, v = _power_step_reference(reshape_conv_weight(W), state.u)
-            state = specnorm.power_iteration_step(reshape_conv_weight(W), state)
+            u, sigma, v = _power_step_reference(W.reshape(len(W), -1), state.u)
+            state = specnorm.power_iteration_step(W.reshape(len(W), -1), state)
             assert (state.u.tobytes(), state.sigma_hat, state.v.tobytes()) == (
                 u.tobytes(), sigma, v.tobytes())
             G = rng.standard_normal(shape).astype(dtype)
@@ -307,3 +307,25 @@ class TestPlumbing:
         refresh(states, store, m=1.0)
         assert not np.array_equal(states[0].u, u0)
         assert states[0].v is not None
+
+    @pytest.mark.parametrize("spec", [nn.mlp_discriminator(2, [8, 5]),
+                                      nn.conv_discriminator(3, [4, 6], 16)],
+                             ids=["dense", "conv"])
+    def test_refresh_steps_each_weight_as_its_output_rows(self, spec):
+        # row o of the matrix the power step sees is output channel o's
+        # weights in row-major (c_in, kh, kw) order, a dense weight's row o
+        # as it is; the effective weight keeps the stored weight's shape
+        store = ParamStore(spec, seed=3)
+        states = init_spectral_states(spec, store, seed=4)
+        before = dict(states)
+        effective = refresh(states, store, m=0.8)
+        assert sorted(effective) == sorted(states) == [i for i, layer in enumerate(spec.layers)
+                                                       if layer.normalized]
+        for i, state in states.items():
+            W = store.params[i]["W"]
+            rows = np.stack([W[o].ravel() for o in range(W.shape[0])])
+            want = specnorm.power_iteration_step(rows, before[i])
+            assert (state.u.tobytes(), state.sigma_hat, state.v.tobytes()) == (
+                want.u.tobytes(), want.sigma_hat, want.v.tobytes())
+            assert effective[i].shape == W.shape
+            assert effective[i].tobytes() == ((0.8 / want.sigma_hat) * W).tobytes()

@@ -1,10 +1,16 @@
 """A failing check is reported under the suite's own pytest settings, and the
-session goes on to the tests after it."""
+session goes on to the tests after it. Every name a module exports exists."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import abcas
 
 from helpers import abcas_env
 
@@ -44,3 +50,15 @@ def test_failing_property_test_is_reported_and_the_next_test_runs(tmp_path):
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
     assert "PASSED test_child.py::test_after" in out
+
+
+# every submodule but __main__, which runs the CLI when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(abcas.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"abcas.{name}")
+    exported = module.__all__
+    assert len(set(exported)) == len(exported), exported
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -192,6 +192,23 @@ def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0, family="mlp"
     return cfg, data, g, d
 
 
+def _dirac_setup(steps, seed=0):
+    """The Dirac-GAN of ROADMAP item 24, where the adaptive controller acts.
+
+    The target is 256 copies of the point (0.5, 0), the generator
+    ``G(z) = Wz + b`` and the critic one normalized dense layer; ``alpha
+    = 0.999`` and ``beta = 0.02`` let the controller move ``m`` within a
+    few hundred steps.
+    """
+    cfg = TrainConfig(steps=steps, batch_size=16, lr_d=5e-3, lr_g=5e-3, beta1=0.0,
+                      alpha=0.999, beta=0.02, seed=seed, eval_every=steps,
+                      latent_dim=1, eval_samples=16)
+    data = np.tile(np.float32([0.5, 0.0]), (256, 1))
+    g = NetworkSpec((1,), [dense(1, 2)])
+    d = NetworkSpec((2,), [dense(2, 1, normalized=True)])
+    return cfg, data, g, d
+
+
 def _train(cfg, data, g, d, rows=None, baseline=None, **hooks):
     """The rows a run on ``data`` emits, appended to ``rows`` when given.
 
@@ -345,6 +362,23 @@ class TestEvalBaseline:
             tracemalloc.stop()
         assert baseline.real_eval.shape == (256, 256)
         assert peak < 4.8e6
+
+
+class TestDiracGan:
+    """The adaptive controller acts on the Dirac-GAN (ROADMAP item 24)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_multiplier_drops_below_one_half_within_200_steps(self, seed):
+        # m first fell below 0.5 at steps 101, 115, 119, 91 and 137
+        cfg, data, g, d = _dirac_setup(steps=200, seed=seed)
+        assert min(rec.m for rec in _train(cfg, data, g, d)) < 0.5
+
+    def test_multiplier_settles_in_no_band(self):
+        # seed 1 falls to 0.13 by step 200, then climbs back to 0.83 at step 721
+        cfg, data, g, d = _dirac_setup(steps=800, seed=1)
+        ms = np.array([rec.m for rec in _train(cfg, data, g, d)])
+        assert ms[:301].min() < 0.2
+        assert ms[301:].max() > 0.8
 
 
 class TestTrainingLoop:
@@ -599,17 +633,19 @@ class TestTrainingLoop:
         # controller.m, logged after each step, did move off the step's m
         assert any(rec.m != refresh_m for rec, (refresh_m, _) in zip(recs[1:], steps))
 
-    def test_one_layer_critic_gap_has_its_closed_form(self, monkeypatch):
+    @staticmethod
+    def _check_one_layer_critic_gap(monkeypatch, cfg, data, g, d):
         # a critic of one normalized dense layer: one power step on a one-row
-        # W gives sigma = |w|, so C(x) = m w_hat . x + b and every D step's
-        # dist is m (max w_hat . x_real - min w_hat . x_fake), the bias
-        # cancelling, with m the previous row's. alpha = 0.5 and beta = 1
-        # move m by about 1% a step, so the post-update m misses the bound
-        cfg, data, g, _ = _tiny_setup(steps=60, beta=1.0)
-        cfg.alpha, cfg.eval_every = 0.5, 1
-        d = NetworkSpec((2,), [dense(2, 1, normalized=True)])
-        rows, weights, batches = [], [], {}
-        real_forward = train.forward
+        # W gives sigma = |w|, so refresh's effective weight has norm m and
+        # C(x) = m w_hat . x + b; every D step's dist is m (max w_hat . x_real
+        # - min w_hat . x_fake), the bias cancelling, with m the previous row's
+        rows, weights, batches, norms = [], [], {}, []
+        real_forward, real_refresh = train.forward, train.refresh
+
+        def refresh(*args):
+            effective = real_refresh(*args)
+            norms.append(np.linalg.norm(effective[0].astype(np.float64), 2))
+            return effective
 
         def forward(spec, store, x, **kw):
             # during step k, rows 0..k-1 have been emitted
@@ -621,9 +657,14 @@ class TestTrainingLoop:
             weights.append((d_store.params[0]["W"][0].astype(np.float64),
                             float(d_store.params[0]["b"][0])))
 
+        monkeypatch.setattr(train, "refresh", refresh)
         monkeypatch.setattr(train, "forward", forward)
         _train(cfg, data, g, d, rows, on_eval=on_eval)
-        assert len(weights) == len(rows) == cfg.steps + 1
+        assert len(weights) == len(rows) == len(norms) + 1 == cfg.steps + 1
+        eps = np.finfo(np.float32).eps
+        # the float32 rounding of m / sigma * W moves its norm by at most eps / 2
+        for k in range(1, cfg.steps + 1):
+            assert abs(norms[k - 1] - rows[k - 1].m) <= eps * rows[k - 1].m, k
         for k in range(1, cfg.steps + 1, 2):
             w, b = weights[k - 1]
             # a D step scores its real batch, then its fake one
@@ -635,7 +676,67 @@ class TestTrainingLoop:
             want = m * (c_real.max() - c_fake.min())
             # the float32 forward rounds C to within a few ulps of its magnitude
             scale = m * max(np.abs(c_real).max(), np.abs(c_fake).max()) + abs(b)
-            assert abs(rows[k].dist - want) <= 4 * np.finfo(np.float32).eps * scale, k
+            assert abs(rows[k].dist - want) <= 4 * eps * scale, k
+        return rows
+
+    def test_one_layer_critic_gap_has_its_closed_form(self, monkeypatch):
+        # alpha = 0.5 and beta = 1 move m by about 1% a step, so the
+        # post-update m misses the bound
+        cfg, data, g, _ = _tiny_setup(steps=60, beta=1.0)
+        cfg.alpha, cfg.eval_every = 0.5, 1
+        d = NetworkSpec((2,), [dense(2, 1, normalized=True)])
+        self._check_one_layer_critic_gap(monkeypatch, cfg, data, g, d)
+
+    def test_one_layer_critic_gap_has_its_closed_form_on_the_dirac_gan(self, monkeypatch):
+        # on the Dirac-GAN the controller takes m from 1 to about 0.07 within
+        # 200 steps, so the closed form is checked over most of m's range
+        cfg, data, g, d = _dirac_setup(steps=200)
+        cfg.eval_every = 1
+        rows = self._check_one_layer_critic_gap(monkeypatch, cfg, data, g, d)
+        assert min(rec.m for rec in rows) < 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_d_step_gap_is_within_the_certified_lipschitz_bound(self, monkeypatch, seed):
+        # the critic's Lipschitz constant is at most the product of its
+        # effective weights' norms, m sigma_i / sigma_hat_i over its L
+        # normalized layers (ReLU is 1-Lipschitz), so dist = C(x_r) - C(x_f)
+        # for the maximizing pair is at most that product times the largest
+        # real-fake distance. sigma_i is W_i's exact norm: sigma_hat_i <= sigma_i,
+        # so m^L alone is no bound. ring2d with beta from ROADMAP item 1's
+        # recipe moves m to 0.68-0.83 within 400 steps; the largest dist over
+        # its bound was 0.40-0.55 on seeds 0-2
+        settings = load_settings(CONFIGS / "ring2d.cfg", {
+            "steps": "400", "beta": "0.0754", "alpha": "0.999", "seed": str(seed),
+            "eval_every": "400", "eval_samples": "64"})
+        cfg, data = settings.train, settings.dataset_spec().load()
+        g, d = build_networks(settings, data.shape[1:])
+        lipschitz, batches = [], []
+        real_forward, real_refresh = train.forward, train.refresh
+
+        def refresh(states, store, m):
+            effective = real_refresh(states, store, m)
+            bound = 1.0
+            for i, state in states.items():
+                sigma = np.linalg.norm(store.params[i]["W"].astype(np.float64), 2)
+                bound *= m * sigma / state.sigma_hat
+            lipschitz.append(bound)
+            batches.append([])
+            return effective
+
+        def forward(spec, store, x, **kw):
+            if spec is d:
+                batches[-1].append(x.astype(np.float64))
+            return real_forward(spec, store, x, **kw)
+
+        monkeypatch.setattr(train, "refresh", refresh)
+        monkeypatch.setattr(train, "forward", forward)
+        rows = _train(cfg, data, g, d)
+        assert min(rec.m for rec in rows) < 0.9
+        for k in range(1, cfg.steps + 1, 2):
+            # a dense critic scores a D step's real batch, then its fake one
+            real, fake = batches[k - 1]
+            reach = np.sqrt(((real[:, None] - fake[None]) ** 2).sum(-1)).max()
+            assert rows[k].dist <= lipschitz[k - 1] * reach, k
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("family", ["mlp", "conv"])

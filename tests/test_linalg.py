@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from abcas.linalg import (
     power_iteration_step,
     spectral_norm_exact,
 )
+from abcas.specnorm import backward_through_norm, refresh
 
 
 class TestPowerIteration:
@@ -116,3 +120,52 @@ class TestSpectralNormExact:
     def test_zero_matrix(self):
         assert spectral_norm_exact(np.zeros((3, 3))) == 0.0
 
+
+
+class TestReshapeConvWeight:
+    # A conv kernel (c_out, c_in, kh, kw) reaches the power step as its
+    # (c_out, c_in * kh * kw) row matrix: specnorm.refresh and
+    # specnorm.backward_through_norm flatten it, and the effective weight
+    # keeps the kernel's shape. A store here needs only params[i]["W"].
+    @staticmethod
+    def _refresh(K, m=1.0, seed=0):
+        store = SimpleNamespace(params={0: {"W": K}})
+        states = {0: init_power_iter_state(K.shape[0], seed=seed)}
+        before = states[0]
+        effective = refresh(states, store, m)
+        return before, states[0], effective[0]
+
+    def test_shape_2111(self):
+        # a (2, 1, 1, 1) kernel is a 2x1 column: one step gives its norm
+        K = np.arange(1.0, 3.0).reshape(2, 1, 1, 1)
+        _, st, _ = self._refresh(K)
+        assert st.u.shape == (2,) and st.v.shape == (1,)
+        assert st.sigma_hat == math.sqrt(5.0)
+
+    def test_shape_4344(self):
+        K = np.arange(4 * 3 * 4 * 4, dtype=np.float32).reshape(4, 3, 4, 4)
+        _, st, eff = self._refresh(K)
+        assert st.u.shape == (4,) and st.v.shape == (48,)
+        assert eff.shape == K.shape
+        G = np.ones_like(K)
+        assert backward_through_norm(st, K, 1.0, G).shape == (4, 3, 4, 4)
+
+    def test_round_trip_bit_identical(self):
+        rng = np.random.default_rng(1)
+        K = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
+        kept = K.copy()
+        _, st, eff = self._refresh(K, m=0.8)
+        assert K.tobytes() == kept.tobytes()
+        assert eff.shape == K.shape
+        assert eff.tobytes() == ((0.8 / st.sigma_hat) * K).tobytes()
+
+    def test_preserves_element_multiset(self):
+        # row o is output channel o's weights in row-major (c_in, kh, kw) order
+        rng = np.random.default_rng(2)
+        K = rng.standard_normal((5, 2, 3, 3))
+        rows = np.stack([K[o].ravel() for o in range(5)])
+        assert np.array_equal(np.sort(rows.ravel()), np.sort(K.ravel()))
+        before, st, _ = self._refresh(K, seed=3)
+        want = power_iteration_step(rows, before)
+        assert (st.u.tobytes(), st.sigma_hat, st.v.tobytes()) == (
+            want.u.tobytes(), want.sigma_hat, want.v.tobytes())

@@ -11,13 +11,13 @@ from abcas.data import generate_ring2d
 from abcas.train import TrainConfig, TrainHooks, eval_baseline, run_training
 
 cfg = TrainConfig(steps=3000, batch_size=16, seed=0, eval_every=500,
-                  latent_dim=8, mode="adaptive", beta=4.0, eval_samples=512)
+                  mode="adaptive", beta=4.0, eval_samples=512)
 data = generate_ring2d(4096, k_modes=8, radius=0.7, sigma=0.05, seed=0)
-g_spec = nn.mlp_generator(cfg.latent_dim, [64, 64], 2)
+g_spec = nn.mlp_generator(8, [64, 64], 2)
 d_spec = nn.mlp_discriminator(2, [64, 64])
 
 records = []
-run_training(cfg, eval_baseline(cfg, data, g_spec), g_spec, d_spec,
+run_training(cfg, eval_baseline(cfg, data, g_spec), d_spec,
              hooks=TrainHooks(on_record=records.append))
 
 print("step   d_loss   g_loss   dist     dm        r         m         mmd2")

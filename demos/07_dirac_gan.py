@@ -29,14 +29,14 @@ print(f"{STEPS} steps, seed 0; distance |b - x*| over steps {STEPS // 2}..{STEPS
 print("arm                   mean dist  max dist  final m")
 for label, arm in arms:
     cfg = TrainConfig(steps=STEPS, batch_size=16, lr_d=5e-3, lr_g=5e-3, beta1=0.0,
-                      alpha=0.999, seed=0, eval_every=10, latent_dim=1, eval_samples=16, **arm)
+                      alpha=0.999, seed=0, eval_every=10, eval_samples=16, **arm)
     dists, records = [], []
 
     def on_eval(step, g_store, d_store):
         if step >= STEPS // 2:
             dists.append(np.linalg.norm(g_store.params[0]["b"].astype(np.float64) - TARGET))
 
-    run_training(cfg, eval_baseline(cfg, data, g_spec), g_spec, d_spec,
+    run_training(cfg, eval_baseline(cfg, data, g_spec), d_spec,
                  hooks=TrainHooks(on_record=records.append, on_eval=on_eval))
     print(f"{label:20s}  {np.mean(dists):9.3f}  {max(dists):8.3f}  {records[-1].m:7.3f}")
 

@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, Settings, build_networks, load_settings, manifest_text,
                      parse_config_text, resolve_settings)
-from .data import TensorFileError, write_tensor_file
+from .data import write_tensor_file
 from .metrics import CSV_HEADER
-from .nn import forward
+from .nn import NetworkSpec, forward
 from .train import (EvalBaseline, NumericAbort, TrainHooks, eval_baseline, generate,
                     run_training, sample_latent)
 
@@ -38,31 +38,31 @@ OK, CONFIG_ERROR, NUMERIC_ABORT, IO_ERROR = 0, 1, 2, 3
 ROW_WRITE_SECONDS = 1.0
 
 
-def _run_inputs(settings: Settings) -> tuple[np.ndarray, EvalBaseline | NumericAbort]:
-    """The dataset and step-0 evaluation baseline of a run.
+def _run_inputs(settings: Settings) -> tuple[NetworkSpec, EvalBaseline | NumericAbort]:
+    """The discriminator spec and step-0 evaluation baseline of a run.
 
-    A sweep builds them once, from its one read of its config: each
-    setting is that read with its own mode, m or beta, none of which the
-    baseline depends on. In place of the baseline comes the step-0
-    ``NumericAbort`` when the initial generator's evaluation sample is
-    not finite; every run that is given it reports it as its own abort.
-    A dataset that cannot be read is a config error.
+    The baseline holds the dataset and the generator spec. A sweep builds
+    them once, from its one read of its config: each setting is that read
+    with its own mode, m or beta, none of which they depend on. In place
+    of the baseline comes the step-0 ``NumericAbort`` when the initial
+    generator's evaluation sample is not finite; every run that is given
+    it reports it as its own abort. A dataset that cannot be read is a
+    config error.
     """
     try:
         data = settings.dataset_spec().load()
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    g_spec, _ = build_networks(settings, tuple(data.shape[1:]))
+    g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     try:
-        return data, eval_baseline(settings.train, data, g_spec)
+        return d_spec, eval_baseline(settings.train, data, g_spec)
     except NumericAbort as exc:
-        return data, exc
+        return d_spec, exc
 
 
-def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
+def _run_one(settings: Settings, out_dir: Path, d_spec: NetworkSpec,
              baseline: EvalBaseline | NumericAbort) -> str:
     """Train one configuration into out_dir. Returns the status it wrote."""
-    g_spec, d_spec = build_networks(settings, tuple(data.shape[1:]))
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun replaces the earlier run's outputs; manifest.cfg is rewritten below
     for name in ("status.txt", "samples.abt", "metrics.csv"):
@@ -107,7 +107,7 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
 
         try:
             if aborted is None:
-                g_store = run_training(settings.train, baseline, g_spec, d_spec,
+                g_store = run_training(settings.train, baseline, d_spec,
                                        hooks=TrainHooks(on_record=on_record, on_eval=on_eval))
         except NumericAbort as exc:
             aborted = exc
@@ -124,10 +124,10 @@ def _run_one(settings: Settings, out_dir: Path, data: np.ndarray,
         return status
 
     z = sample_latent(np.random.default_rng([settings.train.seed, 7]),
-                      settings.train.eval_samples, g_spec)
+                      settings.train.eval_samples, g_store.spec)
     # nn.forward, not train.forward: perfbench's tracer counts every G pass
     # through train.forward outside a training step as an evaluation
-    write_tensor_file(out_dir / "samples.abt", generate(g_spec, g_store, z, forward))
+    write_tensor_file(out_dir / "samples.abt", generate(g_store, z, forward))
     (out_dir / "status.txt").write_text("ok\n")
     return "ok"
 
@@ -137,7 +137,7 @@ def cmd_train(config_path: str, out: str | None, overrides: dict[str, str]) -> i
     try:
         settings = load_settings(config_path, overrides)
         return OK if _run_one(settings, out_dir, *_run_inputs(settings)) == "ok" else NUMERIC_ABORT
-    except (ConfigError, TensorFileError) as exc:
+    except ConfigError as exc:
         print(f"abcas: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except OSError as exc:  # unreadable inputs are ConfigErrors, so this is a write
@@ -197,7 +197,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
     # an error here is reported by every setting, as when each loaded its own data
     try:
         shared = _run_inputs(base)
-    except (ConfigError, TensorFileError) as exc:
+    except ConfigError as exc:
         shared = exc
 
     summary = ["setting,mode,m,beta,status,best_mmd2,best_step\n"]
@@ -224,7 +224,7 @@ def cmd_sweep(config_path: str, out: str | None, resume: bool) -> int:
                 if isinstance(shared, Exception):
                     raise shared
                 status = _run_one(settings, sub_dir, *shared)
-            except (ConfigError, TensorFileError) as exc:
+            except ConfigError as exc:
                 print(f"abcas sweep: {label}: config error: {exc}", file=sys.stderr)
                 status = "config error"
             except OSError as exc:

@@ -38,6 +38,7 @@ class Settings:
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DatasetSpec = field(default_factory=DatasetSpec)
     arch: str = "mlp"
+    latent_dim: int = 8
     g_hidden: list[int] = field(default_factory=lambda: [64, 64])
     d_hidden: list[int] = field(default_factory=lambda: [64, 64])
     g_channels: list[int] = field(default_factory=lambda: [32, 16])
@@ -106,6 +107,8 @@ def resolve_settings(raw: dict[str, str], overrides: dict[str, str] | None = Non
         raise ConfigError(str(exc)) from exc
     if settings.arch not in ("mlp", "conv"):
         raise ConfigError(f"arch must be mlp or conv, got {settings.arch!r}")
+    if settings.latent_dim < 1:
+        raise ConfigError(f"latent_dim must be at least 1, got {settings.latent_dim}")
     for key in ("g_hidden", "d_hidden", "g_channels", "d_channels"):
         widths = getattr(settings, key)
         if not widths or min(widths) < 1:
@@ -128,7 +131,7 @@ def load_settings(path, overrides: dict[str, str] | None = None) -> Settings:
 
 def build_networks(settings: Settings, sample_shape: tuple[int, ...]) -> tuple[NetworkSpec, NetworkSpec]:
     """Generator and discriminator specs for the configured family."""
-    latent = settings.train.latent_dim
+    latent = settings.latent_dim
     if settings.arch == "mlp" and len(sample_shape) != 1:
         raise ConfigError(f"arch = mlp needs flat samples, dataset has shape {sample_shape}")
     if settings.arch == "conv" and (len(sample_shape) != 3 or sample_shape[1] != sample_shape[2]):

@@ -129,8 +129,8 @@ DTYPE_F32 = 0
 MAX_ELEMENTS = 2**31
 
 
-class TensorFileError(Exception):
-    pass
+class TensorFileError(ValueError):
+    """A malformed ABT1 file, or a tensor too large for one."""
 
 
 def write_tensor_file(path, arr: np.ndarray) -> None:

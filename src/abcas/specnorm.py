@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import PowerIterState, init_power_iter_state, power_iteration_step
-from .nn import NetworkSpec, ParamStore
+from .nn import ParamStore
 
 __all__ = [
     "EPS_DIV",
@@ -36,11 +36,11 @@ EPS_DIV = 1e-12
 _NORMALIZABLE = ("dense", "conv2d")
 
 
-def init_spectral_states(spec: NetworkSpec, store: ParamStore, seed) -> dict[int, PowerIterState]:
-    """One power-iteration state per layer flagged ``normalized``, with seeded unit-norm u."""
+def init_spectral_states(store: ParamStore, seed) -> dict[int, PowerIterState]:
+    """One power-iteration state per ``normalized`` layer of ``store.spec``, with seeded unit-norm u."""
     prefix = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
     states: dict[int, PowerIterState] = {}
-    for i, layer in enumerate(spec.layers):
+    for i, layer in enumerate(store.spec.layers):
         if not layer.normalized:
             continue
         if layer.kind not in _NORMALIZABLE:

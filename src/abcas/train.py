@@ -65,7 +65,6 @@ class TrainConfig:
     m: float = 1.0
     seed: int = 0
     eval_every: int = 250
-    latent_dim: int = 8
     eval_samples: int = 1024
 
     def validate(self) -> None:
@@ -73,7 +72,7 @@ class TrainConfig:
             raise ValueError(f"mode must be adaptive or fixed, got {self.mode!r}")
         # the critic gap takes a max and a min of each batch; the MMD needs two eval samples
         for name, low in (("batch_size", 2), ("steps", 0), ("eval_every", 1),
-                          ("latent_dim", 1), ("eval_samples", 2), ("seed", 0)):
+                          ("eval_samples", 2), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         # comparisons with nan are false, so each check below also rejects nan
@@ -161,9 +160,9 @@ def sample_latent(rng, n: int, g_spec: NetworkSpec) -> np.ndarray:
 class EvalBaseline:
     """The step-0 evaluation, shared by every run with the same inputs.
 
-    ``seed``, ``eval_samples`` and ``g_spec`` are what it was built from,
-    and ``data`` is the float32 training set the runs that share it train
-    on. The rest is what it holds: the fixed real evaluation set, the MMD
+    ``seed``, ``eval_samples`` and ``g_spec`` are what it was built from;
+    the runs that share it train the generator ``g_spec`` on ``data``, the
+    float32 training set. The rest is what it holds: the fixed real evaluation set, the MMD
     bandwidth frozen for the whole run so the column stays comparable, the
     real set's within-set kernel mean and the step-0 MMD.
     """
@@ -177,14 +176,12 @@ class EvalBaseline:
     real_within: float
     mmd2: float
 
-    def check(self, cfg: TrainConfig, g_spec: NetworkSpec) -> None:
+    def check(self, cfg: TrainConfig) -> None:
         """Raise ``ValueError`` naming the first input this baseline was not built from."""
         for name in ("seed", "eval_samples"):
             if getattr(self, name) != getattr(cfg, name):
                 raise ValueError(f"evaluation baseline was built for {name} "
                                  f"{getattr(self, name)}, not {getattr(cfg, name)}")
-        if self.g_spec != g_spec:
-            raise ValueError("evaluation baseline was built for another generator spec")
 
 
 # The most bytes that one chunk of :func:`generate` holds in a conv
@@ -193,8 +190,7 @@ class EvalBaseline:
 EVAL_CHUNK_BYTES = 256 * 1024
 
 
-def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
-             fwd: Callable) -> np.ndarray:
+def generate(g_store: ParamStore, z: np.ndarray, fwd: Callable) -> np.ndarray:
     """The generator's output on the latent batch ``z``, run through ``fwd`` in chunks.
 
     ``fwd`` is :func:`~abcas.nn.forward` or a wrapper of it. A generator
@@ -203,6 +199,7 @@ def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
     :data:`EVAL_CHUNK_BYTES` in the widest layer output, and at least one.
     Any other generator runs ``z`` as one chunk.
     """
+    g_spec = g_store.spec
     if per_sample(g_spec):
         widest = max(math.prod(shape) for shape in [g_spec.input_shape, *shape_plan(g_spec)])
         chunk = max(1, EVAL_CHUNK_BYTES // (widest * g_store.flat.itemsize))
@@ -212,15 +209,14 @@ def generate(g_spec: NetworkSpec, g_store: ParamStore, z: np.ndarray,
                            for i in range(0, len(z), chunk)])
 
 
-def _eval_sample(cfg: TrainConfig, g_spec: NetworkSpec, g_store: ParamStore,
-                 step: int) -> np.ndarray:
+def _eval_sample(cfg: TrainConfig, g_store: ParamStore, step: int) -> np.ndarray:
     """The generator's evaluation sample at ``step``, flattened to float64 rows.
 
     The latents come from one draw for the whole sample, so the random
     stream does not depend on how :func:`generate` chunks them.
     """
-    z = sample_latent(np.random.default_rng([cfg.seed, 5, step]), cfg.eval_samples, g_spec)
-    fake = generate(g_spec, g_store, z, forward)
+    z = sample_latent(np.random.default_rng([cfg.seed, 5, step]), cfg.eval_samples, g_store.spec)
+    fake = generate(g_store, z, forward)
     return fake.reshape(cfg.eval_samples, -1).astype(np.float64)
 
 
@@ -239,7 +235,7 @@ def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) ->
     n_eval_real = min(cfg.eval_samples, len(data))
     eval_idx = np.random.default_rng([seed, 4]).choice(len(data), size=n_eval_real, replace=False)
     real_eval = data[eval_idx].reshape(n_eval_real, -1).astype(np.float64)
-    fake0 = _eval_sample(cfg, g_spec, ParamStore(g_spec, seed=(seed, 0)), 0)
+    fake0 = _eval_sample(cfg, ParamStore(g_spec, seed=(seed, 0)), 0)
     if not np.isfinite(fake0).all():
         raise NumericAbort(0, None, "generated evaluation sample")
     bandwidth = median_heuristic_bandwidth(real_eval, fake0, seed=[seed, 6])
@@ -248,17 +244,17 @@ def eval_baseline(cfg: TrainConfig, dataset: np.ndarray, g_spec: NetworkSpec) ->
                         mmd2_unbiased(real_eval, fake0, bandwidth, x_within=real_within))
 
 
-def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
-                 d_spec: NetworkSpec, hooks: TrainHooks | None = None) -> ParamStore:
-    """Train on ``baseline.data`` and return the trained generator.
+def run_training(cfg: TrainConfig, baseline: EvalBaseline, d_spec: NetworkSpec,
+                 hooks: TrainHooks | None = None) -> ParamStore:
+    """Train the generator ``baseline.g_spec`` on ``baseline.data`` and return it.
 
     Each step's metrics record goes to ``hooks.on_record`` and is not
     kept. Row 0 is the pre-training evaluation (``baseline``); rows
     1..steps are the training steps. Losses and the MMD column carry their
     last computed value forward between the steps that refresh them. A
-    ``baseline`` built from another seed, evaluation size or generator
-    spec raises ``ValueError``. Raises :class:`NumericAbort` on the first
-    non-finite loss, critic output or generated evaluation sample.
+    ``baseline`` built from another seed or evaluation size raises
+    ``ValueError``. Raises :class:`NumericAbort` on the first non-finite
+    loss, critic output or generated evaluation sample.
 
     A D step keeps G's output, not its tape, stacked under the real batch.
     A :func:`~abcas.nn.per_sample` (conv) critic scores all the rows in one
@@ -267,8 +263,8 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
     """
     cfg.validate()
     hooks = hooks or TrainHooks()
-    baseline.check(cfg, g_spec)
-    data = baseline.data
+    baseline.check(cfg)
+    g_spec, data = baseline.g_spec, baseline.data
     n_data = len(data)
     if data.shape[1:] != tuple(d_spec.input_shape):
         raise ValueError(
@@ -279,7 +275,7 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
 
     g_store = ParamStore(g_spec, seed=(seed, 0))
     d_store = ParamStore(d_spec, seed=(seed, 1))
-    d_spectral = init_spectral_states(d_spec, d_store, seed=(seed, 2))
+    d_spectral = init_spectral_states(d_store, seed=(seed, 2))
     controller = AbcasState(beta=cfg.beta, alpha=cfg.alpha, mode=cfg.mode, m0=cfg.m)
     opt_g = Adam(g_store, cfg.lr_g, cfg.beta1, cfg.beta2)
     opt_d = Adam(d_store, cfg.lr_d, cfg.beta1, cfg.beta2)
@@ -357,7 +353,7 @@ def run_training(cfg: TrainConfig, baseline: EvalBaseline, g_spec: NetworkSpec,
             opt_g.step()
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            fake = _eval_sample(cfg, g_spec, g_store, step)
+            fake = _eval_sample(cfg, g_store, step)
             if not np.isfinite(fake).all():
                 abort(step, "generated evaluation sample")
             last_mmd = mmd2_unbiased(baseline.real_eval, fake, baseline.bandwidth,

@@ -13,6 +13,8 @@ from abcas.train import NumericAbort
 from helpers import ABORT_SITES, UNUSABLE_DATASETS, break_training_at, raw_abt1, run_python
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 UNUSABLE_DATA = pytest.mark.parametrize("rows", list(UNUSABLE_DATASETS.values()),
                                         ids=list(UNUSABLE_DATASETS))
 
@@ -200,12 +202,12 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(tiny_config), "--out", str(out)]) == 0
         real = cli.run_training
 
-        def failing(cfg, baseline, g_spec, d_spec, hooks):
+        def failing(cfg, baseline, d_spec, hooks):
             def on_eval(step, g_store, d_store):
                 hooks.on_eval(step, g_store, d_store)
                 if step == 20:
                     raise RuntimeError("killed")
-            return real(cfg, baseline, g_spec, d_spec,
+            return real(cfg, baseline, d_spec,
                         hooks=train.TrainHooks(on_record=hooks.on_record, on_eval=on_eval))
 
         monkeypatch.setattr(cli, "run_training", failing)
@@ -287,12 +289,12 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
         real = cli.run_training
 
-        def failing(cfg, baseline, g_spec, d_spec, hooks):
+        def failing(cfg, baseline, d_spec, hooks):
             def on_record(rec):
                 hooks.on_record(rec)
                 if rec.step == 15:
                     raise error
-            return real(cfg, baseline, g_spec, d_spec,
+            return real(cfg, baseline, d_spec,
                         hooks=train.TrainHooks(on_record=on_record, on_eval=hooks.on_eval))
 
         monkeypatch.setattr(cli, "run_training", failing)
@@ -363,7 +365,7 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_numeric_abort_exit_code(self, tiny_config, tmp_path, monkeypatch):
-        def exploding(cfg, baseline, g_spec, d_spec, hooks=None):
+        def exploding(cfg, baseline, d_spec, hooks=None):
             if hooks and hooks.on_record:
                 hooks.on_record(MetricsRecord(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.1))
             raise NumericAbort(3, None, "discriminator loss")
@@ -856,6 +858,28 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "abcas sweep: fixed_m0.7: ok\n" in captured.out
         assert captured.err == f"abcas: I/O error: [Errno 21] Is a directory: '{out / 'summary.csv'}'\n"
+
+
+@pytest.mark.parametrize("command,config", [("train", "ring2d.cfg"),
+                                            ("sweep", "ring2d_sweep.cfg")])
+def test_each_command_builds_its_networks_once(tmp_path, monkeypatch, command, config):
+    # a sweep's settings share one dataset, baseline and pair of specs
+    cfg = tmp_path / config
+    cfg.write_text((CONFIGS / config).read_text() + "\nsteps = 4\n")
+    calls = []
+    real = cli.build_networks
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_networks", counting)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "sweep":
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["ok"] * 8
+    assert len(calls) == 1
 
 
 class TestTrajCommand:

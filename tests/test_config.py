@@ -110,13 +110,15 @@ class TestNetworksFromSettings:
     def test_mlp_family(self):
         s = resolve_settings({"g_hidden": "8,8", "d_hidden": "8,8", "latent_dim": "4"})
         g, d = build_networks(s, (2,))
+        assert g.input_shape == (4,)
         assert shape_plan(g)[-1] == (2,)
         assert shape_plan(d)[-1] == (1,)
 
     def test_conv_family(self):
-        s = resolve_settings({"dataset": "blobs", "arch": "conv",
+        s = resolve_settings({"dataset": "blobs", "arch": "conv", "latent_dim": "5",
                               "g_channels": "12,8", "d_channels": "8,12"})
         g, d = build_networks(s, (1, 16, 16))
+        assert g.input_shape == (5, 1, 1)
         assert shape_plan(g)[-1] == (1, 16, 16)
         assert shape_plan(d)[-1] == (1, 1, 1)
 

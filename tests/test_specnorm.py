@@ -103,7 +103,7 @@ class TestBackwardThroughNorm:
         store = ParamStore(spec, seed=1, dtype=np.float64)
         rng = np.random.default_rng(9)
         store.params[0]["W"] += 0.3 * rng.standard_normal((4, 3))
-        states = init_spectral_states(spec, store, seed=11)
+        states = init_spectral_states(store, seed=11)
         x = rng.standard_normal((5, 3)) + 0.2
 
         states = {i: power_iterate(store.params[i]["W"], st, steps=4000, rel_tol=1e-14)
@@ -197,7 +197,7 @@ class TestLipschitzBound:
         m = 0.8
         spec = nn.mlp_discriminator(6, [16, 16])
         store = ParamStore(spec, seed=3, dtype=np.float64)
-        states = init_spectral_states(spec, store, seed=4)
+        states = init_spectral_states(store, seed=4)
         states = {i: power_iterate(store.params[i]["W"], st, steps=4000, rel_tol=1e-14)
                   for i, st in states.items()}
         eff = refresh(states, store, m=m)
@@ -248,7 +248,7 @@ class TestFixedMultiplierIsTemperature:
             prime.params[i]["b"][...] /= m ** k
         nets = []
         for st, mult in ((store, m), (prime, 1.0)):
-            states = init_spectral_states(spec, st, seed=1)
+            states = init_spectral_states(st, seed=1)
             nets.append((st, refresh(states, st, mult), states))
         return spec, x, nets, normalized
 
@@ -297,12 +297,12 @@ class TestPlumbing:
         spec.layers[0].normalized = True
         store = ParamStore(spec, seed=0)
         with pytest.raises(ValueError):
-            init_spectral_states(spec, store, seed=0)
+            init_spectral_states(store, seed=0)
 
     def test_refresh_applies_one_step_by_default(self):
         spec = NetworkSpec((3,), [dense(3, 4, normalized=True)])
         store = ParamStore(spec, seed=0)
-        states = init_spectral_states(spec, store, seed=1)
+        states = init_spectral_states(store, seed=1)
         u0 = states[0].u.copy()
         refresh(states, store, m=1.0)
         assert not np.array_equal(states[0].u, u0)
@@ -316,7 +316,7 @@ class TestPlumbing:
         # weights in row-major (c_in, kh, kw) order, a dense weight's row o
         # as it is; the effective weight keeps the stored weight's shape
         store = ParamStore(spec, seed=3)
-        states = init_spectral_states(spec, store, seed=4)
+        states = init_spectral_states(store, seed=4)
         before = dict(states)
         effective = refresh(states, store, m=0.8)
         assert sorted(effective) == sorted(states) == [i for i, layer in enumerate(spec.layers)

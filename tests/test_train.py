@@ -180,14 +180,14 @@ class TestAdam:
 
 def _tiny_setup(steps=10, mode="adaptive", m=1.0, seed=0, beta=4.0, family="mlp"):
     cfg = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=5,
-                      latent_dim=4, mode=mode, m=m, beta=beta, eval_samples=32)
+                      mode=mode, m=m, beta=beta, eval_samples=32)
     if family == "conv":
         data = generate_blobs(32, img_size=8, seed=1)
-        g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
+        g = nn.conv_generator(4, [8], 1, 8)
         d = nn.conv_discriminator(1, [8], 8)
     else:
         data = generate_ring2d(64, 8, 0.7, 0.05, seed=seed)
-        g = nn.mlp_generator(cfg.latent_dim, [8, 8], 2)
+        g = nn.mlp_generator(4, [8, 8], 2)
         d = nn.mlp_discriminator(2, [8, 8])
     return cfg, data, g, d
 
@@ -201,8 +201,7 @@ def _dirac_setup(steps, seed=0):
     few hundred steps.
     """
     cfg = TrainConfig(steps=steps, batch_size=16, lr_d=5e-3, lr_g=5e-3, beta1=0.0,
-                      alpha=0.999, beta=0.02, seed=seed, eval_every=steps,
-                      latent_dim=1, eval_samples=16)
+                      alpha=0.999, beta=0.02, seed=seed, eval_every=steps, eval_samples=16)
     data = np.tile(np.float32([0.5, 0.0]), (256, 1))
     g = NetworkSpec((1,), [dense(1, 2)])
     d = NetworkSpec((2,), [dense(2, 1, normalized=True)])
@@ -217,7 +216,7 @@ def _train(cfg, data, g, d, rows=None, baseline=None, **hooks):
     rows = [] if rows is None else rows
     if baseline is None:
         baseline = eval_baseline(cfg, data, g)
-    run_training(cfg, baseline, g, d, hooks=TrainHooks(on_record=rows.append, **hooks))
+    run_training(cfg, baseline, d, hooks=TrainHooks(on_record=rows.append, **hooks))
     return rows
 
 
@@ -279,7 +278,7 @@ def _blobs16_generator():
     return g, store
 
 
-def _chunk_sizes(g_spec, store, z):
+def _chunk_sizes(store, z):
     """The batch sizes ``train.generate`` runs ``z`` in, and its output."""
     sizes = []
 
@@ -287,7 +286,7 @@ def _chunk_sizes(g_spec, store, z):
         sizes.append(len(x))
         return nn.forward(spec, st, x)
 
-    return sizes, train.generate(g_spec, store, z, fwd)
+    return sizes, train.generate(store, z, fwd)
 
 
 class TestGenerate:
@@ -304,7 +303,7 @@ class TestGenerate:
         z = train.sample_latent(np.random.default_rng(9), 256, g)
         whole = nn.forward(g, store, z)[0]
         monkeypatch.setattr(train, "EVAL_CHUNK_BYTES", bound)
-        sizes, out = _chunk_sizes(g, store, z)
+        sizes, out = _chunk_sizes(store, z)
         assert sizes == [chunk] * (256 // chunk) + ([256 % chunk] if 256 % chunk else [])
         assert out.shape == whole.shape and out.dtype == whole.dtype
         assert out.tobytes() == whole.tobytes()
@@ -316,7 +315,7 @@ class TestGenerate:
         g, _ = build_networks(settings, tuple(settings.dataset_spec().load().shape[1:]))
         store = ParamStore(g, seed=(0, 0))
         z = train.sample_latent(np.random.default_rng(0), settings.train.eval_samples, g)
-        assert _chunk_sizes(g, store, z)[0] == chunks
+        assert _chunk_sizes(store, z)[0] == chunks
 
     def test_dense_generator_runs_as_one_pass(self):
         # 1536 samples of ring2d's 64-float layers are 384 KB, past the bound;
@@ -326,18 +325,18 @@ class TestGenerate:
         store = ParamStore(g, seed=(0, 0))
         z = train.sample_latent(np.random.default_rng(0), 1536, g)
         whole = nn.forward(g, store, z)[0]
-        sizes, out = _chunk_sizes(g, store, z)
+        sizes, out = _chunk_sizes(store, z)
         assert sizes == [1536]
         assert out.tobytes() == whole.tobytes()
 
     def test_eval_sample_peak_memory_at_blobs16_shapes(self):
         # one 256-sample pass peaks at about 7.6 MB; 64-sample chunks at about 2 MB
-        g, store = _blobs16_generator()
-        cfg = TrainConfig(latent_dim=16, eval_samples=256)
-        train._eval_sample(cfg, g, store, 0)  # builds the cached gather tables
+        _, store = _blobs16_generator()
+        cfg = TrainConfig(eval_samples=256)
+        train._eval_sample(cfg, store, 0)  # builds the cached gather tables
         tracemalloc.start()
         try:
-            fake = train._eval_sample(cfg, g, store, 1)
+            fake = train._eval_sample(cfg, store, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -600,7 +599,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(train, "AbcasState", Counting)
         cfg, data, g, d = _tiny_setup(steps=9)
-        run_training(cfg, eval_baseline(cfg, data, g), g, d, TrainHooks(on_record=on_record))
+        run_training(cfg, eval_baseline(cfg, data, g), d, TrainHooks(on_record=on_record))
         assert seen == [(step, step % 2) for step in range(cfg.steps + 1)]
 
     def test_adaptive_m_matches_power_of_r(self):
@@ -888,18 +887,16 @@ class TestTrainingLoop:
         for a, b in zip(own, shared, strict=True):
             assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
 
-    @pytest.mark.parametrize("field", ["seed", "eval_samples", "generator spec"])
+    @pytest.mark.parametrize("field", ["seed", "eval_samples"])
     def test_baseline_from_other_inputs_rejected(self, field):
         cfg, data, g, d = _tiny_setup()
         baseline = eval_baseline(cfg, data, g)
         if field == "seed":
             cfg.seed = 1
-        elif field == "eval_samples":
-            cfg.eval_samples = 16
         else:
-            g = nn.mlp_generator(cfg.latent_dim, [8, 9], 2)
-        with pytest.raises(ValueError, match=f"baseline was built for (another )?{field}"):
-            run_training(cfg, baseline, g, d)
+            cfg.eval_samples = 16
+        with pytest.raises(ValueError, match=f"baseline was built for {field} "):
+            run_training(cfg, baseline, d)
 
     def test_returns_the_generator_and_holds_no_row(self):
         # a row outlives its on_record call only as the last row, which a
@@ -912,7 +909,7 @@ class TestTrainingLoop:
             if step == 2 * cfg.eval_every:
                 alive[step] = [ref().step for ref in refs if ref() is not None]
 
-        g_store = run_training(cfg, eval_baseline(cfg, data, g), g, d, hooks=TrainHooks(
+        g_store = run_training(cfg, eval_baseline(cfg, data, g), d, hooks=TrainHooks(
             on_record=lambda rec: refs.append(weakref.ref(rec)), on_eval=on_eval))
         assert len(refs) == cfg.steps + 1
         assert alive[10] in ([], [9])
@@ -921,10 +918,9 @@ class TestTrainingLoop:
 
     def test_conv_family_trains(self):
         from abcas.data import generate_blobs
-        cfg = TrainConfig(steps=8, batch_size=4, seed=1, eval_every=4,
-                          latent_dim=8, eval_samples=16)
+        cfg = TrainConfig(steps=8, batch_size=4, seed=1, eval_every=4, eval_samples=16)
         data = generate_blobs(32, img_size=8, seed=1)
-        g = nn.conv_generator(cfg.latent_dim, [8], 1, 8)
+        g = nn.conv_generator(8, [8], 1, 8)
         d = nn.conv_discriminator(1, [8], 8)
         recs = _train(cfg, data, g, d)
         assert len(recs) == 9
@@ -934,7 +930,7 @@ class TestTrainingLoop:
         # the data fits the generator, so its baseline builds, but not this critic
         cfg, data, g, _ = _tiny_setup()
         with pytest.raises(ValueError, match="does not match the discriminator input"):
-            run_training(cfg, eval_baseline(cfg, data, g), g, nn.mlp_discriminator(3, [8, 8]))
+            run_training(cfg, eval_baseline(cfg, data, g), nn.mlp_discriminator(3, [8, 8]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
